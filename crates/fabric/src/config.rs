@@ -6,6 +6,7 @@ use hmc_des::Delay;
 use hmc_device::DeviceConfig;
 use hmc_host::HostConfig;
 use hmc_link::{LinkConfig, LinkWidth};
+use hmc_noc::SwitchConfig;
 use hmc_packet::RequestKind;
 
 use crate::route::RouteTable;
@@ -336,10 +337,11 @@ impl FabricConfig {
         if usize::from(self.host.link_count) != self.cube.link_count() {
             return Err("host and cube must agree on link count".to_owned());
         }
-        // The crossbar's egress dirty mask is one u64: every cube's port
-        // count (device links + fabric links + host links on cube 0) must
-        // fit. Only high-degree hubs can violate this — a star past ~60
-        // cubes; the constant-degree grids never do.
+        // The crossbar's arbitration masks and egress dirty mask are one
+        // u64 each (`SwitchConfig::MAX_PORTS`): every cube's port count
+        // (device links + fabric links + host links on cube 0) must fit.
+        // Only high-degree hubs can violate this — a star past ~60 cubes;
+        // the constant-degree grids never do.
         for c in CubeId::all(self.cube_count) {
             let ports = self.cube.link_count()
                 + self.topology.neighbors(self.cube_count, c).len()
@@ -348,11 +350,12 @@ impl FabricConfig {
                 } else {
                     0
                 };
-            if ports > 64 {
+            if ports > SwitchConfig::MAX_PORTS {
                 return Err(format!(
-                    "{c}'s crossbar needs {ports} ports, above the 64-port \
+                    "{c}'s crossbar needs {ports} ports, above the {}-port \
                      ceiling — use a constant-degree topology (mesh/torus) \
-                     for fabrics this large"
+                     for fabrics this large",
+                    SwitchConfig::MAX_PORTS
                 ));
             }
         }

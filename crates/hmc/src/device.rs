@@ -185,6 +185,10 @@ pub struct HmcDevice {
     resp_dep_scratch: Departures<DeviceResponse>,
     /// Reused delivery scratch for upstream serializer service.
     delivery_scratch: Deliveries<ResponsePacket>,
+    /// Reused `(bank, completion)` scratch for vault bank starts. A plain
+    /// `Vec`, not an `InlineVec`: its one-time growth must not count
+    /// toward `EngineStats::scratch_spills`.
+    started_scratch: Vec<(usize, Time)>,
     requests_received: u64,
     responses_sent: u64,
     /// Telemetry probe (detached by default — every emit is one branch).
@@ -280,6 +284,7 @@ impl HmcDevice {
             req_dep_scratch: Departures::new(),
             resp_dep_scratch: Departures::new(),
             delivery_scratch: Deliveries::new(),
+            started_scratch: Vec::new(),
             requests_received: 0,
             responses_sent: 0,
             probe: Probe::off(),
@@ -713,7 +718,9 @@ impl HmcDevice {
         }
         // Idle banks with queued work → DRAM.
         let ctrl_out = self.cfg.vault.ctrl_latency;
-        for (bank, completion) in self.vaults[v].start_services(now) {
+        let mut started = std::mem::take(&mut self.started_scratch);
+        self.vaults[v].start_services(now, &mut started);
+        for (bank, completion) in started.drain(..) {
             self.probe.vault_service(self.probe_cube, v as u8, now);
             self.schedule(
                 completion + ctrl_out,
@@ -721,6 +728,7 @@ impl HmcDevice {
             );
             progress = true;
         }
+        self.started_scratch = started;
         progress
     }
 

@@ -108,11 +108,11 @@ impl VaultCtrl {
         freed
     }
 
-    /// Starts service on every idle bank with queued work. Returns
-    /// `(bank, completion_time)` for each started request; the caller
-    /// schedules the completions.
-    pub fn start_services(&mut self, now: Time) -> Vec<(usize, Time)> {
-        let mut started = Vec::new();
+    /// Starts service on every idle bank with queued work. Appends
+    /// `(bank, completion_time)` for each started request to `started`
+    /// (a caller-owned scratch buffer, so steady-state pumps allocate
+    /// nothing); the caller schedules the completions.
+    pub fn start_services(&mut self, now: Time, started: &mut Vec<(usize, Time)>) {
         while let Some(bank) = self.startable.pop_front() {
             self.startable_flag[bank] = false;
             if self.engines[bank] != BankEngine::Idle {
@@ -134,7 +134,6 @@ impl VaultCtrl {
             self.engines[bank] = BankEngine::InService(req);
             started.push((bank, completion));
         }
-        started
     }
 
     /// Marks `bank`'s in-service request as completed (its scheduled
@@ -271,12 +270,19 @@ mod tests {
         VaultCtrl::new(16, DramTiming::hmc_gen2(), &VaultTuning::default())
     }
 
+    /// The services `v` starts at `now`, collected into a fresh buffer.
+    fn start(v: &mut VaultCtrl, now: Time) -> Vec<(usize, Time)> {
+        let mut started = Vec::new();
+        v.start_services(now, &mut started);
+        started
+    }
+
     #[test]
     fn request_flows_through_to_completion() {
         let mut v = vault();
         v.push_ingress(req(3, 1));
         assert_eq!(v.pump_ingress(), 1, "a read request is one flit");
-        let started = v.start_services(Time::ZERO);
+        let started = start(&mut v, Time::ZERO);
         assert_eq!(started.len(), 1);
         let (bank, completion) = started[0];
         assert_eq!(bank, 3);
@@ -295,7 +301,7 @@ mod tests {
         v.push_ingress(req(0, 1));
         v.push_ingress(req(0, 2));
         v.pump_ingress();
-        let started = v.start_services(Time::ZERO);
+        let started = start(&mut v, Time::ZERO);
         assert_eq!(started.len(), 1, "second request queues behind the first");
         assert_eq!(v.outstanding(), 2);
     }
@@ -324,12 +330,12 @@ mod tests {
         v.push_ingress(req(0, 1));
         v.push_ingress(req(0, 2));
         v.pump_ingress();
-        let (bank, _) = v.start_services(Time::ZERO)[0];
+        let (bank, _) = start(&mut v, Time::ZERO)[0];
         v.complete(bank);
         // While the response waits, the next request must not start.
-        assert!(v.start_services(Time::from_us(1)).is_empty());
+        assert!(start(&mut v, Time::from_us(1)).is_empty());
         v.take_completed(bank);
-        assert_eq!(v.start_services(Time::from_us(1)).len(), 1);
+        assert_eq!(start(&mut v, Time::from_us(1)).len(), 1);
     }
 
     #[test]
@@ -369,12 +375,12 @@ mod tests {
         let mut r = req(0, 1);
         v.push_ingress(r);
         v.pump_ingress();
-        let (_, read_done) = v.start_services(Time::ZERO)[0];
+        let (_, read_done) = start(&mut v, Time::ZERO)[0];
         let mut v2 = vault();
         r.pkt.kind = RequestKind::ReadModifyWrite;
         v2.push_ingress(r);
         v2.pump_ingress();
-        let (_, rmw_done) = v2.start_services(Time::ZERO)[0];
+        let (_, rmw_done) = start(&mut v2, Time::ZERO)[0];
         assert!(rmw_done > read_done);
     }
 }

@@ -298,7 +298,7 @@ impl HostModel {
         // the budget: wire time still outstanding at t may cover at most
         // `allowed` flits.
         let allowed = u64::from(self.cfg.link_fifo_flits - queued - flits);
-        let flit_ps = self.cfg.link.effective_flit_time().as_ps().max(1);
+        let flit_ps = tx.effective_flit_time().as_ps().max(1);
         let at = Time::from_ps(tx.busy_until().as_ps().saturating_sub(allowed * flit_ps));
         Some(at.max(now))
     }

@@ -95,7 +95,13 @@ impl LinkConfig {
     /// Wire occupancy of a packet of `flits` flits: serialization at the
     /// effective rate, floored by the per-packet processing time.
     pub fn packet_time(&self, flits: u32) -> Delay {
-        (self.effective_flit_time() * flits).max(self.min_packet_time)
+        self.packet_time_from(self.effective_flit_time(), flits)
+    }
+
+    /// [`LinkConfig::packet_time`] given this configuration's effective
+    /// flit time, already derived.
+    pub(crate) fn packet_time_from(&self, flit_time: Delay, flits: u32) -> Delay {
+        (flit_time * flits).max(self.min_packet_time)
     }
 
     /// Time to serialize one flit including protocol overhead — the

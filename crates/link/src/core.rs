@@ -91,6 +91,10 @@ pub struct LinkStats {
 pub struct LinkTx<P> {
     cfg: LinkConfig,
     serdes_latency: Delay,
+    /// [`LinkConfig::effective_flit_time`], derived once: it is a float
+    /// divide and round that the backlog and wire-room queries would
+    /// otherwise repeat on every call.
+    flit_time: Delay,
     queue: VecDeque<(u32, P)>,
     queue_flits: u32,
     busy_until: Time,
@@ -119,6 +123,7 @@ impl<P> LinkTx<P> {
         LinkTx {
             cfg: *cfg,
             serdes_latency: cfg.serdes_latency,
+            flit_time: cfg.effective_flit_time(),
             queue: VecDeque::new(),
             queue_flits: 0,
             busy_until: Time::ZERO,
@@ -190,8 +195,16 @@ impl<P> LinkTx<P> {
     /// schedule, so it under-reports load.
     pub fn backlog_flits(&self, now: Time) -> u32 {
         let wire_ps = self.busy_until.saturating_since(now).as_ps();
-        let flit_ps = self.cfg.effective_flit_time().as_ps().max(1);
+        let flit_ps = self.flit_time.as_ps().max(1);
         self.queue_flits + u32::try_from(wire_ps.div_ceil(flit_ps)).unwrap_or(u32::MAX)
+    }
+
+    /// Time to serialize one flit including protocol overhead — the
+    /// configuration's [`LinkConfig::effective_flit_time`], derived once
+    /// at construction.
+    #[inline]
+    pub fn effective_flit_time(&self) -> Delay {
+        self.flit_time
     }
 
     /// Number of queued packets.
@@ -257,7 +270,7 @@ impl<P> LinkTx<P> {
             let (flits, payload) = self.queue.pop_front().expect("front exists");
             self.queue_flits -= flits;
             let end = match self.faults.as_deref_mut() {
-                None => cursor + self.cfg.packet_time(flits),
+                None => cursor + self.cfg.packet_time_from(self.flit_time, flits),
                 Some(lane) => {
                     let identity = self.trace_id.map(|f| f(&payload));
                     cursor = lane.admit(cursor, flits);
@@ -447,6 +460,42 @@ mod tests {
         assert_eq!(tx.stats().peak_queue_flits, 11);
         assert_eq!(tx.stats().flits_sent, 11);
         assert_eq!(tx.queue_flits(), 0);
+    }
+
+    #[test]
+    fn cached_flit_time_keeps_config_timing() {
+        use crate::config::LinkWidth;
+        let full = LinkConfig {
+            width: LinkWidth::Full,
+            ..cfg()
+        };
+        let half_slow = LinkConfig {
+            lane_gbps: 12.5,
+            ..cfg()
+        };
+        let full_slow = LinkConfig {
+            lane_gbps: 10.0,
+            ..full
+        };
+        for link_cfg in [cfg(), full, half_slow, full_slow] {
+            let mut tx: LinkTx<u32> = LinkTx::new(&link_cfg);
+            assert_eq!(tx.effective_flit_time(), link_cfg.effective_flit_time());
+            for flits in 1..=9 {
+                // Each packet starts on an idle wire, so its delivery is
+                // exactly the configuration's packet time plus SerDes.
+                let start = tx.busy_until();
+                tx.enqueue(flits, flits);
+                let out = tx.service(start);
+                assert_eq!(
+                    out[0].at,
+                    start + link_cfg.packet_time(flits) + link_cfg.serdes_latency,
+                    "{flits}-flit packet at {} Gbps, {:?}",
+                    link_cfg.lane_gbps,
+                    link_cfg.width
+                );
+                tx.return_tokens(flits);
+            }
+        }
     }
 
     #[test]

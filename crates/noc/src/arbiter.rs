@@ -80,6 +80,51 @@ impl RoundRobinArbiter {
         winner
     }
 
+    /// [`RoundRobinArbiter::grant`] over a ready set given as a bitmask:
+    /// bit `i` of `ready` is set when requester `i` wants the resource.
+    /// Picks the first set bit at or after the priority pointer, wrapping,
+    /// and counts contenders by popcount — the same winner, pointer move
+    /// and counters as `grant`, at a cost independent of `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `ready` has a bit at or above `n`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hmc_noc::RoundRobinArbiter;
+    ///
+    /// let mut arb = RoundRobinArbiter::new(3);
+    /// assert_eq!(arb.grant_mask(0b101), Some(0));
+    /// assert_eq!(arb.grant_mask(0b101), Some(2)); // skips 1, wraps past 0
+    /// assert_eq!(arb.grant_mask(0), None);
+    /// assert_eq!(arb.conflicts(), 2);
+    /// ```
+    #[inline]
+    pub fn grant_mask(&mut self, ready: u64) -> Option<usize> {
+        debug_assert!(
+            self.n >= 64 || ready >> self.n == 0,
+            "ready bit past the requester count"
+        );
+        if ready == 0 {
+            return None;
+        }
+        // `next < n <= 64`, so the shift stays below the word width.
+        let at_or_after = ready >> self.next;
+        let w = if at_or_after != 0 {
+            self.next + at_or_after.trailing_zeros() as usize
+        } else {
+            ready.trailing_zeros() as usize
+        };
+        self.next = (w + 1) % self.n;
+        self.grants += 1;
+        if ready.count_ones() > 1 {
+            self.conflicts += 1;
+        }
+        Some(w)
+    }
+
     /// Total grants issued.
     #[inline]
     pub fn grants(&self) -> u64 {

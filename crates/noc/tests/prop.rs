@@ -44,6 +44,27 @@ proptest! {
         }
     }
 
+    /// The bitmask grant picks exactly the winner, pointer, grant count
+    /// and conflict count of the closure grant, for every requester count
+    /// up to the 64-bit mask width, over dense and sparse ready sets and
+    /// the pointer states a random grant history leaves behind.
+    #[test]
+    fn grant_mask_matches_grant(
+        draws in prop::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..48),
+    ) {
+        for n in 1..=64usize {
+            let width = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+            let mut scan = RoundRobinArbiter::new(n);
+            let mut mask = RoundRobinArbiter::new(n);
+            for &(a, b, sparse) in &draws {
+                let ready = if sparse { a & b & width } else { a & width };
+                let want = scan.grant(|i| ready >> i & 1 == 1);
+                prop_assert_eq!(mask.grant_mask(ready), want, "n={} ready={:#x}", n, ready);
+                prop_assert_eq!(&mask, &scan);
+            }
+        }
+    }
+
     /// Every packet pushed into a switch eventually departs exactly once,
     /// with its flit count intact, provided downstream credits are
     /// returned.
