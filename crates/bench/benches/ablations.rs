@@ -11,10 +11,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hmc_sim::mapping::{AddressMap, BlockSize, Geometry, QuadrantId};
 use hmc_sim::prelude::*;
 
-fn gups_128b(cfg: SystemConfig, ports: usize) -> RunReport {
-    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)); ports];
-    SystemSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40))
+fn gups_128b(cfg: FabricConfig, ports: usize) -> RunReport {
+    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+    let specs =
+        vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); ports];
+    FabricSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40))
 }
 
 /// Ablation 1: per-bank queue depth. The paper infers ~144-entry per-bank
@@ -27,16 +28,19 @@ fn ablate_bank_queue(c: &mut Criterion) {
     for depth in [18usize, 72, 288] {
         group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &depth| {
             b.iter(|| {
-                let mut cfg = SystemConfig::ac510(1);
-                cfg.device.vault.bank_queue_capacity = depth;
+                let mut device = DeviceConfig::ac510_hmc();
+                device.vault.bank_queue_capacity = depth;
+                let cfg = FabricConfig::single(device, HostConfig::ac510_default(), 1);
                 let filter = AccessPattern::Banks {
                     vault: VaultId(0),
                     count: 2,
                 }
-                .filter(&cfg.device.map);
-                let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)); 9];
+                .filter(&cfg.cube.map);
+                let spec =
+                    FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST);
+                let specs = vec![spec; 9];
                 let report =
-                    SystemSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40));
+                    FabricSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40));
                 printed.lock().unwrap().push(format!(
                     "[bank_queue={depth}] 2-bank outstanding ≈ {:.0}, latency {:.2} us",
                     report.estimated_outstanding(),
@@ -66,10 +70,11 @@ fn ablate_link_overhead(c: &mut Criterion) {
             &overhead,
             |b, &overhead| {
                 b.iter(|| {
-                    let mut cfg = SystemConfig::ac510(1);
-                    cfg.device.link.protocol_overhead = overhead;
-                    cfg.host.link.protocol_overhead = overhead;
-                    let report = gups_128b(cfg, 9);
+                    let mut device = DeviceConfig::ac510_hmc();
+                    let mut host = HostConfig::ac510_default();
+                    device.link.protocol_overhead = overhead;
+                    host.link.protocol_overhead = overhead;
+                    let report = gups_128b(FabricConfig::single(device, host, 1), 9);
                     printed.lock().unwrap().push(format!(
                         "[overhead={overhead:.2}] 16-vault 128B: {:.2} GB/s",
                         report.total_bandwidth_gbs()
@@ -98,17 +103,18 @@ fn ablate_topology(c: &mut Criterion) {
         let label = if quadrants == 4 { "quadrants" } else { "flat" };
         group.bench_with_input(BenchmarkId::from_parameter(label), &quadrants, |b, &q| {
             b.iter(|| {
-                let mut cfg = SystemConfig::ac510(1);
+                let mut device = DeviceConfig::ac510_hmc();
+                let mut host = HostConfig::ac510_default();
                 let mut geometry = Geometry::hmc_gen2();
                 geometry.quadrants = q;
-                cfg.device.map = AddressMap::new(geometry, BlockSize::B128);
-                cfg.device.link_quadrants = if q == 4 {
+                device.map = AddressMap::new(geometry, BlockSize::B128);
+                device.link_quadrants = if q == 4 {
                     vec![QuadrantId(0), QuadrantId(1)]
                 } else {
                     vec![QuadrantId(0)]
                 };
-                cfg.host.link_count = cfg.device.link_quadrants.len() as u8;
-                let report = gups_128b(cfg, 9);
+                host.link_count = device.link_quadrants.len() as u8;
+                let report = gups_128b(FabricConfig::single(device, host, 1), 9);
                 printed.lock().unwrap().push(format!(
                     "[topology={label}] {:.2} GB/s at {:.2} us",
                     report.total_bandwidth_gbs(),
@@ -135,12 +141,13 @@ fn ablate_tags(c: &mut Criterion) {
     for tags in [8u16, 64, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(tags), &tags, |b, &tags| {
             b.iter(|| {
-                let cfg = SystemConfig::ac510(1);
-                let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-                let specs =
-                    vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B16)).with_tags(tags); 9];
+                let cfg = FabricConfig::chain(1, 1);
+                let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+                let spec =
+                    FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B16), CubeId::HOST);
+                let specs = vec![spec.with_tags(tags); 9];
                 let report =
-                    SystemSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40));
+                    FabricSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40));
                 printed.lock().unwrap().push(format!(
                     "[tags={tags}] 16B reads: {:.2} GB/s at {:.2} us",
                     report.total_bandwidth_gbs(),

@@ -96,14 +96,16 @@ impl Scale2 {
 /// The unloaded Figure 6 point: one 16 B read port, one tag, one bank —
 /// the idle-skip stress (few events over many simulated cycles).
 fn fig6_low(scale: Scale2, probe: Probe) -> CaseOutput {
-    let cfg = SystemConfig::ac510(2018);
+    let cfg = FabricConfig::chain(2018, 1);
     let filter = AccessPattern::Banks {
         vault: VaultId(0),
         count: 1,
     }
-    .filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B16)).with_tags(1)];
-    let mut sim = SystemSim::with_telemetry(cfg, specs, probe);
+    .filter(&cfg.cube.map);
+    let specs = vec![
+        FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B16), CubeId::HOST).with_tags(1),
+    ];
+    let mut sim = FabricSim::with_telemetry(cfg, specs, probe);
     let (warmup, measure) = scale.gups_windows();
     let report = sim.run_gups(warmup, measure);
     let stats = sim.engine_stats();
@@ -114,10 +116,11 @@ fn fig6_low(scale: Scale2, probe: Probe) -> CaseOutput {
 /// vaults — the bandwidth ceiling, the densest event traffic in the
 /// basket and the point the ≥1.3x events/sec gate is measured on.
 fn fig6_sat(scale: Scale2, probe: Probe) -> CaseOutput {
-    let cfg = SystemConfig::ac510(2018);
-    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)); 9];
-    let mut sim = SystemSim::with_telemetry(cfg, specs, probe);
+    let cfg = FabricConfig::chain(2018, 1);
+    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+    let specs =
+        vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
+    let mut sim = FabricSim::with_telemetry(cfg, specs, probe);
     let (warmup, measure) = scale.gups_windows();
     let report = sim.run_gups(warmup, measure);
     let stats = sim.engine_stats();
@@ -139,22 +142,25 @@ fn ext_chain4(scale: Scale2, probe: Probe) -> CaseOutput {
 
 /// The pointer-chase probe: 8 dependent-read walkers on one cube.
 fn probe_chase(scale: Scale2, probe: Probe) -> CaseOutput {
-    let cfg = SystemConfig::ac510(2018);
-    let map = cfg.device.map;
+    let cfg = FabricConfig::chain(2018, 1);
+    let map = cfg.cube.map;
     let vaults: Vec<VaultId> = (0..16).map(VaultId).collect();
     let hops = scale.chase_hops();
-    let spec = PortSpec::from_source(move |seed| {
-        Box::new(PointerChase::new(
-            &map,
-            &vaults,
-            PayloadSize::B64,
-            8,
-            hops,
-            seed,
-        ))
-    })
+    let spec = FabricPortSpec::from_source(
+        move |seed| {
+            Box::new(PointerChase::new(
+                &map,
+                &vaults,
+                PayloadSize::B64,
+                8,
+                hops,
+                seed,
+            ))
+        },
+        CubeId::HOST,
+    )
     .with_tags(8);
-    let mut sim = SystemSim::with_telemetry(cfg, vec![spec], probe);
+    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe);
     let report = sim.run_streams();
     let stats = sim.engine_stats();
     (report, stats, SchedStats::default())
@@ -162,20 +168,23 @@ fn probe_chase(scale: Scale2, probe: Probe) -> CaseOutput {
 
 /// The NOM-style offload stream: read→dependent-write vault copies.
 fn ext_offload(scale: Scale2, probe: Probe) -> CaseOutput {
-    let cfg = SystemConfig::ac510(2018);
-    let map = cfg.device.map;
+    let cfg = FabricConfig::chain(2018, 1);
+    let map = cfg.cube.map;
     let pairs = scale.offload_pairs();
-    let spec = PortSpec::from_source(move |_| {
-        Box::new(OffloadSource::new(
-            &map,
-            VaultId(1),
-            VaultId(9),
-            PayloadSize::B128,
-            pairs,
-            8,
-        ))
-    });
-    let mut sim = SystemSim::with_telemetry(cfg, vec![spec], probe);
+    let spec = FabricPortSpec::from_source(
+        move |_| {
+            Box::new(OffloadSource::new(
+                &map,
+                VaultId(1),
+                VaultId(9),
+                PayloadSize::B128,
+                pairs,
+                8,
+            ))
+        },
+        CubeId::HOST,
+    );
+    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe);
     let report = sim.run_streams();
     let stats = sim.engine_stats();
     (report, stats, SchedStats::default())

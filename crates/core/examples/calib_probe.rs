@@ -2,15 +2,15 @@
 use hmc_sim::prelude::*;
 
 fn run_seed(seed: u64, measure_us: u64) {
-    let cfg = SystemConfig::ac510(seed);
-    let map = cfg.device.map;
+    let cfg = FabricConfig::chain(seed, 1);
+    let map = cfg.cube.map;
     let filter = AccessPattern::Vaults { count: 16 }.filter(&map);
     let op = GupsOp::Mix {
         size: PayloadSize::B128,
         write_percent: 50,
     };
-    let ports = vec![PortSpec::gups(filter, op); 9];
-    let mut sim = SystemSim::new(cfg, ports);
+    let ports = vec![FabricPortSpec::gups(filter, op, CubeId::HOST); 9];
+    let mut sim = FabricSim::new(cfg, ports);
     let report = sim.run_gups(Delay::from_us(30), Delay::from_us(measure_us));
     println!(
         "seed {seed:20} measure {measure_us:4}us: {:6.2} GB/s lat {:7.2}us reads {} writes {}",
@@ -19,7 +19,7 @@ fn run_seed(seed: u64, measure_us: u64) {
         report.total_reads(),
         report.total_writes()
     );
-    for (label, peak) in sim.device_peak_census() {
+    for (label, peak) in sim.device_peak_census(CubeId::HOST) {
         if peak > 40 {
             println!("   {label:20} peak {peak}");
         }

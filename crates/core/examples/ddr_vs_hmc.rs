@@ -25,10 +25,10 @@ fn main() {
     for mlp in [1usize, 4, 16, 64] {
         let ddr = DdrChannel::ddr4_2400().run_closed_loop(mlp, 5_000, 64, seed);
         // HMC: one stream port whose tag pool bounds in-flight requests.
-        let cfg = SystemConfig::ac510(seed);
+        let cfg = FabricConfig::chain(seed, 1);
         let trace = random_reads_in_vaults(&map, &all_vaults, PayloadSize::B64, 2_000, seed);
-        let spec = PortSpec::stream(trace).with_tags(mlp as u16);
-        let hmc = SystemSim::new(cfg, vec![spec]).run_streams();
+        let spec = FabricPortSpec::stream(trace, CubeId::HOST).with_tags(mlp as u16);
+        let hmc = FabricSim::new(cfg, vec![spec]).run_streams();
         println!(
             "{:>12} {:>22.1} {:>22.1}",
             mlp,
@@ -39,10 +39,11 @@ fn main() {
     println!();
     // Peak random throughput comparison.
     let ddr_peak = DdrChannel::ddr4_2400().run_closed_loop(64, 50_000, 64, seed);
-    let cfg = SystemConfig::ac510(seed);
+    let cfg = FabricConfig::chain(seed, 1);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&map);
-    let ports = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)); 9];
-    let hmc_peak = SystemSim::new(cfg, ports).run_gups(Delay::from_us(50), Delay::from_us(200));
+    let ports =
+        vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
+    let hmc_peak = FabricSim::new(cfg, ports).run_gups(Delay::from_us(50), Delay::from_us(200));
     println!("peak random-read throughput:");
     println!(
         "  DDR4-2400 channel : {:5.1} GB/s of data",

@@ -37,19 +37,22 @@ fn main() {
     //    construction: the map spreads them across every vault).
     let seed = 1;
     let reads_per_port = 128usize;
-    let cfg = SystemConfig::ac510(seed);
-    let specs: Vec<PortSpec> = (0..4u64)
+    let cfg = FabricConfig::chain(seed, 1);
+    let specs: Vec<FabricPortSpec> = (0..4u64)
         .map(|p| {
             let base = Address::new(page.raw() + p * 4096 * 4);
-            PortSpec::stream(linear_reads(base, PayloadSize::B128, reads_per_port))
+            FabricPortSpec::stream(
+                linear_reads(base, PayloadSize::B128, reads_per_port),
+                CubeId::HOST,
+            )
         })
         .collect();
-    let sequential = SystemSim::new(cfg, specs).run_streams();
+    let sequential = FabricSim::new(cfg, specs).run_streams();
 
     // 3. The same total demand packed into a single bank of one vault —
     //    what a pathological mapping would do.
-    let cfg = SystemConfig::ac510(seed);
-    let specs: Vec<PortSpec> = (0..4u64)
+    let cfg = FabricConfig::chain(seed, 1);
+    let specs: Vec<FabricPortSpec> = (0..4u64)
         .map(|p| {
             let packed: Trace = (0..reads_per_port as u64)
                 .map(|i| {
@@ -59,10 +62,10 @@ fn main() {
                     )
                 })
                 .collect();
-            PortSpec::stream(packed)
+            FabricPortSpec::stream(packed, CubeId::HOST)
         })
         .collect();
-    let single_bank = SystemSim::new(cfg, specs).run_streams();
+    let single_bank = FabricSim::new(cfg, specs).run_streams();
 
     println!("4 ports × {reads_per_port} × 128 B reads:");
     println!(

@@ -19,30 +19,30 @@ use hmc_sim::workloads::random_reads_in_vaults;
 /// Runs 4 background ports + 1 priority port; returns (background mean µs,
 /// priority mean µs, priority max µs).
 fn run(priority_vault: u8, seed: u64) -> (f64, f64, f64) {
-    let cfg = SystemConfig::ac510(seed);
-    let map = cfg.device.map;
+    let cfg = FabricConfig::chain(seed, 1);
+    let map = cfg.cube.map;
     let reads = 800;
     // Four background streams pounding vault 2.
-    let mut specs: Vec<PortSpec> = (0..4)
+    let mut specs: Vec<FabricPortSpec> = (0..4)
         .map(|i| {
-            PortSpec::stream(random_reads_in_vaults(
-                &map,
-                &[VaultId(2)],
-                PayloadSize::B128,
-                reads,
-                seed + i,
-            ))
+            FabricPortSpec::stream(
+                random_reads_in_vaults(&map, &[VaultId(2)], PayloadSize::B128, reads, seed + i),
+                CubeId::HOST,
+            )
         })
         .collect();
     // One latency-sensitive stream.
-    specs.push(PortSpec::stream(random_reads_in_vaults(
-        &map,
-        &[VaultId(priority_vault)],
-        PayloadSize::B32,
-        reads,
-        seed + 100,
-    )));
-    let report = SystemSim::new(cfg, specs).run_streams();
+    specs.push(FabricPortSpec::stream(
+        random_reads_in_vaults(
+            &map,
+            &[VaultId(priority_vault)],
+            PayloadSize::B32,
+            reads,
+            seed + 100,
+        ),
+        CubeId::HOST,
+    ));
+    let report = FabricSim::new(cfg, specs).run_streams();
     let background = report.ports[..4]
         .iter()
         .map(|p| p.latency.mean_us())

@@ -4,29 +4,34 @@
 //! Implications of NoCs on 3D-Stacked Memories: Insights from the Hybrid
 //! Memory Cube"* (Hadidi et al., ISPASS 2018).
 //!
-//! This crate assembles the workspace's substrates — the [`hmc_device`]
-//! cube model, the [`hmc_host`] FPGA model, workload generators and
-//! statistics — into a deterministic full-system simulation:
+//! This crate gathers the workspace's substrates — the [`hmc_device`]
+//! cube model, the [`hmc_host`] FPGA model, the [`hmc_fabric`] memory
+//! network, workload generators and statistics — behind one import. The
+//! paper's AC-510 system is the one-cube case of
+//! [`FabricSim`](fabric::FabricSim):
 //!
-//! 1. describe the system with a [`SystemConfig`] (defaults model the
-//!    paper's AC-510 board: 4 GB HMC 1.1, two half-width 15 Gbps links,
-//!    187.5 MHz FPGA with nine ports);
-//! 2. describe the traffic with [`PortSpec`]s — GUPS address generators
-//!    behind mask/anti-mask [`AccessPattern`] filters, or trace-driven
-//!    stream ports;
-//! 3. run [`SystemSim::run_gups`] (fixed-duration, high contention) or
-//!    [`SystemSim::run_streams`] (bounded traces, tunable load) and read
-//!    the [`RunReport`].
+//! 1. describe the system with a [`FabricConfig`](fabric::FabricConfig):
+//!    `FabricConfig::chain(seed, 1)` is the paper's board (4 GB HMC 1.1,
+//!    two half-width 15 Gbps links, 187.5 MHz FPGA with nine ports);
+//! 2. describe the traffic with [`FabricPortSpec`](fabric::FabricPortSpec)s
+//!    — GUPS address generators behind mask/anti-mask
+//!    [`AccessPattern`](mapping::AccessPattern) filters, or trace-driven
+//!    stream ports — each targeting a cube
+//!    ([`CubeId::HOST`](fabric::CubeId::HOST) on one cube);
+//! 3. run [`FabricSim::run_gups`](fabric::FabricSim::run_gups)
+//!    (fixed-duration, high contention) or
+//!    [`FabricSim::run_streams`](fabric::FabricSim::run_streams) (bounded
+//!    traces, tunable load) and read the [`RunReport`].
 //!
 //! ```
 //! use hmc_des::Delay;
 //! use hmc_sim::prelude::*;
 //!
-//! // One port of random 128 B reads over all 16 vaults.
-//! let cfg = SystemConfig::ac510(7);
-//! let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-//! let port = PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128));
-//! let report = SystemSim::new(cfg, vec![port])
+//! // One port of random 128 B reads over all 16 vaults of one cube.
+//! let cfg = FabricConfig::chain(7, 1);
+//! let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+//! let port = FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST);
+//! let report = FabricSim::new(cfg, vec![port])
 //!     .run_gups(Delay::from_us(5), Delay::from_us(20));
 //! assert!(report.total_bandwidth_gbs() > 0.5);
 //! ```
@@ -34,11 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod report;
-mod system;
-
-pub use report::{CubeReport, PortReport, RunReport, TransitStats};
-pub use system::{PortSpec, SystemConfig, SystemSim, GUPS_TAGS, STREAM_TAGS};
+pub use hmc_fabric::{CubeReport, PortReport, RunReport, TransitStats, GUPS_TAGS, STREAM_TAGS};
 
 // Re-export the substrate crates under stable names.
 pub use hmc_ddr as ddr;
@@ -57,7 +58,7 @@ pub use hmc_workloads as workloads;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {
-    pub use crate::{PortSpec, RunReport, SystemConfig, SystemSim, GUPS_TAGS, STREAM_TAGS};
+    pub use crate::{RunReport, GUPS_TAGS, STREAM_TAGS};
     pub use hmc_des::{Delay, Time};
     pub use hmc_device::DeviceConfig;
     pub use hmc_fabric::{CubeId, FabricConfig, FabricPortSpec, FabricSim, Topology};

@@ -3,14 +3,14 @@
 //! exercised through the public `hmc_sim` API exactly as the experiment
 //! harness uses it.
 
-use hmc_noc_repro::prelude::*;
-use hmc_noc_repro::workloads::{random_reads_in_banks, random_reads_in_vaults};
+use hmc_sim::prelude::*;
+use hmc_sim::workloads::{random_reads_in_banks, random_reads_in_vaults};
 
 fn gups(seed: u64, pattern: AccessPattern, size: PayloadSize, ports: usize) -> RunReport {
-    let cfg = SystemConfig::ac510(seed);
-    let filter = pattern.filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(size)); ports];
-    SystemSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40))
+    let cfg = FabricConfig::chain(seed, 1);
+    let filter = pattern.filter(&cfg.cube.map);
+    let specs = vec![FabricPortSpec::gups(filter, GupsOp::Read(size), CubeId::HOST); ports];
+    FabricSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40))
 }
 
 #[test]
@@ -18,10 +18,11 @@ fn no_load_round_trip_matches_paper_calibration() {
     // Figure 7 at n=1: ~0.7 µs through FPGA + links + cube, for every
     // request size.
     for size in PayloadSize::PAPER_SWEEP {
-        let cfg = SystemConfig::ac510(3);
-        let map = cfg.device.map;
+        let cfg = FabricConfig::chain(3, 1);
+        let map = cfg.cube.map;
         let trace = random_reads_in_banks(&map, VaultId(2), 16, size, 1, 3);
-        let report = SystemSim::new(cfg, vec![PortSpec::stream(trace)]).run_streams();
+        let report =
+            FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId::HOST)]).run_streams();
         let us = report.mean_latency_us();
         assert!(
             (0.55..=0.85).contains(&us),
@@ -32,21 +33,18 @@ fn no_load_round_trip_matches_paper_calibration() {
 
 #[test]
 fn stream_runs_conserve_requests() {
-    let cfg = SystemConfig::ac510(5);
-    let map = cfg.device.map;
+    let cfg = FabricConfig::chain(5, 1);
+    let map = cfg.cube.map;
     let all: Vec<VaultId> = (0..16).map(VaultId).collect();
-    let specs: Vec<PortSpec> = (0..4u64)
+    let specs: Vec<FabricPortSpec> = (0..4u64)
         .map(|p| {
-            PortSpec::stream(random_reads_in_vaults(
-                &map,
-                &all,
-                PayloadSize::B32,
-                300,
-                5 + p,
-            ))
+            FabricPortSpec::stream(
+                random_reads_in_vaults(&map, &all, PayloadSize::B32, 300, 5 + p),
+                CubeId::HOST,
+            )
         })
         .collect();
-    let report = SystemSim::new(cfg, specs).run_streams();
+    let report = FabricSim::new(cfg, specs).run_streams();
     for port in &report.ports {
         assert_eq!(port.issued, 300, "every trace entry issued");
         assert_eq!(port.completed, 300, "every request answered");
@@ -156,12 +154,14 @@ fn little_law_estimate_is_self_consistent() {
 fn stream_and_gups_agree_at_low_load() {
     // One in-flight request at a time: a GUPS port with one tag and a
     // 1-request stream should see the same unloaded round trip.
-    let cfg = SystemConfig::ac510(17);
-    let map = cfg.device.map;
+    let cfg = FabricConfig::chain(17, 1);
+    let map = cfg.cube.map;
     let filter = AccessPattern::Vaults { count: 16 }.filter(&map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B32)).with_tags(1)];
-    let gups_report = SystemSim::new(cfg, specs).run_gups(Delay::from_us(5), Delay::from_us(20));
-    let cfg = SystemConfig::ac510(17);
+    let specs = vec![
+        FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B32), CubeId::HOST).with_tags(1),
+    ];
+    let gups_report = FabricSim::new(cfg, specs).run_gups(Delay::from_us(5), Delay::from_us(20));
+    let cfg = FabricConfig::chain(17, 1);
     let trace = random_reads_in_vaults(
         &map,
         &(0..16).map(VaultId).collect::<Vec<_>>(),
@@ -169,7 +169,8 @@ fn stream_and_gups_agree_at_low_load() {
         1,
         17,
     );
-    let stream_report = SystemSim::new(cfg, vec![PortSpec::stream(trace)]).run_streams();
+    let stream_report =
+        FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId::HOST)]).run_streams();
     let g = gups_report.mean_latency_ns();
     let s = stream_report.mean_latency_ns();
     // Stream ports pay one extra address flit on the RX path (~5 ns).
@@ -188,14 +189,16 @@ fn idle_skip_cuts_dispatched_events_by_10x_at_low_load() {
     // per-cycle ticking would dispatch at least one event per simulated
     // FPGA cycle, so `dispatched` staying 10x below the cycle count
     // proves the >10x reduction the refactor promises.
-    let cfg = SystemConfig::ac510(2018);
+    let cfg = FabricConfig::chain(2018, 1);
     let filter = AccessPattern::Banks {
         vault: VaultId(0),
         count: 1,
     }
-    .filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B16)).with_tags(1)];
-    let mut sim = SystemSim::new(cfg, specs);
+    .filter(&cfg.cube.map);
+    let specs = vec![
+        FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B16), CubeId::HOST).with_tags(1),
+    ];
+    let mut sim = FabricSim::new(cfg, specs);
     let report = sim.run_gups(Delay::from_us(10), Delay::from_us(40));
     assert!(report.total_accesses() > 0, "the run moved real traffic");
     let stats = sim.engine_stats();
@@ -223,14 +226,15 @@ fn saturated_host_no_longer_retries_every_cycle_on_serializer_room() {
     // derived from the wire-drain schedule, so timer fires must stay well
     // below one per simulated cycle (per-cycle retrying fired at least
     // one), and total dispatched events follow.
-    let cfg = SystemConfig::ac510(2018);
+    let cfg = FabricConfig::chain(2018, 1);
     let filter = AccessPattern::Banks {
         vault: VaultId(0),
         count: 1,
     }
-    .filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)); 9];
-    let mut sim = SystemSim::new(cfg, specs);
+    .filter(&cfg.cube.map);
+    let specs =
+        vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
+    let mut sim = FabricSim::new(cfg, specs);
     let report = sim.run_gups(Delay::from_us(10), Delay::from_us(40));
     assert!(report.total_accesses() > 0, "the run moved real traffic");
     let stats = sim.engine_stats();
@@ -262,16 +266,19 @@ fn single_walker_chase_equals_its_serial_replay_exactly() {
     let vaults: Vec<VaultId> = (0..16).map(VaultId).collect();
     let hops = 40;
     let chase =
-        hmc_noc_repro::workloads::PointerChase::new(&map, &vaults, PayloadSize::B64, 1, hops, 2017);
+        hmc_sim::workloads::PointerChase::new(&map, &vaults, PayloadSize::B64, 1, hops, 2017);
     let trace = chase.unrolled_trace();
-    let chase_report = SystemSim::new(
-        SystemConfig::ac510(6),
-        vec![PortSpec::from_source(move |_| Box::new(chase.clone()))],
+    let chase_report = FabricSim::new(
+        FabricConfig::chain(6, 1),
+        vec![FabricPortSpec::from_source(
+            move |_| Box::new(chase.clone()),
+            CubeId::HOST,
+        )],
     )
     .run_streams();
-    let replay_report = SystemSim::new(
-        SystemConfig::ac510(6),
-        vec![PortSpec::stream(trace).with_tags(1)],
+    let replay_report = FabricSim::new(
+        FabricConfig::chain(6, 1),
+        vec![FabricPortSpec::stream(trace, CubeId::HOST).with_tags(1)],
     )
     .run_streams();
     assert_eq!(chase_report.ports[0].completed, hops);
@@ -299,30 +306,36 @@ fn closed_loop_runs_replay_byte_identically() {
     // (pointer chase + NOM offload on one host) must produce bit-equal
     // reports on every run.
     let run = || {
-        let cfg = SystemConfig::ac510(9);
-        let map = cfg.device.map;
+        let cfg = FabricConfig::chain(9, 1);
+        let map = cfg.cube.map;
         let vaults: Vec<VaultId> = (0..16).map(VaultId).collect();
-        let chase = PortSpec::from_source(move |seed| {
-            Box::new(hmc_noc_repro::workloads::PointerChase::new(
-                &map,
-                &vaults,
-                PayloadSize::B32,
-                4,
-                50,
-                seed,
-            ))
-        });
-        let offload = PortSpec::from_source(move |_| {
-            Box::new(hmc_noc_repro::workloads::OffloadSource::new(
-                &map,
-                VaultId(1),
-                VaultId(9),
-                PayloadSize::B128,
-                100,
-                8,
-            ))
-        });
-        let report = SystemSim::new(cfg, vec![chase, offload]).run_streams();
+        let chase = FabricPortSpec::from_source(
+            move |seed| {
+                Box::new(hmc_sim::workloads::PointerChase::new(
+                    &map,
+                    &vaults,
+                    PayloadSize::B32,
+                    4,
+                    50,
+                    seed,
+                ))
+            },
+            CubeId::HOST,
+        );
+        let offload = FabricPortSpec::from_source(
+            move |_| {
+                Box::new(hmc_sim::workloads::OffloadSource::new(
+                    &map,
+                    VaultId(1),
+                    VaultId(9),
+                    PayloadSize::B128,
+                    100,
+                    8,
+                ))
+            },
+            CubeId::HOST,
+        );
+        let report = FabricSim::new(cfg, vec![chase, offload]).run_streams();
         (
             report.aggregate_latency().total_ps(),
             report.total_reads(),
@@ -335,10 +348,11 @@ fn closed_loop_runs_replay_byte_identically() {
 
 #[test]
 fn writes_round_trip_through_the_full_stack() {
-    let cfg = SystemConfig::ac510(19);
-    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Write(PayloadSize::B128)); 4];
-    let report = SystemSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40));
+    let cfg = FabricConfig::chain(19, 1);
+    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+    let specs =
+        vec![FabricPortSpec::gups(filter, GupsOp::Write(PayloadSize::B128), CubeId::HOST); 4];
+    let report = FabricSim::new(cfg, specs).run_gups(Delay::from_us(10), Delay::from_us(40));
     assert!(report.total_writes() > 0, "writes recorded");
     assert_eq!(report.total_reads(), 0, "write-only run");
     assert!(
@@ -358,10 +372,11 @@ fn hot_path_allocations_are_bounded_not_per_event() {
     // spill count must not grow at all once buffers are warm (a small
     // additive slack covers bursts first reached late in the longer run).
     let run = |measure_us: u64| {
-        let cfg = SystemConfig::ac510(2018);
-        let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-        let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)); 9];
-        let mut sim = SystemSim::new(cfg, specs);
+        let cfg = FabricConfig::chain(2018, 1);
+        let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+        let specs =
+            vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
+        let mut sim = FabricSim::new(cfg, specs);
         let report = sim.run_gups(Delay::from_us(10), Delay::from_us(measure_us));
         assert!(report.total_accesses() > 0, "the run moved real traffic");
         sim.engine_stats()

@@ -5,9 +5,8 @@
 //! serial run, exercised through the public API exactly as `repro
 //! --domains N` drives it.
 
-use hmc_noc_repro::fabric::{FabricConfig, FabricPortSpec, FabricSim, Topology};
-use hmc_noc_repro::prelude::*;
-use hmc_noc_repro::workloads::{GlobalGupsSource, OffloadSource};
+use hmc_sim::prelude::*;
+use hmc_sim::workloads::{GlobalGupsSource, OffloadSource};
 
 /// One saturated interleaved 8-cube chain GUPS run at a given domain
 /// count, rendered to its full debug string (every field, every port,

@@ -7,7 +7,7 @@
 //! workers. Before this module each layer sized itself against the
 //! machine independently, so `--threads 8 --domains 4` oversubscribed
 //! 8 × 4 threads onto 8 cores. Now both layers draw from one
-//! [`CoreBudget`]:
+//! `CoreBudget`:
 //!
 //! - A sweep *demands* its explicitly requested width (the user asked
 //!   for it), debiting the budget — possibly to zero.
@@ -38,8 +38,8 @@ struct CoreBudget {
     free: AtomicUsize,
 }
 
-/// Cumulative pool counters since process start (or the last
-/// [`reset_stats`] in a bench harness).
+/// Cumulative pool counters since process start; one run's share is the
+/// difference of two [`stats`] snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Work items a sweep worker claimed beyond its first — jobs pulled

@@ -198,7 +198,7 @@ impl ExpContext {
 
 /// Runs `f` over `items` on all available cores, preserving order.
 ///
-/// Each job builds its own `SystemSim`, so jobs share nothing but the
+/// Each job builds its own `FabricSim`, so jobs share nothing but the
 /// read-only closure environment.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
@@ -281,11 +281,10 @@ pub fn gups_run(
     op: GupsOp,
     ports: usize,
 ) -> RunReport {
-    let mut cfg = SystemConfig::ac510(seed);
-    cfg.seed = seed;
-    let filter = pattern.filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, op); ports];
-    let mut sim = SystemSim::new(cfg, specs);
+    let cfg = FabricConfig::chain(seed, 1);
+    let filter = pattern.filter(&cfg.cube.map);
+    let specs = vec![FabricPortSpec::gups(filter, op, CubeId::HOST); ports];
+    let mut sim = FabricSim::new(cfg, specs);
     let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
     ctx.stats.record(&sim.engine_stats());
     report
@@ -293,10 +292,12 @@ pub fn gups_run(
 
 /// Runs one multi-port stream experiment from explicit traces.
 pub fn stream_run(ctx: &ExpContext, seed: u64, traces: Vec<Trace>) -> RunReport {
-    let mut cfg = SystemConfig::ac510(seed);
-    cfg.seed = seed;
-    let specs = traces.into_iter().map(PortSpec::stream).collect();
-    let mut sim = SystemSim::new(cfg, specs);
+    let cfg = FabricConfig::chain(seed, 1);
+    let specs = traces
+        .into_iter()
+        .map(|trace| FabricPortSpec::stream(trace, CubeId::HOST))
+        .collect();
+    let mut sim = FabricSim::new(cfg, specs);
     let report = sim.run_streams();
     ctx.stats.record(&sim.engine_stats());
     report

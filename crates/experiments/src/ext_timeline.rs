@@ -67,16 +67,16 @@ fn epoch_width(ctx: &ExpContext) -> Delay {
 /// port.
 fn run_point(ctx: &ExpContext, label: &'static str, tags: u16) -> TimelinePoint {
     let seed = ctx.seed_for("ext-timeline", u64::from(tags));
-    let mut cfg = SystemConfig::ac510(seed);
-    cfg.seed = seed;
-    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)).with_tags(tags); 9];
+    let cfg = FabricConfig::chain(seed, 1);
+    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+    let spec = FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST);
+    let specs = vec![spec.with_tags(tags); 9];
     let epoch = epoch_width(ctx);
     let hub = Hub::shared(HubConfig {
         epoch,
         trace_sample: None,
     });
-    let mut sim = SystemSim::with_telemetry(cfg, specs, Probe::attached(&hub));
+    let mut sim = FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub));
     let _ = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
     ctx.stats.record(&sim.engine_stats());
     let hub = hub.borrow();
@@ -188,15 +188,15 @@ pub fn percentile_table(points: &[TimelinePoint]) -> Table {
 /// perturbed by tracing.
 pub fn traced_run(ctx: &ExpContext, sample: u64) -> (String, usize) {
     let seed = ctx.seed_for("ext-timeline", 9);
-    let mut cfg = SystemConfig::ac510(seed);
-    cfg.seed = seed;
-    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.device.map);
-    let specs = vec![PortSpec::gups(filter, GupsOp::Read(PayloadSize::B128)); 9];
+    let cfg = FabricConfig::chain(seed, 1);
+    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+    let specs =
+        vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
     let hub = Hub::shared(HubConfig {
         epoch: epoch_width(ctx),
         trace_sample: Some(sample.max(1)),
     });
-    let mut sim = SystemSim::with_telemetry(cfg, specs, Probe::attached(&hub));
+    let mut sim = FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub));
     let _ = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
     ctx.stats.record(&sim.engine_stats());
     let hub = hub.borrow();

@@ -122,21 +122,24 @@ pub fn walkers(ctx: &ExpContext) -> Vec<WalkerPoint> {
     let ctx = ctx.clone();
     let hops = chain_len(&ctx);
     parallel_map_with_threads(walker_counts(&ctx), ctx.threads, move |&w| {
-        let cfg = SystemConfig::ac510(ctx.seed_for("probe-chase-mlp", u64::from(w)));
-        let map = cfg.device.map;
+        let cfg = FabricConfig::chain(ctx.seed_for("probe-chase-mlp", u64::from(w)), 1);
+        let map = cfg.cube.map;
         let vaults: Vec<VaultId> = (0..map.geometry().vaults).map(VaultId).collect();
-        let spec = PortSpec::from_source(move |seed| {
-            Box::new(PointerChase::new(
-                &map,
-                &vaults,
-                PayloadSize::B64,
-                w,
-                hops,
-                seed,
-            ))
-        })
+        let spec = FabricPortSpec::from_source(
+            move |seed| {
+                Box::new(PointerChase::new(
+                    &map,
+                    &vaults,
+                    PayloadSize::B64,
+                    w,
+                    hops,
+                    seed,
+                ))
+            },
+            CubeId::HOST,
+        )
         .with_tags(w.max(1));
-        let mut sim = SystemSim::new(cfg, vec![spec]);
+        let mut sim = FabricSim::new(cfg, vec![spec]);
         let report = sim.run_streams();
         ctx.stats.record(&sim.engine_stats());
         let reads = report.total_reads();

@@ -20,9 +20,8 @@
 //!   and credit flow control, so fabric traffic contends exactly where
 //!   the paper says it must: in the NoC.
 //!
-//! With one cube the component graph degenerates to the paper's
-//! single-cube system — `hmc_sim::SystemSim` is a thin wrapper over that
-//! case.
+//! With one cube (`FabricConfig::chain(seed, 1)`) the component graph
+//! degenerates to the paper's single-cube AC-510 system.
 //!
 //! ```
 //! use hmc_des::Delay;

@@ -4,7 +4,7 @@
 //! progress while its siblings spin at the next rendezvous (a bug, or a
 //! pathological configuration — the scheduler itself is deadlock-free by
 //! construction). The watchdog gives drivers a way out: the domain
-//! scheduler registers every run's [`PhaseBarrier`] here and ticks the
+//! scheduler registers every run's `PhaseBarrier` here and ticks the
 //! progress counters each rendezvous round, and a driver arms a
 //! [`Deadline`]. If the deadline passes before the driver disarms it,
 //! the watchdog [`trip`]s — poisoning every live barrier so workers

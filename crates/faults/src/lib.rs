@@ -370,17 +370,19 @@ fn parse_u8(s: &str, what: &str) -> Result<u8, String> {
     s.parse::<u8>().map_err(|_| format!("bad {what} '{s}'"))
 }
 
-/// Parses `123ns` / `45us` into a [`Time`].
+/// Parses a `down=` window time, `123ns` / `45us`, into a [`Time`].
 fn parse_time(s: &str) -> Result<Time, String> {
-    if let Some(v) = s.strip_suffix("us") {
-        let us: u64 = v.parse().map_err(|_| format!("bad time '{s}'"))?;
-        Ok(Time::from_ns(us * 1_000))
+    let (v, ps_per_unit) = if let Some(v) = s.strip_suffix("us") {
+        (v, 1_000_000)
     } else if let Some(v) = s.strip_suffix("ns") {
-        let ns: u64 = v.parse().map_err(|_| format!("bad time '{s}'"))?;
-        Ok(Time::from_ns(ns))
+        (v, 1_000)
     } else {
-        Err(format!("time '{s}' wants an ns or us suffix"))
-    }
+        return Err(format!("time '{s}' wants an ns or us suffix"));
+    };
+    let n: u64 = v.parse().map_err(|_| format!("bad time '{s}'"))?;
+    n.checked_mul(ps_per_unit)
+        .map(Time::from_ps)
+        .ok_or_else(|| format!("down time '{s}' overflows the picosecond clock"))
 }
 
 /// The live injector of one link: owns the link's flit sequence counter
@@ -583,6 +585,9 @@ mod tests {
         assert!(FaultPlan::parse(0, "all ber=2.0").is_err(), "rate range");
         assert!(FaultPlan::parse(0, "link=1 ber=0.1").is_err(), "FROM>TO");
         assert!(FaultPlan::parse(0, "all down=3..4").is_err(), "time unit");
+        let overflow = FaultPlan::parse(0, "all down=20000000000000000ns..1ns");
+        assert!(overflow.expect_err("ps overflow").contains("down time"));
+        assert!(FaultPlan::parse(0, "all down=0us..18446744073709552us").is_err());
         assert!(FaultPlan::parse(0, "bogus").is_err());
         assert!(FaultPlan::parse(0, "").expect("empty is empty").is_noop());
     }

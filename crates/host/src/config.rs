@@ -29,7 +29,7 @@ pub struct HostConfig {
     pub fpga_period: Delay,
     /// Downstream (host→cube) link configuration. `input_buffer_flits`
     /// must equal the cube's link input buffer (the system wiring sets it
-    /// from [`hmc_device::HmcDevice::request_tokens_per_link`]).
+    /// from `hmc_device::HmcDevice::request_tokens_per_link`).
     pub link: LinkConfig,
     /// Number of external links (2 on the AC-510).
     pub link_count: u8,

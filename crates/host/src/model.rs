@@ -319,7 +319,7 @@ impl HostModel {
     /// - a FIFO head needs the earliest grid point at which *some* link
     ///   can admit it: past that link's one-admission-per-cycle gate and
     ///   with serializer room, where room is derived from the wire-drain
-    ///   schedule ([`HostModel::wire_room_at`]) instead of retrying every
+    ///   schedule (`HostModel::wire_room_at`) instead of retrying every
     ///   cycle;
     /// - a staged packet needs the first grid point at or after both its
     ///   pipeline-exit time and its serializer's wire-drain room;

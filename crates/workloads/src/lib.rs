@@ -105,7 +105,7 @@
 //!
 //! Hand the source to a port via a [`SourceFactory`] (specs carry
 //! factories, not built sources, so one cloneable spec can seed many
-//! ports): `hmc_sim::PortSpec::from_source` / `FabricPortSpec::from_source`.
+//! ports): `hmc_fabric::FabricPortSpec::from_source`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
