@@ -43,19 +43,19 @@ use hmc_sim::stats::{json_escape, json_f64};
 use hmc_sim::workloads::{GlobalGupsSource, OffloadSource};
 
 /// What one basket run hands back: the report, the engine counters and
-/// the parallel-scheduler counters (all-zero default for single-engine
-/// cases).
+/// the parallel-scheduler counters (all-zero default for one-domain
+/// runs).
 type CaseOutput = (RunReport, hmc_sim::des::EngineStats, SchedStats);
 
 /// One basket entry: a named, seeded, fixed-size workload.
 struct Case {
     name: &'static str,
-    /// Builds and runs the workload, returning the report + engine
-    /// stats. Timed reps pass `Probe::off()` (the one-branch no-op path
-    /// the gate measures); the extra untimed percentile run passes an
-    /// attached probe.
-    run: fn(Scale2, Probe) -> CaseOutput,
-    /// Engine domains the case runs with (1 = serial). Multi-domain
+    /// Builds and runs the workload on `domains` engine domains,
+    /// returning the report + engine and scheduler stats. Timed reps pass
+    /// `Probe::off()` (the one-branch no-op path the gate measures); the
+    /// extra untimed percentile run passes an attached probe.
+    run: fn(Scale2, Probe, usize) -> CaseOutput,
+    /// Engine domains the case runs with (1 = one engine). Multi-domain
     /// entries exist to measure parallel speedup; on a 1-core box they
     /// time-slice one core and the ratio is meaningless, so the gate
     /// warns loudly instead of letting the number mislead.
@@ -95,7 +95,7 @@ impl Scale2 {
 
 /// The unloaded Figure 6 point: one 16 B read port, one tag, one bank —
 /// the idle-skip stress (few events over many simulated cycles).
-fn fig6_low(scale: Scale2, probe: Probe) -> CaseOutput {
+fn fig6_low(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     let cfg = FabricConfig::chain(2018, 1);
     let filter = AccessPattern::Banks {
         vault: VaultId(0),
@@ -105,43 +105,40 @@ fn fig6_low(scale: Scale2, probe: Probe) -> CaseOutput {
     let specs = vec![
         FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B16), CubeId::HOST).with_tags(1),
     ];
-    let mut sim = FabricSim::with_telemetry(cfg, specs, probe);
+    let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
     let (warmup, measure) = scale.gups_windows();
     let report = sim.run_gups(warmup, measure);
-    let stats = sim.engine_stats();
-    (report, stats, SchedStats::default())
+    (report, sim.engine_stats(), sim.sched_stats())
 }
 
 /// The saturated Figure 6 point: nine 128 B read ports over all 16
 /// vaults — the bandwidth ceiling, the densest event traffic in the
 /// basket and the point the ≥1.3x events/sec gate is measured on.
-fn fig6_sat(scale: Scale2, probe: Probe) -> CaseOutput {
+fn fig6_sat(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     let cfg = FabricConfig::chain(2018, 1);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
     let specs =
         vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
-    let mut sim = FabricSim::with_telemetry(cfg, specs, probe);
+    let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
     let (warmup, measure) = scale.gups_windows();
     let report = sim.run_gups(warmup, measure);
-    let stats = sim.engine_stats();
-    (report, stats, SchedStats::default())
+    (report, sim.engine_stats(), sim.sched_stats())
 }
 
 /// A 4-cube chain with four 64 B GUPS ports hammering the far cube:
 /// every request transits three pass-through crossbars each way.
-fn ext_chain4(scale: Scale2, probe: Probe) -> CaseOutput {
+fn ext_chain4(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     let cfg = FabricConfig::chain(2018, 4);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
     let specs = vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B64), CubeId(3)); 4];
-    let mut sim = FabricSim::with_telemetry(cfg, specs, probe);
+    let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
     let (warmup, measure) = scale.gups_windows();
     let report = sim.run_gups(warmup, measure);
-    let stats = sim.engine_stats();
-    (report, stats, SchedStats::default())
+    (report, sim.engine_stats(), sim.sched_stats())
 }
 
 /// The pointer-chase probe: 8 dependent-read walkers on one cube.
-fn probe_chase(scale: Scale2, probe: Probe) -> CaseOutput {
+fn probe_chase(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     let cfg = FabricConfig::chain(2018, 1);
     let map = cfg.cube.map;
     let vaults: Vec<VaultId> = (0..16).map(VaultId).collect();
@@ -160,14 +157,13 @@ fn probe_chase(scale: Scale2, probe: Probe) -> CaseOutput {
         CubeId::HOST,
     )
     .with_tags(8);
-    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe);
+    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe).with_domains(domains);
     let report = sim.run_streams();
-    let stats = sim.engine_stats();
-    (report, stats, SchedStats::default())
+    (report, sim.engine_stats(), sim.sched_stats())
 }
 
 /// The NOM-style offload stream: read→dependent-write vault copies.
-fn ext_offload(scale: Scale2, probe: Probe) -> CaseOutput {
+fn ext_offload(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     let cfg = FabricConfig::chain(2018, 1);
     let map = cfg.cube.map;
     let pairs = scale.offload_pairs();
@@ -184,10 +180,9 @@ fn ext_offload(scale: Scale2, probe: Probe) -> CaseOutput {
         },
         CubeId::HOST,
     );
-    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe);
+    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe).with_domains(domains);
     let report = sim.run_streams();
-    let stats = sim.engine_stats();
-    (report, stats, SchedStats::default())
+    (report, sim.engine_stats(), sim.sched_stats())
 }
 
 /// The saturated 8-cube chain: nine 128 B read ports over an
@@ -218,17 +213,7 @@ fn ext_intercube8(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     let mut sim = FabricSim::with_telemetry(cfg, vec![spec; 9], probe).with_domains(domains);
     let (warmup, measure) = scale.gups_windows();
     let report = sim.run_gups(warmup, measure);
-    let stats = sim.engine_stats();
-    let sched = sim.sched_stats();
-    (report, stats, sched)
-}
-
-fn ext_intercube8_serial(scale: Scale2, probe: Probe) -> CaseOutput {
-    ext_intercube8(scale, probe, 1)
-}
-
-fn ext_intercube8_d4(scale: Scale2, probe: Probe) -> CaseOutput {
-    ext_intercube8(scale, probe, 4)
+    (report, sim.engine_stats(), sim.sched_stats())
 }
 
 /// The 64-cube mesh at the widened CUB field's ceiling: four 128 B read
@@ -257,17 +242,7 @@ fn ext_scale64(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     let mut sim = FabricSim::with_telemetry(cfg, vec![spec; 4], probe).with_domains(domains);
     let (warmup, measure) = scale.gups_windows();
     let report = sim.run_gups(warmup, measure);
-    let stats = sim.engine_stats();
-    let sched = sim.sched_stats();
-    (report, stats, sched)
-}
-
-fn ext_scale64_serial(scale: Scale2, probe: Probe) -> CaseOutput {
-    ext_scale64(scale, probe, 1)
-}
-
-fn ext_scale64_d8(scale: Scale2, probe: Probe) -> CaseOutput {
-    ext_scale64(scale, probe, 8)
+    (report, sim.engine_stats(), sim.sched_stats())
 }
 
 const BASKET: &[Case] = &[
@@ -298,22 +273,22 @@ const BASKET: &[Case] = &[
     },
     Case {
         name: "ext-intercube-8-sat",
-        run: ext_intercube8_serial,
+        run: ext_intercube8,
         domains: 1,
     },
     Case {
         name: "ext-intercube-8-sat-d4",
-        run: ext_intercube8_d4,
+        run: ext_intercube8,
         domains: 4,
     },
     Case {
         name: "ext-scale-64-mesh",
-        run: ext_scale64_serial,
+        run: ext_scale64,
         domains: 1,
     },
     Case {
         name: "ext-scale-64-mesh-d8",
-        run: ext_scale64_d8,
+        run: ext_scale64,
         domains: 8,
     },
 ];
@@ -461,7 +436,7 @@ fn main() -> ExitCode {
         let mut last_sched = SchedStats::default();
         for rep in 0..args.reps {
             let start = Instant::now();
-            let (report, stats, sched) = (case.run)(args.scale, Probe::off());
+            let (report, stats, sched) = (case.run)(args.scale, Probe::off(), case.domains);
             let wall = start.elapsed().as_secs_f64();
             best = best.min(wall);
             let this = Signature {
@@ -494,7 +469,7 @@ fn main() -> ExitCode {
         // latency percentiles ride along in the snapshot without the
         // instruments' cost ever touching the timed reps.
         let hub = Hub::shared(HubConfig::default());
-        let _ = (case.run)(args.scale, Probe::attached(&hub));
+        let _ = (case.run)(args.scale, Probe::attached(&hub), case.domains);
         let tail_ps = hub.borrow().aggregate_tail_ps();
         let cores_warning =
             (case.domains > 1 && hmc_sim::des::pool::budget_total() == 1).then(|| {

@@ -339,14 +339,14 @@ pub struct EngineStats {
     /// Timer wakeups cancelled before firing.
     pub wake_cancels: u64,
     /// Heap allocations performed by [`crate::InlineVec`] scratch buffers
-    /// on this thread since the engine was created (first spill of a
-    /// buffer, or regrowth of an already-spilled one). The zero-allocation
-    /// hot-path property the tier-1 suite asserts is that this stays
-    /// *bounded* as a run grows: a reused scratch buffer allocates at most
-    /// a handful of times while it grows to the workload's peak burst, and
-    /// never again in steady state. Meaningful only when the engine runs
-    /// on the thread that created it (which the single-threaded engine
-    /// requires anyway).
+    /// while this engine's handlers ran (first spill of a buffer, or
+    /// regrowth of an already-spilled one). Counted around the dispatch
+    /// loop of [`Engine::run_until`], so the count is this engine's own
+    /// even when one thread interleaves several engines. The
+    /// zero-allocation hot-path property the tier-1 suite asserts is that
+    /// this stays *bounded* as a run grows: a reused scratch buffer
+    /// allocates at most a handful of times while it grows to the
+    /// workload's peak burst, and never again in steady state.
     pub scratch_spills: u64,
 }
 
@@ -386,8 +386,9 @@ pub struct Engine<M> {
     core: EngineCore<M>,
     components: Vec<Option<Box<dyn Component<M>>>>,
     names: Vec<String>,
-    /// [`inline::spill_allocs`] at creation; `stats()` reports the delta.
-    spill_baseline: u64,
+    /// [`EngineStats::scratch_spills`]: spills counted inside this
+    /// engine's dispatch loops.
+    scratch_spills: u64,
     /// Timestamp of the most recently dispatched event ([`Time::ZERO`]
     /// before any dispatch). Unlike [`Engine::now`], never dragged forward
     /// by a finite [`Engine::run_until`] horizon.
@@ -425,7 +426,7 @@ impl<M> Engine<M> {
             },
             components: Vec::with_capacity(components),
             names: Vec::with_capacity(components),
-            spill_baseline: inline::spill_allocs(),
+            scratch_spills: 0,
             last_dispatched: Time::ZERO,
         }
     }
@@ -520,6 +521,7 @@ impl<M> Engine<M> {
     /// timers never advance the clock.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
         let before = self.core.dispatched;
+        let spills_before = inline::spill_allocs();
         while let Some(head_time) = self.core.queue.peek_time() {
             if head_time > horizon {
                 break;
@@ -561,6 +563,7 @@ impl<M> Engine<M> {
             }
             self.components[slot] = Some(component);
         }
+        self.scratch_spills += inline::spill_allocs() - spills_before;
         if self.core.time < horizon && horizon != Time::MAX {
             self.core.time = horizon;
         }
@@ -598,20 +601,8 @@ impl<M> Engine<M> {
             pending: self.core.queue.len() - self.core.cancelled_pending,
             wake_fires: self.core.wake_fires,
             wake_cancels: self.core.wake_cancels,
-            scratch_spills: inline::spill_allocs() - self.spill_baseline,
+            scratch_spills: self.scratch_spills,
         }
-    }
-
-    /// Excludes `n` scratch-spill allocations from this engine's
-    /// [`EngineStats::scratch_spills`]. The spill counter is thread-local
-    /// and each engine baselines it at construction, which attributes
-    /// spills exactly while an engine has its thread to itself; a caller
-    /// that multiplexes several engines onto one thread must charge each
-    /// section's spills to the engine that ran it and declare them
-    /// foreign to the others via this method, or the per-engine counts
-    /// (and their sum) inflate.
-    pub fn absorb_foreign_spills(&mut self, n: u64) {
-        self.spill_baseline += n;
     }
 }
 
@@ -822,6 +813,50 @@ mod tests {
             Time::from_ns(2),
             "idle windows change nothing"
         );
+    }
+
+    /// Fills a fresh two-slot scratch buffer with `burst` items per
+    /// message, spilling on every message once `burst > 2`.
+    struct Spiller {
+        burst: u32,
+    }
+
+    impl Component<u32> for Spiller {
+        fn on_message(&mut self, _msg: u32, _ctx: &mut Ctx<'_, u32>) {
+            let mut scratch: inline::InlineVec<u32, 2> = inline::InlineVec::new();
+            for i in 0..self.burst {
+                scratch.push(i);
+            }
+        }
+    }
+
+    fn spiller(burst: u32) -> Engine<u32> {
+        let mut e: Engine<u32> = Engine::new();
+        let id = e.add_component(Box::new(Spiller { burst }));
+        for t in 1..=8 {
+            e.schedule(Time::from_ns(t), id, 0);
+        }
+        e
+    }
+
+    #[test]
+    fn interleaved_engines_count_only_their_own_spills() {
+        let alone = |burst| {
+            let mut e = spiller(burst);
+            e.run_to_quiescence();
+            e.stats().scratch_spills
+        };
+        let (small, large) = (alone(3), alone(9));
+        assert!(small > 0 && large > small, "both bursts spill, differently");
+        // Two engines on one thread, advanced in alternating windows: each
+        // must report exactly what it reports when run alone.
+        let (mut a, mut b) = (spiller(3), spiller(9));
+        for t in 1..=8 {
+            a.run_until(Time::from_ns(t));
+            b.run_until(Time::from_ns(t));
+        }
+        assert_eq!(a.stats().scratch_spills, small);
+        assert_eq!(b.stats().scratch_spills, large);
     }
 
     /// Arms a wake on the first message; records fires.

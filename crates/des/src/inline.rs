@@ -14,8 +14,9 @@
 //! events it carries.
 //!
 //! Every allocation made by any `InlineVec` (first spill or heap regrowth)
-//! increments a thread-local counter, surfaced as
-//! [`EngineStats::scratch_spills`](crate::EngineStats::scratch_spills):
+//! increments a thread-local counter. Each engine reads it before and
+//! after its dispatch loop and charges the difference to itself, surfaced
+//! as [`EngineStats::scratch_spills`](crate::EngineStats::scratch_spills):
 //! a counter that grows with run *length* rather than with burst *shape*
 //! is a hot-path allocation regression, and tier-1 tests fail on it.
 //!
@@ -33,7 +34,7 @@ thread_local! {
 }
 
 /// Total `InlineVec` heap allocations on this thread so far; engines
-/// snapshot it at creation and report the delta (see
+/// read it around each dispatch loop and report the summed deltas (see
 /// [`EngineStats::scratch_spills`](crate::EngineStats::scratch_spills)).
 pub fn spill_allocs() -> u64 {
     SPILL_ALLOCS.with(|c| c.get())

@@ -314,7 +314,7 @@ impl FabricConfig {
     /// scheduler ([`FabricSim::with_domains`](crate::FabricSim::with_domains))
     /// lets a domain run this far past its neighbors' earliest pending
     /// events per fabric hop of separation; a zero lookahead (degenerate
-    /// tunings only) forces serial execution.
+    /// tunings only) runs the fabric as one domain.
     pub fn lookahead(&self) -> Delay {
         self.hop.link.serdes_latency
     }

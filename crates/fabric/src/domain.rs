@@ -95,13 +95,20 @@ impl DomainPlan {
 ///   domain facing only empty neighbors would run to quiescence and
 ///   then receive replies to its own traffic in its past.
 ///
+/// A domain with no neighbor domain (the one domain of a one-domain
+/// plan) has neither bound: nothing can send to it or reply to it, so
+/// its horizon is `u64::MAX` and it runs to quiescence in one window.
+///
 /// Progress is guaranteed: for the domain holding the globally minimal
 /// `mins`, every bound is at least `mins + l`, so it always dispatches
 /// at least its earliest event (`l > 0` is required for that, and the
-/// scheduler falls back to serial when the configured lookahead is
-/// zero). The published `mins` may be conservative (a cancelled timer's
-/// slot counts), which can only shrink horizons, never break them.
+/// scheduler runs zero-lookahead configurations as one domain). The
+/// published `mins` may be conservative (a cancelled timer's slot
+/// counts), which can only shrink horizons, never break them.
 pub(crate) fn horizon(d: usize, mins: &[u64], dist_to: &[u32], l: u64) -> u64 {
+    if !dist_to.contains(&1) {
+        return u64::MAX;
+    }
     debug_assert!(l > 0, "parallel domains need a positive lookahead");
     let mut bound = mins[d].saturating_add(2 * l);
     for (e, &m) in mins.iter().enumerate() {
@@ -165,8 +172,8 @@ pub(crate) fn plan_windows(mins: &[u64], dist: &[Vec<u32>], l: u64) -> Vec<Vec<u
                     .filter(|&f| dist[d][f] == 1)
                     .map(|f| prev[f].saturating_add(l))
                     .min()
-                    // A domain with no neighbors (single-domain plans in
-                    // tests) gains nothing from extra windows.
+                    // A domain with no neighbors (a one-domain plan)
+                    // already ran to quiescence in window 0.
                     .unwrap_or(prev[d])
             })
             .collect();
@@ -192,10 +199,11 @@ pub(crate) struct BarrierPoisoned;
 /// `wait` in flight — and every later one — returns an error and the
 /// scheduler can unwind. The wait loop spins briefly (window rounds are
 /// sub-microsecond on saturated fabrics) and then yields; when the
-/// parties outnumber the hardware threads the spin phase is skipped
-/// entirely — a waiter that owns the only core can never observe the
-/// generation advance until it yields it, so spinning there just burns
-/// the scheduler quantum the other domains need.
+/// parties outnumber the cores of the shared budget
+/// ([`hmc_des::pool::budget_total`]) the spin phase is skipped entirely
+/// — a waiter that owns the only core can never observe the generation
+/// advance until it yields it, so spinning there just burns the
+/// scheduler quantum the other domains need.
 #[derive(Debug)]
 pub(crate) struct PhaseBarrier {
     parties: usize,
@@ -208,7 +216,7 @@ pub(crate) struct PhaseBarrier {
 impl PhaseBarrier {
     pub fn new(parties: usize) -> PhaseBarrier {
         assert!(parties > 0, "a barrier needs at least one party");
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let cores = hmc_des::pool::budget_total();
         let spin_limit = if cores >= parties { 1 << 14 } else { 0 };
         PhaseBarrier {
             parties,
@@ -375,6 +383,19 @@ mod tests {
         // The globally minimal domain always clears its own event.
         let mins = [100_000u64, 400_000, 900_000];
         assert!(horizon(0, &mins, &dist, l) >= 100_000);
+    }
+
+    #[test]
+    fn a_domain_without_neighbors_runs_to_quiescence() {
+        for l in [55_000u64, 0] {
+            assert_eq!(horizon(0, &[100_000], &[0], l), u64::MAX);
+        }
+        let dplan = DomainPlan::new(4, 1, chain_neighbors(4));
+        assert_eq!(dplan.of_cube, vec![0; 4]);
+        assert_eq!(
+            plan_windows(&[100_000], &dplan.dist, 55_000),
+            vec![vec![u64::MAX]]
+        );
     }
 
     #[test]

@@ -29,6 +29,10 @@
 //! ordering key — a per-edge channel id plus a per-channel sequence —
 //! is identical in serial and parallel schedules, which is what makes
 //! the run report byte-identical for every `--domains` setting.
+//!
+//! Every run goes through that one scheduler. The default is one domain
+//! holding every cube: one engine, no envelopes, and a horizon of
+//! `u64::MAX`, so its single window is a run to quiescence.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -932,7 +936,7 @@ struct BuildPlan {
 /// One engine domain, built and run on a single thread: its engine, the
 /// components it owns, and the outboxes of its outgoing cross-domain
 /// edges (ascending `(cube, slot)` order — the channel wiring in
-/// `run_parallel` enumerates edges identically).
+/// `run_domains` enumerates edges identically).
 struct DomainParts {
     engine: Engine<Msg>,
     host: Option<ComponentId>,
@@ -957,7 +961,7 @@ fn arm_faults(plan: &BuildPlan, link: &mut LinkTx<TransitMsg>, key: LinkKey, cfg
 /// only), one device per owned cube and — multi-cube — one pass-through
 /// stage per owned cube, with fabric edges wired locally inside the
 /// domain and through outboxes across domains. With `dom_of` all zeros
-/// this builds the complete serial system.
+/// this builds the complete system on one engine.
 fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -> DomainParts {
     let n = plan.n;
     let include_host = dom == 0;
@@ -1108,7 +1112,7 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
     // Wire the fabric edges: local neighbors get a direct component wire,
     // cross-domain neighbors an outbox. Outboxes are created in ascending
     // (cube, slot) order so they pair index-for-index with the channels
-    // run_parallel enumerates in the same order.
+    // run_domains enumerates in the same order.
     let mut outboxes: Vec<Outbox> = Vec::new();
     for (i, &c) in cubes.iter().enumerate() {
         let layout = &plan.layouts[c];
@@ -1218,7 +1222,7 @@ fn schedule_initial(parts: &mut DomainParts, kind: RunKind, n: usize) {
 
 /// Parallel-scheduler and worker-pool counters for one run, surfaced
 /// next to [`EngineStats`] (and in perfgate output) but kept out of the
-/// run report: serial runs report zeros, so folding these into the
+/// run report: one-domain runs report zeros, so folding these into the
 /// report would break the byte-identity of `repro --json` across
 /// `--domains` settings.
 ///
@@ -1371,7 +1375,7 @@ fn harvest_host(parts: &DomainParts, targets: &[CubeTargeting]) -> HostHarvest {
 
 /// Sums engine counters across domains. Every field is schedule-invariant
 /// — the same components dispatch the same events whichever engine they
-/// run on — so the merged stats match a serial run exactly.
+/// run on — so the merged stats match a one-domain run exactly.
 fn merge_stats(a: EngineStats, b: EngineStats) -> EngineStats {
     EngineStats {
         dispatched: a.dispatched + b.dispatched,
@@ -1575,9 +1579,7 @@ fn run_group(
         }
         for (k, horizons) in ladder.iter().enumerate() {
             let level = base + k as u64;
-            for idx in 0..runs.len() {
-                let spills = SpillSection::open();
-                let r = &mut runs[idx];
+            for r in runs.iter_mut() {
                 if k > 0 {
                     wait_level(r.d, dplan, done, level, barrier)?;
                     r.drain_inboxes();
@@ -1587,48 +1589,12 @@ fn run_group(
                 r.window_events += r.parts.engine.stats().dispatched - before;
                 r.flush_outboxes()?;
                 done[r.d].store(level + 1, Ordering::Release);
-                spills.close(runs, idx);
             }
         }
         base += ladder.len() as u64;
         barrier.wait()?;
-        for idx in 0..runs.len() {
-            let spills = SpillSection::open();
-            runs[idx].drain_inboxes();
-            spills.close(runs, idx);
-        }
-    }
-}
-
-/// Attributes the scratch spills of one per-engine code section to that
-/// engine alone. [`EngineStats::scratch_spills`] derives from a
-/// thread-local counter, which is exact while each engine owns its
-/// thread; when one thread multiplexes several domains, every section
-/// run on behalf of engine `idx` must declare its spill delta *foreign*
-/// to the sibling engines, or their counts (and the run's merged total)
-/// drift from the serial run's.
-struct SpillSection {
-    before: u64,
-}
-
-impl SpillSection {
-    fn open() -> SpillSection {
-        SpillSection {
-            before: hmc_des::inline::spill_allocs(),
-        }
-    }
-
-    /// Charges the section's spills to `runs[idx]` by absorbing them
-    /// into every *other* run's baseline.
-    fn close(self, runs: &mut [DomainRun], idx: usize) {
-        let delta = hmc_des::inline::spill_allocs() - self.before;
-        if delta == 0 {
-            return;
-        }
-        for (j, other) in runs.iter_mut().enumerate() {
-            if j != idx {
-                other.parts.engine.absorb_foreign_spills(delta);
-            }
+        for r in runs.iter_mut() {
+            r.drain_inboxes();
         }
     }
 }
@@ -1698,29 +1664,22 @@ fn run_group_thread(
             }
         })
         .collect();
-    let mut runs: Vec<DomainRun> = Vec::new();
-    for ((d, out, inc), (_, probe)) in seats.into_iter().zip(&shards) {
-        let spills = SpillSection::open();
-        runs.push(make_run(plan, kind, probe, dplan, d, out, inc));
-        // Construction spills belong to the engine just built; the
-        // already-built siblings baselined earlier and must not see them.
-        let idx = runs.len() - 1;
-        spills.close(&mut runs, idx);
-    }
+    let mut runs: Vec<DomainRun> = seats
+        .into_iter()
+        .zip(&shards)
+        .map(|((d, out, inc), (_, probe))| make_run(plan, kind, probe, dplan, d, out, inc))
+        .collect();
     let mut tally = SchedTally::default();
     let _ = run_group(&mut runs, dplan, mins, done, barrier, l, &mut tally);
 
-    // Engine counters are snapshotted before any other harvesting so a
-    // scratch spill during a sibling's harvest can't leak into them.
-    let engine_stats: Vec<EngineStats> = runs.iter().map(|r| r.parts.engine.stats()).collect();
     let mut cubes = Vec::new();
     let mut engine = EngineStats::default();
     let mut last = Time::ZERO;
     let mut window_events = 0u64;
     let mut host = None;
-    for (r, stats) in runs.iter().zip(engine_stats) {
+    for r in &runs {
         cubes.extend(harvest_cubes(&r.parts));
-        engine = merge_stats(engine, stats);
+        engine = merge_stats(engine, r.parts.engine.stats());
         last = last.max(r.parts.engine.last_dispatched_at());
         window_events += r.window_events;
         if r.parts.host.is_some() {
@@ -1900,9 +1859,10 @@ impl FabricSim {
 
     /// Requests the run be partitioned into up to `domains` per-cube
     /// engine domains advancing in parallel (clamped to the cube count;
-    /// `1` — the default — runs serially). Results are byte-identical
-    /// for every setting. Traced runs, single-cube systems and
-    /// zero-lookahead configurations always fall back to serial.
+    /// `1` — the default — puts every cube on one engine). Results are
+    /// byte-identical for every setting. Traced runs, single-cube systems
+    /// and zero-lookahead configurations always run as one domain on the
+    /// same scheduler.
     pub fn with_domains(mut self, domains: usize) -> FabricSim {
         self.domains = domains.max(1);
         self
@@ -1972,8 +1932,8 @@ impl FabricSim {
         assert!(!self.started, "a FabricSim performs a single run");
         self.started = true;
         let n = self.plan.n;
-        // Packet-lifecycle tracing samples by issue order, which only the
-        // serial schedule preserves; traced runs stay on one engine.
+        // Packet-lifecycle tracing samples by issue order, which only a
+        // one-domain schedule preserves; traced runs stay on one engine.
         let traced = self
             .probe
             .hub_config()
@@ -1984,36 +1944,13 @@ impl FabricSim {
         } else {
             self.domains.min(n)
         };
-        let outcome = if d_count <= 1 {
-            self.run_serial(kind)
-        } else {
-            self.run_parallel(kind, d_count)
-        };
+        let outcome = self.run_domains(kind, d_count);
         let report = outcome.report.clone();
         self.outcome = Some(outcome);
         report
     }
 
-    fn run_serial(&mut self, kind: RunKind) -> RunOutcome {
-        let dom_of = vec![0usize; self.plan.n];
-        let mut parts = build_domain(&self.plan, &self.probe, &dom_of, 0);
-        schedule_initial(&mut parts, kind, self.plan.n);
-        parts.engine.run_to_quiescence();
-        let host = harvest_host(&parts, &self.port_targets);
-        let cubes = harvest_cubes(&parts);
-        let engine = parts.engine.stats();
-        let last = parts.engine.last_dispatched_at();
-        assemble(
-            host,
-            cubes,
-            engine,
-            SchedStats::default(),
-            last,
-            self.plan.n,
-        )
-    }
-
-    fn run_parallel(&mut self, kind: RunKind, want: usize) -> RunOutcome {
+    fn run_domains(&mut self, kind: RunKind, want: usize) -> RunOutcome {
         let plan = &self.plan;
         let probe = &self.probe;
         let targets = &self.port_targets;
@@ -2133,13 +2070,17 @@ impl FabricSim {
             probe.absorb_shard(shard);
         }
         let pool_after = pool::stats();
-        let sched = SchedStats {
-            rounds: tally.rounds,
-            windows: tally.windows,
-            window_events: harvest.window_events,
-            workers: workers as u64,
-            pool_steals: pool_after.steals - pool_before.steals,
-            pool_parks: pool_after.parks - pool_before.parks,
+        let sched = if d_count > 1 {
+            SchedStats {
+                rounds: tally.rounds,
+                windows: tally.windows,
+                window_events: harvest.window_events,
+                workers: workers as u64,
+                pool_steals: pool_after.steals - pool_before.steals,
+                pool_parks: pool_after.parks - pool_before.parks,
+            }
+        } else {
+            SchedStats::default()
         };
         let host = harvest.host.expect("domain 0 harvested the host");
         assemble(host, harvest.cubes, harvest.engine, sched, harvest.last, n)
@@ -2151,14 +2092,14 @@ impl FabricSim {
     /// of with simulated FPGA cycles — the regression tests assert it
     /// stays an order of magnitude below per-cycle ticking on low-load
     /// runs. Every counter is schedule-invariant, so the totals match the
-    /// serial run whatever the domain count.
+    /// one-domain run whatever the domain count.
     pub fn engine_stats(&self) -> EngineStats {
         self.outcome.as_ref().map(|o| o.engine).unwrap_or_default()
     }
 
-    /// Scheduler and worker-pool counters from the last run. Serial runs
-    /// (`domains <= 1`) report the all-zero default; parallel runs report
-    /// the deterministic round/window tallies plus worker telemetry. See
+    /// Scheduler and worker-pool counters from the last run. One-domain
+    /// runs report the all-zero default; parallel runs report the
+    /// deterministic round/window tallies plus worker telemetry. See
     /// [`SchedStats`] for which fields are schedule-invariant.
     pub fn sched_stats(&self) -> SchedStats {
         self.outcome.as_ref().map(|o| o.sched).unwrap_or_default()
@@ -2411,7 +2352,7 @@ mod tests {
     }
 
     #[test]
-    fn single_cube_domains_fall_back_to_serial() {
+    fn single_cube_domains_run_as_one_domain() {
         let cfg = FabricConfig::single(
             hmc_device::DeviceConfig::ac510_hmc(),
             hmc_host::HostConfig::ac510_default(),
@@ -2423,6 +2364,25 @@ mod tests {
         let report = sim.run_streams();
         assert_eq!(report.ports[0].completed, 1);
         assert!(sim.engine_stats().dispatched > 0);
+        assert_eq!(sim.sched_stats(), SchedStats::default());
+    }
+
+    #[test]
+    fn zero_lookahead_fabrics_run_as_one_domain() {
+        let run = |domains: usize| {
+            let mut cfg = FabricConfig::chain(5, 2);
+            cfg.hop.link.serdes_latency = Delay::ZERO;
+            let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+            let spec =
+                FabricPortSpec::gups(filter, hmc_host::GupsOp::Read(PayloadSize::B64), CubeId(1));
+            let mut sim = FabricSim::new(cfg, vec![spec; 2]).with_domains(domains);
+            let report = sim.run_gups(Delay::from_us(2), Delay::from_us(6));
+            assert_eq!(sim.sched_stats(), SchedStats::default());
+            (format!("{report:?}"), sim.engine_stats())
+        };
+        let one = run(1);
+        assert!(one.1.dispatched > 0);
+        assert_eq!(one, run(2));
     }
 
     #[test]

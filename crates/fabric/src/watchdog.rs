@@ -11,8 +11,9 @@
 //! unwind instead of spinning forever — and runs the driver's callback,
 //! which typically prints the progress counters and exits nonzero.
 //!
-//! Serial runs have no barrier to poison; a tripped watchdog still fires
-//! the callback, whose `exit` ends the wedged process all the same.
+//! A one-domain run dispatches its whole simulation in a single window,
+//! which a poisoned barrier cannot interrupt; a tripped watchdog still
+//! fires the callback, whose `exit` ends the wedged process all the same.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, Weak};
@@ -25,7 +26,7 @@ static ROUNDS: AtomicU64 = AtomicU64::new(0);
 /// Lookahead windows granted across those rounds.
 static WINDOWS: AtomicU64 = AtomicU64::new(0);
 
-/// The barriers of every live parallel run, plus the fired flag.
+/// The barriers of every live run, plus the fired flag.
 pub(crate) struct Registry {
     fired: AtomicBool,
     barriers: Mutex<Vec<Weak<PhaseBarrier>>>,
@@ -66,7 +67,7 @@ impl Registry {
 
 static GLOBAL: LazyLock<Arc<Registry>> = LazyLock::new(|| Arc::new(Registry::new()));
 
-/// Registers a parallel run's barrier with the global watchdog.
+/// Registers a run's barrier with the global watchdog.
 pub(crate) fn register_barrier(barrier: &Arc<PhaseBarrier>) {
     GLOBAL.register(barrier);
 }
@@ -82,9 +83,9 @@ pub(crate) fn note_windows(n: u64) {
     WINDOWS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// `(rounds, windows)` the parallel domain scheduler has completed
-/// process-wide — the progress diagnostic a tripped deadline prints.
-/// Both stay zero across purely serial runs.
+/// `(rounds, windows)` the domain scheduler has completed process-wide
+/// — the progress diagnostic a tripped deadline prints. A one-domain run
+/// counts one round of one window.
 pub fn progress() -> (u64, u64) {
     (
         ROUNDS.load(Ordering::Relaxed),
@@ -97,9 +98,9 @@ pub fn fired() -> bool {
     GLOBAL.fired()
 }
 
-/// Trips the global watchdog now: poisons every live parallel run's
-/// barrier so its workers unwind with an error instead of spinning at a
-/// rendezvous that can never complete.
+/// Trips the global watchdog now: poisons every live run's barrier so
+/// its workers unwind with an error instead of spinning at a rendezvous
+/// that can never complete.
 pub fn trip() {
     GLOBAL.trip();
 }
