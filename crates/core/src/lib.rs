@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use hmc_packet::{Address, GlobalAddress, PayloadSize, PortId, RequestKind};
     pub use hmc_stats::{Histogram, LatencyRecorder, LatencySketch, Summary, Table};
-    pub use hmc_telemetry::{Hub, HubConfig, LinkDir, Probe, SharedHub, Stage};
+    pub use hmc_telemetry::{Hub, HubConfig, Probe, SharedHub, Stage};
     pub use hmc_workloads::{
         random_reads_in_banks, random_reads_in_vaults, vault_combinations, Feedback, OffloadSource,
         Paced, PointerChase, SourceStep, Trace, TrafficSource,

@@ -52,7 +52,7 @@ use hmc_link::{Deliveries, LinkConfig, LinkTx, LinkWidth, RetryTuning};
 use hmc_mapping::CubeTargeting;
 use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
 use hmc_packet::{LinkId, PortId, RequestPacket, ResponsePacket};
-use hmc_telemetry::{Hub, HubConfig, LinkDir, Probe, Stage};
+use hmc_telemetry::{Hub, HubConfig, Probe, Stage};
 use hmc_workloads::{source_factory, GupsSource, SourceFactory, TraceReplay, TrafficSource};
 
 use crate::config::{CubeId, FabricConfig};
@@ -1002,9 +1002,9 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
 
     let devices: Vec<ComponentId> = cubes
         .iter()
-        .map(|&c| {
+        .map(|_| {
             let mut device = HmcDevice::new(plan.dev_cfg.clone());
-            device.attach_probe(probe, c as u8);
+            device.attach_probe(probe);
             let up = (n == 1).then(|| Upstream::Host(host.expect("single-cube host")));
             engine.add_component(Box::new(DeviceComp {
                 device,
@@ -1064,7 +1064,7 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
                             ..plan.cfg.hop.link
                         };
                         let mut link = LinkTx::new(&link_cfg);
-                        link.set_probe(probe.clone(), c as u8, p as u8, LinkDir::Transit);
+                        link.set_probe(probe.clone());
                         let peer = layout.neighbors[slot];
                         arm_faults(plan, &mut link, LinkKey::edge(c as u8, peer.0), &link_cfg);
                         tx.push(Some(link));
@@ -1080,15 +1080,14 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
                             ..plan.cfg.cube.link
                         };
                         let mut link = LinkTx::new(&link_cfg);
-                        link.set_probe(probe.clone(), c as u8, p as u8, LinkDir::Response);
+                        link.set_probe(probe.clone());
                         arm_faults(plan, &mut link, LinkKey::host(l as u8), &link_cfg);
                         tx.push(Some(link));
                     }
                 }
             }
             let caps = vec![plan.cfg.hop.input_capacity_flits; count];
-            let mut sw = SwitchCore::with_input_capacities(sw_cfg, &caps, &credits);
-            sw.set_probe(probe.clone(), c as u8);
+            let sw = SwitchCore::with_input_capacities(sw_cfg, &caps, &credits);
             engine.add_component(Box::new(AdapterComp {
                 cube: CubeId(c as u8),
                 layout,
@@ -1762,9 +1761,10 @@ impl FabricSim {
     }
 
     /// Builds a fabric system with a telemetry probe attached to every
-    /// component: the host's ports and request serializers, each cube's
-    /// device and response serializers, and (multi-cube) the pass-through
-    /// stages. With [`Probe::off`] this is exactly [`FabricSim::new`].
+    /// component that marks a request's lifecycle: the host and its
+    /// ports, each cube's device, and (multi-cube) the pass-through
+    /// stages and their link serializers. With [`Probe::off`] this is
+    /// exactly [`FabricSim::new`].
     ///
     /// # Panics
     ///
@@ -2409,14 +2409,19 @@ mod tests {
             (
                 h.aggregate_sketch().count(),
                 h.completion_bytes().total(),
-                h.link_flits().keys().copied().collect::<Vec<_>>(),
+                h.completion_count().counts().to_vec(),
+                h.cube_sketches().keys().copied().collect::<Vec<_>>(),
                 h.source_sketches().len(),
             )
         };
         assert_eq!(run(1), run(4), "shard merge must reproduce the one-hub run");
     }
 
-    fn faulty_gups_report(plan: Option<FaultPlan>, domains: usize) -> RunReport {
+    fn faulty_gups_report(
+        plan: Option<FaultPlan>,
+        domains: usize,
+        hub: Option<&hmc_telemetry::SharedHub>,
+    ) -> (RunReport, EngineStats) {
         let cfg = FabricConfig::ring(21, 4);
         let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
         let specs: Vec<FabricPortSpec> = (0..4)
@@ -2424,17 +2429,19 @@ mod tests {
                 FabricPortSpec::gups(filter, hmc_host::GupsOp::Read(PayloadSize::B128), CubeId(c))
             })
             .collect();
-        let mut sim = FabricSim::new(cfg, specs).with_domains(domains);
+        let probe = hub.map_or_else(Probe::off, Probe::attached);
+        let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
         if let Some(plan) = plan {
             sim = sim.with_faults(plan).expect("valid fault plan");
         }
-        sim.run_gups(Delay::from_us(2), Delay::from_us(8))
+        let report = sim.run_gups(Delay::from_us(2), Delay::from_us(8));
+        (report, sim.engine_stats())
     }
 
     #[test]
     fn empty_fault_plan_changes_nothing() {
-        let clean = faulty_gups_report(None, 1);
-        let armed = faulty_gups_report(Some(FaultPlan::new(99)), 1);
+        let (clean, _) = faulty_gups_report(None, 1, None);
+        let (armed, _) = faulty_gups_report(Some(FaultPlan::new(99)), 1, None);
         assert_eq!(
             format!("{clean:?}"),
             format!("{armed:?}"),
@@ -2447,7 +2454,7 @@ mod tests {
     fn faulty_runs_complete_and_count_retries() {
         let plan =
             FaultPlan::new(7).with_all_links(hmc_faults::LinkFaultSpec::ber(1e-5).with_burst(2));
-        let report = faulty_gups_report(Some(plan), 1);
+        let (report, _) = faulty_gups_report(Some(plan), 1, None);
         let totals = report.link_fault_totals();
         assert!(totals.crc_errors > 0, "a 1e-5 BER must corrupt something");
         assert_eq!(totals.retries, totals.crc_errors + totals.down_drops);
@@ -2465,10 +2472,34 @@ mod tests {
                 .with_all_links(hmc_faults::LinkFaultSpec::ber(2e-5))
                 .degrade_after(40)
         };
-        let serial = format!("{:?}", faulty_gups_report(Some(plan()), 1));
+        let serial = format!("{:?}", faulty_gups_report(Some(plan()), 1, None).0);
         for domains in [2, 4] {
-            let par = format!("{:?}", faulty_gups_report(Some(plan()), domains));
+            let par = format!("{:?}", faulty_gups_report(Some(plan()), domains, None).0);
             assert_eq!(serial, par, "--domains {domains} skewed a faulty run");
+        }
+    }
+
+    #[test]
+    fn attaching_a_hub_changes_nothing_simulated() {
+        let plan = || FaultPlan::new(7).with_all_links(hmc_faults::LinkFaultSpec::ber(1e-5));
+        for domains in [1, 4] {
+            let (detached, detached_stats) = faulty_gups_report(Some(plan()), domains, None);
+            assert!(
+                detached.link_fault_totals().retries > 0,
+                "the retry path must run"
+            );
+            let hub = Hub::shared(HubConfig::default());
+            let (attached, attached_stats) = faulty_gups_report(Some(plan()), domains, Some(&hub));
+            assert!(
+                hub.borrow().aggregate_sketch().count() > 0,
+                "the hub saw the run"
+            );
+            assert_eq!(
+                format!("{detached:?}"),
+                format!("{attached:?}"),
+                "a hub moved the report at --domains {domains}"
+            );
+            assert_eq!(detached_stats, attached_stats, "--domains {domains}");
         }
     }
 

@@ -7,7 +7,7 @@ use hmc_link::{Deliveries, LinkTx};
 use hmc_mapping::VaultId;
 use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
 use hmc_packet::{LinkId, RequestPacket, ResponsePacket};
-use hmc_telemetry::{LinkDir, Probe, Stage};
+use hmc_telemetry::{Probe, Stage};
 
 use crate::config::DeviceConfig;
 use crate::transaction::{DeviceOutput, DeviceRequest, DeviceResponse};
@@ -193,8 +193,6 @@ pub struct HmcDevice {
     responses_sent: u64,
     /// Telemetry probe (detached by default — every emit is one branch).
     probe: Probe,
-    /// Cube id this device reports as in telemetry events.
-    probe_cube: u8,
 }
 
 impl HmcDevice {
@@ -288,19 +286,13 @@ impl HmcDevice {
             requests_received: 0,
             responses_sent: 0,
             probe: Probe::off(),
-            probe_cube: 0,
         }
     }
 
-    /// Attaches a telemetry probe; events from this device report as cube
-    /// `cube`. Also wires the upstream serializers so response-direction
-    /// link flits are attributed to this cube.
-    pub fn attach_probe(&mut self, probe: &Probe, cube: u8) {
-        for (l, tx) in self.link_tx.iter_mut().enumerate() {
-            tx.set_probe(probe.clone(), cube, l as u8, LinkDir::Response);
-        }
+    /// Attaches a telemetry probe, which marks the device's lifecycle
+    /// stages of traced packets.
+    pub fn attach_probe(&mut self, probe: &Probe) {
         self.probe = probe.clone();
-        self.probe_cube = cube;
     }
 
     /// The configuration in effect.
@@ -340,8 +332,6 @@ impl HmcDevice {
             .unwrap_or_else(|_| panic!("link input buffer overflow: token protocol violated"));
         self.req_dirty |= 1 << q;
         self.requests_received += 1;
-        self.probe
-            .request_enqueue(self.probe_cube, loc.vault.0, now);
         self.probe
             .trace_mark(u16::from(pkt.port.0), pkt.tag.0, Stage::DeviceIngress, now);
     }
@@ -721,7 +711,6 @@ impl HmcDevice {
         let mut started = std::mem::take(&mut self.started_scratch);
         self.vaults[v].start_services(now, &mut started);
         for (bank, completion) in started.drain(..) {
-            self.probe.vault_service(self.probe_cube, v as u8, now);
             self.schedule(
                 completion + ctrl_out,
                 InternalEvent::BankComplete { vault: v, bank },

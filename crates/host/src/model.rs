@@ -5,7 +5,7 @@ use hmc_des::{Clocked, InlineVec, Time};
 use hmc_link::{Deliveries, LinkTx};
 use hmc_noc::{BoundedQueue, RoundRobinArbiter};
 use hmc_packet::{LinkId, PortId, RequestPacket, ResponsePacket};
-use hmc_telemetry::{LinkDir, Probe, Stage};
+use hmc_telemetry::{Probe, Stage};
 
 use crate::config::HostConfig;
 use crate::port::Port;
@@ -125,16 +125,11 @@ impl HostModel {
         }
     }
 
-    /// Attaches a telemetry probe to the host and everything it owns:
-    /// the ports (issue tracing, completion sketches) and the request
-    /// link serializers (link-flit events, stamped cube 0 — the cube the
-    /// host's links physically attach to). Detached by default.
+    /// Attaches a telemetry probe to the host and its ports (issue
+    /// tracing, completion sketches). Detached by default.
     pub fn attach_probe(&mut self, probe: &Probe) {
         for p in &mut self.ports {
             p.set_probe(probe.clone());
-        }
-        for (l, tx) in self.link_tx.iter_mut().enumerate() {
-            tx.set_probe(probe.clone(), 0, l as u8, LinkDir::Request);
         }
         self.probe = probe.clone();
     }

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use hmc_des::{Clocked, Delay, InlineVec, Time};
 use hmc_faults::LinkFaults;
 use hmc_noc::Credits;
-use hmc_telemetry::{LinkDir, Probe, Stage};
+use hmc_telemetry::{Probe, Stage};
 
 use crate::config::LinkConfig;
 use crate::retry::{FaultLane, RetryTuning};
@@ -101,8 +101,6 @@ pub struct LinkTx<P> {
     tokens: Credits,
     stats: LinkStats,
     probe: Probe,
-    /// `(cube, link, direction)` identity stamped on emitted telemetry.
-    site: (u8, u8, LinkDir),
     /// Fault-injection + retry-protocol state; `None` (the default) is
     /// the fault-free fast path, bit-identical to a build without the
     /// faults subsystem.
@@ -130,7 +128,6 @@ impl<P> LinkTx<P> {
             tokens: Credits::new(cfg.input_buffer_flits),
             stats: LinkStats::default(),
             probe: Probe::off(),
-            site: (0, 0, LinkDir::Request),
             faults: None,
             trace_id: None,
         }
@@ -158,13 +155,12 @@ impl<P> LinkTx<P> {
         self.faults.as_ref().map_or(0, |l| l.retained.len())
     }
 
-    /// Attaches a telemetry probe; committed packets emit one
-    /// link-flit event stamped `(cube, link, dir)` at their wire-commit
-    /// time. Detached by default ([`Probe::off`]), which keeps
-    /// [`LinkTx::service_into`] on its allocation-free fast path.
-    pub fn set_probe(&mut self, probe: Probe, cube: u8, link: u8, dir: LinkDir) {
+    /// Attaches a telemetry probe; a CRC-failed transmission of a packet
+    /// with a registered [trace identity](LinkTx::set_trace_identity)
+    /// emits a `Retry` lifecycle mark. Detached by default
+    /// ([`Probe::off`]).
+    pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
-        self.site = (cube, link, dir);
     }
 
     /// Appends a packet of `flits` flits to the sender queue.
@@ -274,7 +270,6 @@ impl<P> LinkTx<P> {
                 Some(lane) => {
                     let identity = self.trace_id.map(|f| f(&payload));
                     cursor = lane.admit(cursor, flits);
-                    let (cube, link, dir) = self.site;
                     let end = loop {
                         // The wire transmits nothing inside a down window.
                         cursor = lane.inj.wire_up_at(cursor);
@@ -286,7 +281,6 @@ impl<P> LinkTx<P> {
                             self.stats.down_drops += 1;
                             self.stats.retries += 1;
                             self.stats.retransmitted_flits += u64::from(flits);
-                            self.probe.link_retry(cube, link, dir, flits, resume);
                             cursor = resume;
                             continue;
                         }
@@ -297,7 +291,6 @@ impl<P> LinkTx<P> {
                             self.stats.crc_errors += 1;
                             self.stats.retries += 1;
                             self.stats.retransmitted_flits += u64::from(flits);
-                            self.probe.link_retry(cube, link, dir, flits, end);
                             if let Some((port, tag)) = identity {
                                 self.probe.trace_mark(port, tag, Stage::Retry, end);
                             }
@@ -321,8 +314,6 @@ impl<P> LinkTx<P> {
             cursor = end;
             self.stats.packets_sent += 1;
             self.stats.flits_sent += u64::from(flits);
-            let (cube, link, dir) = self.site;
-            self.probe.link_flits(cube, link, dir, flits, end);
             out.push(LinkDelivery {
                 at: end + self.serdes_latency,
                 flits,

@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 
 use hmc_des::{Clocked, Delay, InlineVec, Time};
-use hmc_telemetry::Probe;
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::credit::Credits;
@@ -159,9 +158,6 @@ pub struct SwitchCore<P> {
     /// Bit `o` set while `head_inputs[o]` is non-empty.
     wanted_outputs: u64,
     forwarded: u64,
-    probe: Probe,
-    /// Cube id stamped on emitted telemetry.
-    probe_cube: u8,
 }
 
 impl<P> SwitchCore<P> {
@@ -229,17 +225,7 @@ impl<P> SwitchCore<P> {
             head_inputs: vec![0; cfg.outputs],
             wanted_outputs: 0,
             forwarded: 0,
-            probe: Probe::off(),
-            probe_cube: 0,
         }
-    }
-
-    /// Attaches a telemetry probe; every grant emits one switch-forward
-    /// event stamped with `cube`. Detached by default ([`Probe::off`]),
-    /// which keeps [`SwitchCore::service_into`] allocation-free.
-    pub fn set_probe(&mut self, probe: Probe, cube: u8) {
-        self.probe = probe;
-        self.probe_cube = cube;
     }
 
     /// The configuration in effect.
@@ -353,7 +339,6 @@ impl<P> SwitchCore<P> {
                 let busy = self.cfg.flit_time * entry.flits;
                 self.output_free[o] = now + busy;
                 self.forwarded += 1;
-                self.probe.switch_forward(self.probe_cube, entry.flits, now);
                 departures.push(Departure {
                     input: i,
                     output: o,

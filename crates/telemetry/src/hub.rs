@@ -1,6 +1,6 @@
-//! The telemetry sink: epoch counters, quantile sketches, and the tracer.
+//! The telemetry sink: completion timelines, quantile sketches, and the
+//! tracer.
 
-use crate::probe::LinkDir;
 use crate::trace::{Stage, Tracer};
 use hmc_des::{Delay, Time};
 use hmc_stats::LatencySketch;
@@ -17,7 +17,7 @@ pub type SharedHub = Rc<RefCell<Hub>>;
 /// Configuration for a [`Hub`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HubConfig {
-    /// Width of one epoch bucket in the counter timelines.
+    /// Width of one epoch bucket in the completion timelines.
     pub epoch: Delay,
     /// Trace every Nth issued request (`None` disables the tracer).
     pub trace_sample: Option<u64>,
@@ -98,25 +98,15 @@ pub(crate) fn tail_ps(sketch: &LatencySketch) -> Option<[u64; 3]> {
     ])
 }
 
-/// The sink behind attached [`Probe`](crate::Probe)s: streaming epoch
-/// counters keyed by component, per-source / per-cube latency sketches,
-/// and the sampled packet tracer. All maps are `BTreeMap`s so iteration
-/// (and therefore any report built from a hub) is deterministic.
+/// The sink behind attached [`Probe`](crate::Probe)s: per-epoch
+/// completion timelines (requests, bytes, latency sums), per-source /
+/// per-cube latency sketches, and the sampled packet tracer. The sketch
+/// maps are `BTreeMap`s so iteration (and therefore any report built from
+/// a hub) is deterministic.
 #[derive(Debug, Clone)]
 pub struct Hub {
     cfg: HubConfig,
     origin: Time,
-    /// Requests entering each (cube, vault) request queue.
-    enqueues: BTreeMap<(u8, u8), EpochSeries>,
-    /// DRAM service starts per (cube, vault) — the vault bandwidth timeline.
-    vault_services: BTreeMap<(u8, u8), EpochSeries>,
-    /// Flits committed per (cube, link, direction).
-    link_flits: BTreeMap<(u8, u8, LinkDir), EpochSeries>,
-    /// Retransmitted flits (failed-then-retried transmissions) per
-    /// (cube, link, direction); empty unless faults are injected.
-    link_retries: BTreeMap<(u8, u8, LinkDir), EpochSeries>,
-    /// Switch grants (flits) per cube.
-    switch_flits: BTreeMap<u8, EpochSeries>,
     /// Completed-request round-trip bytes per epoch (bandwidth timeline).
     completion_bytes: EpochSeries,
     /// Completed requests per epoch.
@@ -135,11 +125,6 @@ impl Hub {
         Hub {
             cfg,
             origin: Time::ZERO,
-            enqueues: BTreeMap::new(),
-            vault_services: BTreeMap::new(),
-            link_flits: BTreeMap::new(),
-            link_retries: BTreeMap::new(),
-            switch_flits: BTreeMap::new(),
             completion_bytes: EpochSeries::default(),
             completion_count: EpochSeries::default(),
             completion_latency_ps: EpochSeries::default(),
@@ -166,11 +151,6 @@ impl Hub {
     /// tracer is *not* cleared — packet lifecycles span the boundary.
     pub fn reset_window(&mut self, now: Time) {
         self.origin = now;
-        self.enqueues.clear();
-        self.vault_services.clear();
-        self.link_flits.clear();
-        self.link_retries.clear();
-        self.switch_flits.clear();
         self.completion_bytes = EpochSeries::default();
         self.completion_count = EpochSeries::default();
         self.completion_latency_ps = EpochSeries::default();
@@ -180,32 +160,16 @@ impl Hub {
 
     /// Merges another hub's instruments into this one. Every instrument
     /// merge is order-independent (elementwise counter addition, sketch
-    /// bucket addition, disjoint-key map union, slice concatenation per
-    /// shard), so absorbing per-domain hub shards produces the same
-    /// aggregate regardless of absorb order — a partitioned simulation's
-    /// telemetry equals the single-hub run's wherever instruments are
-    /// per-component (shards never split one component's events).
+    /// bucket addition, slice concatenation per shard), so absorbing
+    /// per-domain hub shards produces the same aggregate regardless of
+    /// absorb order — a partitioned simulation's telemetry equals the
+    /// single-hub run's.
     ///
     /// Both hubs must cover the same measurement window (same epoch width
     /// and origin); debug builds assert it.
     pub fn absorb(&mut self, other: &Hub) {
         debug_assert_eq!(self.cfg.epoch, other.cfg.epoch, "shard epoch widths match");
         debug_assert_eq!(self.origin, other.origin, "shard window origins match");
-        for (k, s) in &other.enqueues {
-            self.enqueues.entry(*k).or_default().absorb(s);
-        }
-        for (k, s) in &other.vault_services {
-            self.vault_services.entry(*k).or_default().absorb(s);
-        }
-        for (k, s) in &other.link_flits {
-            self.link_flits.entry(*k).or_default().absorb(s);
-        }
-        for (k, s) in &other.link_retries {
-            self.link_retries.entry(*k).or_default().absorb(s);
-        }
-        for (k, s) in &other.switch_flits {
-            self.switch_flits.entry(*k).or_default().absorb(s);
-        }
         self.completion_bytes.absorb(&other.completion_bytes);
         self.completion_count.absorb(&other.completion_count);
         self.completion_latency_ps
@@ -220,57 +184,6 @@ impl Hub {
     }
 
     // --- event sinks (called via Probe) ---
-
-    pub(crate) fn on_enqueue(&mut self, cube: u8, vault: u8, now: Time) {
-        let e = self.epoch_of(now);
-        self.enqueues.entry((cube, vault)).or_default().add(e, 1);
-    }
-
-    pub(crate) fn on_vault_service(&mut self, cube: u8, vault: u8, now: Time) {
-        let e = self.epoch_of(now);
-        self.vault_services
-            .entry((cube, vault))
-            .or_default()
-            .add(e, 1);
-    }
-
-    pub(crate) fn on_link_flits(
-        &mut self,
-        cube: u8,
-        link: u8,
-        dir: LinkDir,
-        flits: u32,
-        now: Time,
-    ) {
-        let e = self.epoch_of(now);
-        self.link_flits
-            .entry((cube, link, dir))
-            .or_default()
-            .add(e, u64::from(flits));
-    }
-
-    pub(crate) fn on_link_retry(
-        &mut self,
-        cube: u8,
-        link: u8,
-        dir: LinkDir,
-        flits: u32,
-        now: Time,
-    ) {
-        let e = self.epoch_of(now);
-        self.link_retries
-            .entry((cube, link, dir))
-            .or_default()
-            .add(e, u64::from(flits));
-    }
-
-    pub(crate) fn on_switch_forward(&mut self, cube: u8, flits: u32, now: Time) {
-        let e = self.epoch_of(now);
-        self.switch_flits
-            .entry(cube)
-            .or_default()
-            .add(e, u64::from(flits));
-    }
 
     pub(crate) fn on_completion(
         &mut self,
@@ -342,38 +255,6 @@ impl Hub {
         &self.completion_latency_ps
     }
 
-    /// Request arrivals per (cube, vault).
-    pub fn enqueues(&self) -> &BTreeMap<(u8, u8), EpochSeries> {
-        &self.enqueues
-    }
-
-    /// DRAM service starts per (cube, vault).
-    pub fn vault_services(&self) -> &BTreeMap<(u8, u8), EpochSeries> {
-        &self.vault_services
-    }
-
-    /// Flits committed per (cube, link, direction).
-    pub fn link_flits(&self) -> &BTreeMap<(u8, u8, LinkDir), EpochSeries> {
-        &self.link_flits
-    }
-
-    /// Retransmitted flits per (cube, link, direction); empty unless
-    /// faults are injected.
-    pub fn link_retries(&self) -> &BTreeMap<(u8, u8, LinkDir), EpochSeries> {
-        &self.link_retries
-    }
-
-    /// Retransmitted flits across all links — the fabric-wide retry
-    /// traffic timeline's total.
-    pub fn total_link_retries(&self) -> u64 {
-        self.link_retries.values().map(EpochSeries::total).sum()
-    }
-
-    /// Switch grant flits per cube.
-    pub fn switch_flits(&self) -> &BTreeMap<u8, EpochSeries> {
-        &self.switch_flits
-    }
-
     /// Latency sketch per source port.
     pub fn source_sketches(&self) -> &BTreeMap<u16, LatencySketch> {
         &self.by_source
@@ -400,8 +281,8 @@ impl Hub {
         tail_ps(&self.aggregate_sketch())
     }
 
-    /// `(p50, p99, p999)` round-trip picoseconds for `sketch`-style maps:
-    /// a source's entry, or `None` if it completed nothing.
+    /// `(p50, p99, p999)` round-trip picoseconds for one source port, or
+    /// `None` if it completed nothing.
     pub fn source_tail_ps(&self, source: u16) -> Option<[u64; 3]> {
         tail_ps(self.by_source.get(&source)?)
     }
@@ -438,13 +319,16 @@ mod tests {
             epoch: Delay::from_us(1),
             trace_sample: None,
         });
-        h.on_vault_service(0, 3, Time::from_ns(100));
-        h.on_vault_service(0, 3, Time::from_ns(200));
-        h.on_vault_service(0, 3, Time::from_us(2) + Delay::from_ns(1));
-        let s = &h.vault_services()[&(0, 3)];
+        h.on_completion(0, 3, 500, 32, Time::from_ns(100));
+        h.on_completion(0, 3, 700, 32, Time::from_ns(200));
+        h.on_completion(1, 3, 900, 64, Time::from_us(2) + Delay::from_ns(1));
+        let s = h.completion_count();
         assert_eq!(s.counts(), &[2, 0, 1]);
         assert_eq!(s.total(), 3);
         assert_eq!(s.get(7), 0);
+        assert_eq!(h.completion_bytes().counts(), &[64, 0, 64]);
+        assert_eq!(h.completion_latency_ps().counts(), &[1200, 0, 900]);
+        assert_eq!(h.epochs(), 3);
     }
 
     #[test]
@@ -485,13 +369,9 @@ mod tests {
             trace_sample: None,
         };
         let mut a = Hub::new(cfg);
-        a.on_vault_service(0, 3, Time::from_ns(100));
         a.on_completion(0, 0, 500, 160, Time::from_ns(200));
-        a.on_link_flits(0, 1, LinkDir::Request, 9, Time::from_us(2));
         let mut b = Hub::new(cfg);
-        b.on_vault_service(1, 3, Time::from_ns(150));
         b.on_completion(3, 1, 900, 32, Time::from_us(1));
-        b.on_link_flits(0, 1, LinkDir::Request, 4, Time::from_ns(10));
         let mut ab = Hub::new(cfg);
         ab.absorb(&a);
         ab.absorb(&b);
@@ -503,11 +383,6 @@ mod tests {
             ba.completion_count().counts()
         );
         assert_eq!(ab.completion_bytes().total(), 192);
-        assert_eq!(ab.vault_services().len(), 2);
-        assert_eq!(
-            ab.link_flits()[&(0, 1, LinkDir::Request)].counts(),
-            &[4, 0, 9]
-        );
         assert_eq!(ab.aggregate_tail_ps(), ba.aggregate_tail_ps());
         assert_eq!(ab.source_sketches()[&3].count(), 1);
     }
@@ -516,36 +391,15 @@ mod tests {
     fn absorb_into_a_fresh_hub_reproduces_the_shard() {
         let cfg = HubConfig::default();
         let mut shard = Hub::new(cfg);
-        shard.on_enqueue(2, 5, Time::from_ns(40));
-        shard.on_switch_forward(2, 11, Time::from_ns(41));
+        shard.on_completion(2, 5, 400, 32, Time::from_ns(40));
+        shard.on_completion(3, 5, 600, 160, Time::from_ns(41));
         let mut total = Hub::new(cfg);
         total.absorb(&shard);
-        assert_eq!(total.enqueues(), shard.enqueues());
-        assert_eq!(total.switch_flits(), shard.switch_flits());
+        assert_eq!(total.completion_count(), shard.completion_count());
+        assert_eq!(total.completion_bytes(), shard.completion_bytes());
+        assert_eq!(total.completion_latency_ps(), shard.completion_latency_ps());
+        assert_eq!(total.cube_tail_ps(5), shard.cube_tail_ps(5));
         assert_eq!(total.config(), cfg);
-    }
-
-    #[test]
-    fn link_retries_bucket_and_absorb() {
-        let cfg = HubConfig {
-            epoch: Delay::from_us(1),
-            trace_sample: None,
-        };
-        let mut a = Hub::new(cfg);
-        a.on_link_retry(0, 1, LinkDir::Transit, 9, Time::from_ns(100));
-        let mut b = Hub::new(cfg);
-        b.on_link_retry(0, 1, LinkDir::Transit, 4, Time::from_us(2));
-        b.on_link_retry(2, 0, LinkDir::Response, 1, Time::from_ns(5));
-        let mut ab = Hub::new(cfg);
-        ab.absorb(&a);
-        ab.absorb(&b);
-        assert_eq!(
-            ab.link_retries()[&(0, 1, LinkDir::Transit)].counts(),
-            &[9, 0, 4]
-        );
-        assert_eq!(ab.total_link_retries(), 14);
-        ab.reset_window(Time::from_us(5));
-        assert_eq!(ab.total_link_retries(), 0);
     }
 
     #[test]

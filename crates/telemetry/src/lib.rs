@@ -3,16 +3,16 @@
 //! Streaming observability for the `hmc-noc-sim` workspace. The paper's
 //! insights all come from *looking inside* the cube — per-vault bandwidth,
 //! link utilization, latency distributions under open- vs closed-loop load
-//! — but report-time aggregates can't show *when* a vault saturated or
-//! *which* source's tail collapsed. This crate adds three layers:
+//! — but report-time aggregates can't show *when* bandwidth collapsed or
+//! *which* source's tail grew. This crate adds three layers:
 //!
-//! 1. [`Probe`] — a cheap, cloneable handle threaded through every
-//!    simulator layer (`Port`, `HostModel`, `LinkTx`, `SwitchCore`,
-//!    `HmcDevice`). When detached ([`Probe::off`]) each event call is a
-//!    single branch on a `None`; the `off` cargo feature compiles even
-//!    that branch away.
-//! 2. [`Hub`] — the sink behind attached probes: per-vault / per-link
-//!    **epoch counters** (bandwidth and occupancy timelines) and
+//! 1. [`Probe`] — a cheap, cloneable handle held by the components that
+//!    mark a request's lifecycle (`Port`, `HostModel`, `HmcDevice`, the
+//!    fabric's pass-through stages and their `LinkTx`s). When detached
+//!    ([`Probe::off`]) each event call is a single branch on a `None`;
+//!    the `off` cargo feature compiles even that branch away.
+//! 2. [`Hub`] — the sink behind attached probes: per-epoch **completion
+//!    timelines** (requests, round-trip bytes, latency sums) and
 //!    per-source / per-cube [`hmc_stats::LatencySketch`] quantile sketches
 //!    for streaming p50/p99/p999.
 //! 3. a **packet-lifecycle tracer** that samples every Nth issued request
@@ -44,5 +44,5 @@ mod probe;
 mod trace;
 
 pub use hub::{EpochSeries, Hub, HubConfig, SharedHub};
-pub use probe::{LinkDir, Probe};
+pub use probe::Probe;
 pub use trace::Stage;

@@ -5,36 +5,14 @@ use crate::trace::Stage;
 use core::fmt;
 use hmc_des::Time;
 
-/// Which way a serialized link is pointing, from the host's perspective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LinkDir {
-    /// Host → device request traffic.
-    Request,
-    /// Device → host response traffic.
-    Response,
-    /// Cube-to-cube transit traffic (multi-cube fabrics).
-    Transit,
-}
-
-impl LinkDir {
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            LinkDir::Request => "req",
-            LinkDir::Response => "resp",
-            LinkDir::Transit => "transit",
-        }
-    }
-}
-
 /// A cheap, cloneable telemetry handle. Components hold one and call the
 /// typed event methods unconditionally; a detached probe ([`Probe::off`],
 /// the default) reduces every call to a single `None` branch, and the
 /// crate's `off` feature compiles even that away (the struct becomes a
 /// zero-sized type with the same API).
 ///
-/// Event methods take raw ids (`u8` cube/vault/link, `u16` port/tag) so
-/// leaf crates (`hmc-link`, `hmc-noc`) can feed events without depending
+/// Event methods take raw ids (`u8` cube, `u16` port/tag) so the link
+/// serializers in `hmc-link` can mark traced packets without depending
 /// on packet or topology types.
 #[derive(Clone, Default)]
 pub struct Probe {
@@ -121,37 +99,6 @@ impl Probe {
         }
     }
 
-    /// A request entered cube `cube`'s queue for `vault`.
-    #[inline]
-    pub fn request_enqueue(&self, cube: u8, vault: u8, now: Time) {
-        self.with(|h| h.on_enqueue(cube, vault, now));
-    }
-
-    /// A vault controller started DRAM service in `(cube, vault)`.
-    #[inline]
-    pub fn vault_service(&self, cube: u8, vault: u8, now: Time) {
-        self.with(|h| h.on_vault_service(cube, vault, now));
-    }
-
-    /// A serialized link committed `flits` flits at `now`.
-    #[inline]
-    pub fn link_flits(&self, cube: u8, link: u8, dir: LinkDir, flits: u32, now: Time) {
-        self.with(|h| h.on_link_flits(cube, link, dir, flits, now));
-    }
-
-    /// A link transmission of `flits` flits failed CRC (or was cut by an
-    /// outage) and will be retransmitted from the retry buffer.
-    #[inline]
-    pub fn link_retry(&self, cube: u8, link: u8, dir: LinkDir, flits: u32, now: Time) {
-        self.with(|h| h.on_link_retry(cube, link, dir, flits, now));
-    }
-
-    /// A switch granted a packet of `flits` flits in `cube`.
-    #[inline]
-    pub fn switch_forward(&self, cube: u8, flits: u32, now: Time) {
-        self.with(|h| h.on_switch_forward(cube, flits, now));
-    }
-
     /// A request completed its round trip: `source` port, target `cube`,
     /// measured `latency_ps`, `bytes` moved on the links.
     #[inline]
@@ -196,7 +143,6 @@ mod tests {
         let p = Probe::off();
         assert!(!p.is_on());
         p.completion(0, 0, 100, 160, Time::ZERO);
-        p.vault_service(0, 0, Time::ZERO);
         p.reset_window(Time::ZERO);
     }
 

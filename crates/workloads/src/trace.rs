@@ -182,7 +182,7 @@ impl Trace {
                 continue;
             }
             let op: TraceOp = line.parse().map_err(|e: ParseTraceError| {
-                ParseTraceError::new(format!("line {}: {e}", i + 1))
+                ParseTraceError::new(format!("line {}: {}", i + 1, e.msg))
             })?;
             ops.push(op);
         }
@@ -264,7 +264,10 @@ mod tests {
     #[test]
     fn errors_carry_line_numbers() {
         let err = Trace::parse("R 0x0 128\nX 0x0 128\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            r#"invalid trace line: line 2: unknown op "X""#
+        );
     }
 
     #[test]
