@@ -4,11 +4,19 @@
 //! perfgate [--smoke] [--reps N] [--baseline FILE] [--out FILE]
 //! ```
 //!
-//! Runs a fixed basket of full-system experiments (the saturated and
-//! unloaded Figure 6 points, a 4-cube chain, the pointer-chase probe and
-//! the NOM-style offload stream), each `reps` times, and reports
-//! **events/sec** (engine events dispatched per wall-clock second) and
-//! wall time per experiment as one JSON document.
+//! Runs a fixed basket of nine full-system experiments, each `reps`
+//! times, and reports **events/sec** (engine events dispatched per
+//! wall-clock second) and wall time per experiment as one JSON document.
+//! The basket:
+//!
+//! - `fig6-low` / `fig6-sat`: the unloaded and saturated Figure 6 points;
+//! - `ext-chain-4`: a 4-cube chain loading its far cube;
+//! - `probe-chase`: the pointer-chase probe;
+//! - `ext-offload`: the NOM-style offload stream;
+//! - `ext-intercube-8-sat` / `-d4`: a saturated, address-interleaved
+//!   8-cube chain, serial and split over 4 engine domains;
+//! - `ext-scale-64-mesh` / `-d8`: the same over a 64-cube mesh, serial
+//!   and split over 8 engine domains.
 //!
 //! Methodology:
 //!
@@ -47,19 +55,45 @@ use hmc_sim::workloads::{GlobalGupsSource, OffloadSource};
 /// runs).
 type CaseOutput = (RunReport, hmc_sim::des::EngineStats, SchedStats);
 
+/// How a basket workload runs: closed-loop GUPS over the scale's
+/// warm-up and measurement windows, or finite streams to completion.
+#[derive(Clone, Copy)]
+enum RunKind {
+    Gups,
+    Streams,
+}
+
+/// A built basket workload: the fabric, its ports and how it runs.
+type Workload = (FabricConfig, Vec<FabricPortSpec>, RunKind);
+
 /// One basket entry: a named, seeded, fixed-size workload.
 struct Case {
     name: &'static str,
-    /// Builds and runs the workload on `domains` engine domains,
-    /// returning the report + engine and scheduler stats. Timed reps pass
-    /// `Probe::off()` (the one-branch no-op path the gate measures); the
-    /// extra untimed percentile run passes an attached probe.
-    run: fn(Scale2, Probe, usize) -> CaseOutput,
+    build: fn(Scale2) -> Workload,
     /// Engine domains the case runs with (1 = one engine). Multi-domain
     /// entries exist to measure parallel speedup; on a 1-core box they
     /// time-slice one core and the ratio is meaningless, so the gate
     /// warns loudly instead of letting the number mislead.
     domains: usize,
+}
+
+impl Case {
+    /// Builds and runs the workload on the case's engine domains. Timed
+    /// reps pass `Probe::off()` (the one-branch no-op path the gate
+    /// measures); the extra untimed percentile run passes an attached
+    /// probe.
+    fn run(&self, scale: Scale2, probe: Probe) -> CaseOutput {
+        let (cfg, ports, kind) = (self.build)(scale);
+        let mut sim = FabricSim::with_telemetry(cfg, ports, probe).with_domains(self.domains);
+        let report = match kind {
+            RunKind::Gups => {
+                let (warmup, measure) = scale.gups_windows();
+                sim.run_gups(warmup, measure)
+            }
+            RunKind::Streams => sim.run_streams(),
+        };
+        (report, sim.engine_stats(), sim.sched_stats())
+    }
 }
 
 /// Harness scale: `Smoke` shrinks measurement windows so CI finishes in
@@ -95,50 +129,41 @@ impl Scale2 {
 
 /// The unloaded Figure 6 point: one 16 B read port, one tag, one bank —
 /// the idle-skip stress (few events over many simulated cycles).
-fn fig6_low(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
+fn fig6_low(_: Scale2) -> Workload {
     let cfg = FabricConfig::chain(2018, 1);
     let filter = AccessPattern::Banks {
         vault: VaultId(0),
         count: 1,
     }
     .filter(&cfg.cube.map);
-    let specs = vec![
+    let ports = vec![
         FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B16), CubeId::HOST).with_tags(1),
     ];
-    let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
-    let (warmup, measure) = scale.gups_windows();
-    let report = sim.run_gups(warmup, measure);
-    (report, sim.engine_stats(), sim.sched_stats())
+    (cfg, ports, RunKind::Gups)
 }
 
 /// The saturated Figure 6 point: nine 128 B read ports over all 16
 /// vaults — the bandwidth ceiling, the densest event traffic in the
 /// basket and the point the ≥1.3x events/sec gate is measured on.
-fn fig6_sat(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
+fn fig6_sat(_: Scale2) -> Workload {
     let cfg = FabricConfig::chain(2018, 1);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
-    let specs =
+    let ports =
         vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
-    let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
-    let (warmup, measure) = scale.gups_windows();
-    let report = sim.run_gups(warmup, measure);
-    (report, sim.engine_stats(), sim.sched_stats())
+    (cfg, ports, RunKind::Gups)
 }
 
 /// A 4-cube chain with four 64 B GUPS ports hammering the far cube:
 /// every request transits three pass-through crossbars each way.
-fn ext_chain4(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
+fn ext_chain4(_: Scale2) -> Workload {
     let cfg = FabricConfig::chain(2018, 4);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
-    let specs = vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B64), CubeId(3)); 4];
-    let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
-    let (warmup, measure) = scale.gups_windows();
-    let report = sim.run_gups(warmup, measure);
-    (report, sim.engine_stats(), sim.sched_stats())
+    let ports = vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B64), CubeId(3)); 4];
+    (cfg, ports, RunKind::Gups)
 }
 
 /// The pointer-chase probe: 8 dependent-read walkers on one cube.
-fn probe_chase(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
+fn probe_chase(scale: Scale2) -> Workload {
     let cfg = FabricConfig::chain(2018, 1);
     let map = cfg.cube.map;
     let vaults: Vec<VaultId> = (0..16).map(VaultId).collect();
@@ -157,13 +182,11 @@ fn probe_chase(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
         CubeId::HOST,
     )
     .with_tags(8);
-    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe).with_domains(domains);
-    let report = sim.run_streams();
-    (report, sim.engine_stats(), sim.sched_stats())
+    (cfg, vec![spec], RunKind::Streams)
 }
 
 /// The NOM-style offload stream: read→dependent-write vault copies.
-fn ext_offload(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
+fn ext_offload(scale: Scale2) -> Workload {
     let cfg = FabricConfig::chain(2018, 1);
     let map = cfg.cube.map;
     let pairs = scale.offload_pairs();
@@ -180,22 +203,15 @@ fn ext_offload(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
         },
         CubeId::HOST,
     );
-    let mut sim = FabricSim::with_telemetry(cfg, vec![spec], probe).with_domains(domains);
-    let report = sim.run_streams();
-    (report, sim.engine_stats(), sim.sched_stats())
+    (cfg, vec![spec], RunKind::Streams)
 }
 
-/// The saturated 8-cube chain: nine 128 B read ports over an
-/// address-interleaved global window, so every port's stream spreads
-/// across all eight cubes and transit traffic loads every hop. The one
-/// basket workload large enough for the conservative-parallel domain
-/// scheduler — the `-d4` variant runs the *identical* workload split
-/// over four engine domains, so their signatures must match and the
-/// events/sec ratio is the parallel speedup (≈1 on a single hardware
-/// thread, where the domains time-slice one core).
-fn ext_intercube8(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
-    let cfg = FabricConfig::ac510(Topology::Chain, 8, 2018);
-    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, 8, &cfg.cube.map);
+/// `ports` 128 B read ports over an address-interleaved global window
+/// spanning all `cubes` cubes of `topology`, so every port's stream
+/// spreads across the whole fabric and transit traffic loads every hop.
+fn global_gups(topology: Topology, cubes: u8, ports: usize) -> Workload {
+    let cfg = FabricConfig::ac510(topology, cubes, 2018);
+    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
     let window = 1u64 << Address::BITS;
     let spec = FabricPortSpec::from_source(
         move |seed| {
@@ -210,85 +226,70 @@ fn ext_intercube8(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
     )
     .with_tags(hmc_sim::GUPS_TAGS)
     .addressed(fabric_map);
-    let mut sim = FabricSim::with_telemetry(cfg, vec![spec; 9], probe).with_domains(domains);
-    let (warmup, measure) = scale.gups_windows();
-    let report = sim.run_gups(warmup, measure);
-    (report, sim.engine_stats(), sim.sched_stats())
+    (cfg, vec![spec; ports], RunKind::Gups)
 }
 
-/// The 64-cube mesh at the widened CUB field's ceiling: four 128 B read
-/// ports over an interleaved global window spanning all 64 cubes of an
-/// 8×8 mesh. The largest fabric the gate tracks — 64 engines' worth of
-/// crossbars and dimension-ordered transit — and the scale-out point for
-/// the domain scheduler (the `-d8` variant runs one domain per mesh
-/// row).
-fn ext_scale64(scale: Scale2, probe: Probe, domains: usize) -> CaseOutput {
-    let cfg = FabricConfig::ac510(Topology::Mesh2D, 64, 2018);
-    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, 64, &cfg.cube.map);
-    let window = 1u64 << Address::BITS;
-    let spec = FabricPortSpec::from_source(
-        move |seed| {
-            Box::new(GlobalGupsSource::new(
-                GupsOp::Read(PayloadSize::B128),
-                window,
-                &fabric_map,
-                seed,
-            ))
-        },
-        CubeId::HOST,
-    )
-    .with_tags(hmc_sim::GUPS_TAGS)
-    .addressed(fabric_map);
-    let mut sim = FabricSim::with_telemetry(cfg, vec![spec; 4], probe).with_domains(domains);
-    let (warmup, measure) = scale.gups_windows();
-    let report = sim.run_gups(warmup, measure);
-    (report, sim.engine_stats(), sim.sched_stats())
+/// The saturated 8-cube chain with nine ports: the basket workload large
+/// enough for the conservative-parallel domain scheduler. The `-d4`
+/// entry runs the *identical* workload split over four engine domains,
+/// so their signatures must match and the events/sec ratio is the
+/// parallel speedup (≈1 on a single hardware thread, where the domains
+/// time-slice one core).
+fn ext_intercube8(_: Scale2) -> Workload {
+    global_gups(Topology::Chain, 8, 9)
+}
+
+/// The 64-cube 8×8 mesh at the widened CUB field's ceiling, with four
+/// ports: the largest fabric the gate tracks and the scale-out point for
+/// the domain scheduler (the `-d8` entry runs one domain per mesh row).
+fn ext_scale64(_: Scale2) -> Workload {
+    global_gups(Topology::Mesh2D, 64, 4)
 }
 
 const BASKET: &[Case] = &[
     Case {
         name: "fig6-low",
-        run: fig6_low,
+        build: fig6_low,
         domains: 1,
     },
     Case {
         name: "fig6-sat",
-        run: fig6_sat,
+        build: fig6_sat,
         domains: 1,
     },
     Case {
         name: "ext-chain-4",
-        run: ext_chain4,
+        build: ext_chain4,
         domains: 1,
     },
     Case {
         name: "probe-chase",
-        run: probe_chase,
+        build: probe_chase,
         domains: 1,
     },
     Case {
         name: "ext-offload",
-        run: ext_offload,
+        build: ext_offload,
         domains: 1,
     },
     Case {
         name: "ext-intercube-8-sat",
-        run: ext_intercube8,
+        build: ext_intercube8,
         domains: 1,
     },
     Case {
         name: "ext-intercube-8-sat-d4",
-        run: ext_intercube8,
+        build: ext_intercube8,
         domains: 4,
     },
     Case {
         name: "ext-scale-64-mesh",
-        run: ext_scale64,
+        build: ext_scale64,
         domains: 1,
     },
     Case {
         name: "ext-scale-64-mesh-d8",
-        run: ext_scale64,
+        build: ext_scale64,
         domains: 8,
     },
 ];
@@ -436,7 +437,7 @@ fn main() -> ExitCode {
         let mut last_sched = SchedStats::default();
         for rep in 0..args.reps {
             let start = Instant::now();
-            let (report, stats, sched) = (case.run)(args.scale, Probe::off(), case.domains);
+            let (report, stats, sched) = case.run(args.scale, Probe::off());
             let wall = start.elapsed().as_secs_f64();
             best = best.min(wall);
             let this = Signature {
@@ -469,7 +470,7 @@ fn main() -> ExitCode {
         // latency percentiles ride along in the snapshot without the
         // instruments' cost ever touching the timed reps.
         let hub = Hub::shared(HubConfig::default());
-        let _ = (case.run)(args.scale, Probe::attached(&hub), case.domains);
+        let _ = case.run(args.scale, Probe::attached(&hub));
         let tail_ps = hub.borrow().aggregate_tail_ps();
         let cores_warning =
             (case.domains > 1 && hmc_sim::des::pool::budget_total() == 1).then(|| {
@@ -568,10 +569,11 @@ fn main() -> ExitCode {
         }
         None => print!("{doc}"),
     }
+    let width = results.iter().map(|m| m.name.len()).max().unwrap_or(0);
     for m in &results {
         let base = baseline.iter().find(|(n, _)| n == m.name);
         eprintln!(
-            "{:<12} {:>12} events  {:>8.3}s  {:>12.0} ev/s{}",
+            "{:<width$} {:>12} events  {:>8.3}s  {:>12.0} ev/s{}",
             m.name,
             m.sig.events,
             m.wall_best_s,
