@@ -353,8 +353,10 @@ pub struct EngineStats {
 /// A deterministic discrete-event engine over message type `M`.
 ///
 /// Events live in a two-level scheduler: a bucketed timer wheel absorbs the
-/// dense near-horizon traffic in O(1) per event, and a binary heap holds
-/// the sparse far tail (see [`crate::wheel`]-level docs in the source).
+/// dense near-horizon traffic in O(1) per push, and a binary heap holds
+/// the sparse far tail. The bucket the clock occupies is the *active
+/// bucket*: sorted once as the clock enters it, then popped from its end
+/// (see the [`crate::wheel`] module docs).
 /// Delivery order is exactly `(timestamp, insertion order)`, identical to a
 /// single global heap.
 ///

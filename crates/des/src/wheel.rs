@@ -9,8 +9,10 @@
 //! [`EventQueue`] here keeps the dense near-term traffic in a ring of
 //! constant-time buckets and only heap-sorts the sparse far tail:
 //!
-//! - **active heap** — events in the bucket the clock currently occupies,
-//!   kept in a small heap so same-bucket ordering stays exact;
+//! - **active bucket** — events in the bucket the clock currently
+//!   occupies, in a `Vec` sorted by `(time, seq)` descending: it is
+//!   filled by one sort when the cursor enters the bucket, and each pop
+//!   is a `Vec::pop` off its end that moves no other entry;
 //! - **wheel** — one unsorted `Vec` per slot of [`WHEEL_SLOTS`] × 4096 ps
 //!   ahead of the cursor; push is `O(1)`;
 //! - **far heap** — everything beyond the wheel horizon; migrated in
@@ -18,9 +20,10 @@
 //!
 //! Ordering is identical to the plain heap: `(time, seq)` with FIFO
 //! tie-breaking, which the engine's determinism contract requires. The
-//! queue is robust to pushes at or before the cursor's bucket (they land
-//! in the active heap, which is totally ordered), so a caller scheduling
-//! "now" mid-drain never corrupts the ring.
+//! queue is robust to pushes at or before the cursor's bucket (they are
+//! binary-search inserted into the active bucket, which stays totally
+//! ordered), so a caller scheduling "now" mid-drain never corrupts the
+//! ring.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -81,10 +84,10 @@ fn slot_of(time: Time) -> u64 {
 /// drop-in replacement for a `BinaryHeap` keyed on `(time, seq)` — same
 /// order, constant-time pushes for near-horizon traffic.
 pub struct EventQueue<T> {
-    /// Events in the cursor's bucket (and any pushed at or before it) —
-    /// always contains the global minimum once [`EventQueue::prepare`]
-    /// has run.
-    active: BinaryHeap<Reverse<Entry<T>>>,
+    /// Events in the cursor's bucket (and any pushed at or before it),
+    /// sorted by `(time, seq)` descending so the minimum is `last()` —
+    /// always the global minimum once [`EventQueue::prepare`] has run.
+    active: Vec<Entry<T>>,
     /// Ring of near-horizon buckets, indexed by absolute slot mod
     /// [`WHEEL_SLOTS`]. Slot `s` may only hold events whose absolute slot
     /// is in `(cursor, cursor + WHEEL_SLOTS)`.
@@ -107,7 +110,7 @@ impl<T> EventQueue<T> {
     /// An empty queue with its ring pre-allocated.
     pub fn new() -> EventQueue<T> {
         EventQueue {
-            active: BinaryHeap::with_capacity(16),
+            active: Vec::with_capacity(16),
             // Slot buffers are pre-sized and reused across ring rotations:
             // `prepare` drains a bucket without releasing its capacity, so
             // after the first few laps the wheel allocates nothing.
@@ -134,8 +137,8 @@ impl<T> EventQueue<T> {
         if s <= self.cursor {
             // The cursor's own bucket — or (only possible if a caller
             // schedules into the past in a release build) an earlier one.
-            // The active heap is totally ordered, so both stay correct.
-            self.active.push(Reverse(entry));
+            // The active bucket is totally ordered, so both stay correct.
+            self.insert_active(entry);
         } else if s - self.cursor < WHEEL_SLOTS as u64 {
             self.near_len += 1;
             self.slots[(s % WHEEL_SLOTS as u64) as usize].push(entry);
@@ -147,7 +150,7 @@ impl<T> EventQueue<T> {
     /// Moves the cursor to `new_cursor` and restores the far-heap
     /// invariant: every far event whose absolute slot now falls inside the
     /// wheel window `[cursor, cursor + WHEEL_SLOTS)` migrates into the
-    /// active heap or its ring bucket. Without this, a far event whose
+    /// active bucket or its ring bucket. Without this, a far event whose
     /// slot the advancing cursor caught up with would be overtaken by
     /// nearer traffic and delivered out of order.
     fn advance_cursor_to(&mut self, new_cursor: u64) {
@@ -160,7 +163,7 @@ impl<T> EventQueue<T> {
             }
             let Reverse(e) = self.far.pop().expect("peeked");
             if s <= self.cursor {
-                self.active.push(Reverse(e));
+                self.insert_active(e);
             } else {
                 self.near_len += 1;
                 self.slots[(s % WHEEL_SLOTS as u64) as usize].push(e);
@@ -168,21 +171,30 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Ensures the active heap holds the global minimum (if any event is
+    /// Inserts `entry` into the sorted active bucket at its
+    /// `(time, seq)` position.
+    fn insert_active(&mut self, entry: Entry<T>) {
+        let at = self.active.partition_point(|e| *e > entry);
+        self.active.insert(at, entry);
+    }
+
+    /// Ensures the active bucket holds the global minimum (if any event is
     /// queued at all) by advancing the cursor through the wheel and, when
     /// the wheel is dry, jumping it to the far heap's minimum.
     fn prepare(&mut self) {
         while self.active.is_empty() {
             if self.near_len > 0 {
                 // Step to the next bucket (a non-empty one is at most
-                // WHEEL_SLOTS - 1 steps away) and drain it.
+                // WHEEL_SLOTS - 1 steps away) and sort it into the active
+                // bucket. The slot keeps its own capacity: swapping buffers
+                // instead would hand every ring slot the active bucket's
+                // peak capacity.
                 let next = self.cursor + 1;
                 self.advance_cursor_to(next);
                 let slot = &mut self.slots[(self.cursor % WHEEL_SLOTS as u64) as usize];
                 self.near_len -= slot.len();
-                for e in slot.drain(..) {
-                    self.active.push(Reverse(e));
-                }
+                self.active.append(slot);
+                self.active.sort_unstable_by(|a, b| b.cmp(a));
             } else if self.far.is_empty() {
                 return;
             } else {
@@ -197,13 +209,13 @@ impl<T> EventQueue<T> {
     /// Timestamp of the earliest queued event.
     pub fn peek_time(&mut self) -> Option<Time> {
         self.prepare();
-        self.active.peek().map(|Reverse(e)| e.time)
+        self.active.last().map(|e| e.time)
     }
 
     /// Removes and returns the earliest queued event.
     pub fn pop(&mut self) -> Option<Entry<T>> {
         self.prepare();
-        self.active.pop().map(|Reverse(e)| e)
+        self.active.pop()
     }
 }
 
@@ -345,5 +357,141 @@ mod tests {
         q.push(entry(0, 1));
         assert_eq!(q.pop().unwrap().seq, 1);
         assert_eq!(q.pop().unwrap().time, Time::MAX);
+    }
+
+    /// The order the wheel must reproduce: a binary heap popping in
+    /// `(time, seq)` order — the calendar the wheel replaced.
+    #[derive(Default)]
+    struct HeapOracle {
+        heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    }
+
+    impl HeapOracle {
+        fn push(&mut self, at: Time, seq: u64, tag: u32) {
+            self.heap.push(Reverse((at, seq, tag)));
+        }
+
+        fn peek_time(&self) -> Option<Time> {
+            self.heap.peek().map(|Reverse(e)| e.0)
+        }
+
+        fn pop(&mut self) -> Option<(Time, u64, u32)> {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
+
+    /// Property: under random interleavings of pushes, peeks and pops at
+    /// calendar-realistic timescales (sub-ns service steps through
+    /// multi-µs bank timings, with deliberate time ties), the wheel pops
+    /// the exact `(time, seq)` sequence a binary heap does. The drive
+    /// mixes ordinary and keyed ([`KEYED_EVENT_BIT`]) sequences at equal
+    /// times, pushes into the cursor's own bucket between pops of that
+    /// bucket, checks `peek_time` before pops, and schedules past the
+    /// wheel horizon so the cursor must jump once the wheel runs dry.
+    /// This is the invariant that keeps the engine and the device
+    /// byte-identical whatever the queue does inside.
+    #[test]
+    fn wheel_calendar_pops_exactly_like_the_heap_it_replaced() {
+        use crate::KEYED_EVENT_BIT;
+        let horizon_ps = WHEEL_SLOTS as u64 * SLOT_PS;
+        let mut rng = 0x1d_2e_3f_4a_5b_6c_7d_8eu64;
+        let mut jumps = 0u32;
+        for trial in 0..50u64 {
+            let mut wheel: EventQueue<u32> = EventQueue::new();
+            let mut heap = HeapOracle::default();
+            let mut seq = 0u64;
+            let mut key = 0u64;
+            let mut now = 0u64;
+            let mut push =
+                |rng: &mut u64, wheel: &mut EventQueue<u32>, heap: &mut HeapOracle, at| {
+                    // One push in four carries a keyed sequence: it sorts
+                    // after every ordinary one at its instant, by key.
+                    let s = if xorshift(rng).is_multiple_of(4) {
+                        key += 1;
+                        KEYED_EVENT_BIT | ((xorshift(rng) % 4) << 40) | key
+                    } else {
+                        seq += 1;
+                        seq
+                    };
+                    let tag = (trial as u32) << 16 | (s as u32 & 0xFFFF);
+                    let at = Time::from_ps(at);
+                    wheel.push(Entry {
+                        time: at,
+                        seq: s,
+                        item: tag,
+                    });
+                    heap.push(at, s, tag);
+                };
+            for _ in 0..400 {
+                match xorshift(&mut rng) % 5 {
+                    // Schedule a burst; spans cover the cursor's own
+                    // bucket, the near wheel, time ties and the far heap.
+                    0 | 1 => {
+                        for _ in 0..1 + xorshift(&mut rng) % 4 {
+                            let span = match xorshift(&mut rng) % 6 {
+                                0 => 0,
+                                1 => xorshift(&mut rng) % 800,
+                                2 => xorshift(&mut rng) % 60_000,
+                                3 => xorshift(&mut rng) % 1_500_000,
+                                4 => (xorshift(&mut rng) % 10) * 55_000,
+                                _ => horizon_ps * (1 + xorshift(&mut rng) % 8),
+                            };
+                            push(&mut rng, &mut wheel, &mut heap, now + span);
+                        }
+                    }
+                    2 => assert_eq!(wheel.peek_time(), heap.peek_time(), "trial {trial}"),
+                    // Drain a few events, advancing `now` to the pop time
+                    // so later schedules never land in the past; between
+                    // pops, push into the bucket being drained.
+                    _ => {
+                        for _ in 0..1 + xorshift(&mut rng) % 3 {
+                            assert_eq!(wheel.peek_time(), heap.peek_time(), "trial {trial}");
+                            let got = wheel.pop().map(|e| (e.time, e.seq, e.item));
+                            let want = heap.pop();
+                            assert_eq!(got, want, "trial {trial}: pop diverged");
+                            let Some((t, _, _)) = got else { break };
+                            now = now.max(t.as_ps());
+                            if xorshift(&mut rng).is_multiple_of(3) {
+                                let at = now + xorshift(&mut rng) % 3;
+                                push(&mut rng, &mut wheel, &mut heap, at);
+                            }
+                        }
+                    }
+                }
+            }
+            // Full drain must agree too. A straggler two horizons past the
+            // latest event makes the wheel run dry before it, so the
+            // drain must jump the cursor to reach it.
+            let latest = heap
+                .heap
+                .iter()
+                .map(|Reverse(e)| e.0.as_ps())
+                .max()
+                .unwrap_or(now);
+            push(&mut rng, &mut wheel, &mut heap, latest + 2 * horizon_ps);
+            let mut last_pop = now;
+            loop {
+                assert_eq!(wheel.peek_time(), heap.peek_time(), "trial {trial}");
+                let got = wheel.pop().map(|e| (e.time, e.seq, e.item));
+                let want = heap.pop();
+                assert_eq!(got, want, "trial {trial}: drain diverged");
+                let Some((t, _, _)) = got else { break };
+                if t.as_ps() > last_pop + horizon_ps {
+                    jumps += 1;
+                }
+                last_pop = t.as_ps();
+            }
+            assert!(wheel.is_empty());
+        }
+        assert!(jumps >= 50, "every trial's straggler is reached by a jump");
     }
 }

@@ -688,13 +688,11 @@ impl AdapterComp {
     /// something entered it or a token return un-starved its head.
     fn pump(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
         let me = ctx.self_id();
-        let mut deps = std::mem::take(&mut self.dep_scratch);
-        let mut dels = std::mem::take(&mut self.del_scratch);
         while self.sw_dirty || self.tx_dirty != 0 {
             if self.sw_dirty {
                 self.sw_dirty = false;
-                self.sw.service_into(now, &mut deps);
-                for d in deps.drain() {
+                self.sw.service_into(now, &mut self.dep_scratch);
+                for d in self.dep_scratch.drain() {
                     // A departure may free head-of-line space the next
                     // service round can use.
                     self.sw_dirty = true;
@@ -776,8 +774,8 @@ impl AdapterComp {
                 let tx = self.tx[port]
                     .as_mut()
                     .expect("dirty bit set on a serialized port");
-                tx.service_into(now, &mut dels);
-                for delivery in dels.drain() {
+                tx.service_into(now, &mut self.del_scratch);
+                for delivery in self.del_scratch.drain() {
                     // The egress slot frees once the packet is committed
                     // to the wire schedule.
                     if self.sw.return_credits(port, delivery.flits) {
@@ -812,8 +810,6 @@ impl AdapterComp {
                 }
             }
         }
-        self.dep_scratch = deps;
-        self.del_scratch = dels;
         self.wake.set(ctx, self.sw.next_wake(now));
     }
 

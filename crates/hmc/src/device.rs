@@ -22,12 +22,14 @@ const LINK_PORT: usize = 0;
 /// nothing.
 pub type DeviceOutputs = InlineVec<DeviceOutput, 16>;
 
-/// Port-numbering helper for quadrant switches. Layout per switch:
+/// Port numbering and routing for quadrant switches. Layout per switch:
 /// `[link, xq × (quadrants−1), vault × vaults_per_quadrant]`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct PortMap {
     quadrants: usize,
     vaults_per_quad: usize,
+    /// Link id → the quadrant it attaches to.
+    link_quad: Vec<usize>,
 }
 
 impl PortMap {
@@ -64,6 +66,88 @@ impl PortMap {
     /// `true` if `port` is a cross-quadrant port.
     fn is_xq(&self, port: usize) -> bool {
         (1..self.quadrants).contains(&port)
+    }
+
+    /// The quadrant `link` attaches to.
+    fn quad_of_link(&self, link: LinkId) -> usize {
+        self.link_quad[link.index()]
+    }
+
+    /// Output port on switch `q` toward a request's vault.
+    fn route_request(&self, q: usize, req: &DeviceRequest) -> usize {
+        let dest_quad = usize::from(req.vault.0) / self.vaults_per_quad;
+        if dest_quad == q {
+            self.vault_port(usize::from(req.vault.0) % self.vaults_per_quad)
+        } else {
+            self.xq_port(q, dest_quad)
+        }
+    }
+
+    /// Output port on switch `q` toward a response's link.
+    fn route_response(&self, q: usize, resp: &DeviceResponse) -> usize {
+        let dest_quad = self.quad_of_link(resp.link);
+        if dest_quad == q {
+            LINK_PORT
+        } else {
+            self.xq_port(q, dest_quad)
+        }
+    }
+}
+
+/// Vaults whose pipelines need a pump, each listed at most once.
+struct DirtyVaults {
+    list: Vec<usize>,
+    flag: Vec<bool>,
+}
+
+impl DirtyVaults {
+    fn mark(&mut self, vault: usize) {
+        if !self.flag[vault] {
+            self.flag[vault] = true;
+            self.list.push(vault);
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let v = self.list.pop()?;
+        self.flag[v] = false;
+        Some(v)
+    }
+}
+
+/// The device's calendar of timed internal events.
+struct Calendar {
+    queue: EventQueue<InternalEvent>,
+    seq: u64,
+    /// Earliest pending instant, cached because
+    /// [`EventQueue::peek_time`] needs `&mut` (it may advance the wheel)
+    /// while [`HmcDevice::next_wake`] is a `&self` query. `schedule`
+    /// lowers it; `pop_due` re-seeds it once nothing more is due.
+    next: Option<Time>,
+}
+
+impl Calendar {
+    fn schedule(&mut self, at: Time, ev: InternalEvent) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Entry {
+            time: at,
+            seq,
+            item: ev,
+        });
+        self.next = Some(self.next.map_or(at, |w| w.min(at)));
+    }
+
+    /// Removes the earliest event due at or before `now`. When none is
+    /// due, the pops so far consumed what `next` pointed at, so it is
+    /// re-seeded from the queue head.
+    fn pop_due(&mut self, now: Time) -> Option<Entry<InternalEvent>> {
+        let head = self.queue.peek_time();
+        if head.is_some_and(|t| t <= now) {
+            return self.queue.pop();
+        }
+        self.next = head;
+        None
     }
 }
 
@@ -160,15 +244,8 @@ pub struct HmcDevice {
     link_tx: Vec<LinkTx<ResponsePacket>>,
     /// Quadrant index → link id, for quadrants with a link.
     link_of_quad: Vec<Option<LinkId>>,
-    calendar: EventQueue<InternalEvent>,
-    cal_seq: u64,
-    /// Earliest pending calendar instant, cached because
-    /// [`EventQueue::peek_time`] needs `&mut` (it may compact wheel
-    /// slots) while [`HmcDevice::next_wake`] is a `&self` query.
-    /// `schedule` lowers it; the `advance` pop loop recomputes it.
-    cal_next: Option<Time>,
-    dirty_vaults: Vec<usize>,
-    dirty_flag: Vec<bool>,
+    calendar: Calendar,
+    dirty_vaults: DirtyVaults,
     /// Bitmask of request-plane switches mutated (enqueue, starved-credit
     /// return, expired busy interval) since their last service. The
     /// fixpoint services only dirty switches: servicing a clean one is a
@@ -208,6 +285,7 @@ impl HmcDevice {
         let ports = PortMap {
             quadrants,
             vaults_per_quad: usize::from(g.vaults_per_quadrant()),
+            link_quad: cfg.link_quadrants.iter().map(|q| q.index()).collect(),
         };
         let sw_cfg = SwitchConfig {
             inputs: ports.count(),
@@ -271,11 +349,15 @@ impl HmcDevice {
             vaults,
             link_tx,
             link_of_quad,
-            calendar: EventQueue::new(),
-            cal_seq: 0,
-            cal_next: None,
-            dirty_vaults: Vec::with_capacity(vault_count),
-            dirty_flag: vec![false; vault_count],
+            calendar: Calendar {
+                queue: EventQueue::new(),
+                seq: 0,
+                next: None,
+            },
+            dirty_vaults: DirtyVaults {
+                list: Vec::with_capacity(vault_count),
+                flag: vec![false; vault_count],
+            },
             req_dirty: 0,
             resp_dirty: 0,
             outputs: DeviceOutputs::new(),
@@ -321,9 +403,9 @@ impl HmcDevice {
             bank: loc.bank,
             bursts: pkt.kind.access_size().dram_bursts(),
         };
-        let q = self.quad_of_link(link);
+        let q = self.ports.quad_of_link(link);
         let entry = SwitchEntry {
-            output: self.route_request(q, &req),
+            output: self.ports.route_request(q, &req),
             flits: pkt.flits(),
             payload: req,
         };
@@ -356,9 +438,6 @@ impl HmcDevice {
     /// scan loaded runs without forwarding anything.
     pub fn advance(&mut self, now: Time) -> &DeviceOutputs {
         self.outputs.clear();
-        let mut req_deps = std::mem::take(&mut self.req_dep_scratch);
-        let mut resp_deps = std::mem::take(&mut self.resp_dep_scratch);
-        let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         // Phase 0: switches whose busy-interval deadlines expired by `now`
         // can progress on their own — mark them dirty. (Credit- and
         // enqueue-driven progress marks dirty at the mutation site.)
@@ -371,8 +450,7 @@ impl HmcDevice {
             }
         }
         // Phase 1: deliver due calendar events.
-        while self.calendar.peek_time().is_some_and(|t| t <= now) {
-            let entry = self.calendar.pop().expect("peeked entry exists");
+        while let Some(entry) = self.calendar.pop_due(now) {
             let at = entry.time;
             match entry.item {
                 InternalEvent::VaultArrival(req) => {
@@ -384,11 +462,11 @@ impl HmcDevice {
                         at,
                     );
                     self.vaults[v].push_ingress(req);
-                    self.mark_dirty(v);
+                    self.dirty_vaults.mark(v);
                 }
                 InternalEvent::XqRequest { from, to, req } => {
                     let entry = SwitchEntry {
-                        output: self.route_request(to, &req),
+                        output: self.ports.route_request(to, &req),
                         flits: req.pkt.flits(),
                         payload: req,
                     };
@@ -401,7 +479,7 @@ impl HmcDevice {
                 }
                 InternalEvent::XqResponse { from, to, resp } => {
                     let entry = SwitchEntry {
-                        output: self.route_response(to, &resp),
+                        output: self.ports.route_response(to, &resp),
                         flits: resp.pkt.flits(),
                         payload: resp,
                     };
@@ -417,7 +495,7 @@ impl HmcDevice {
                     self.link_tx[l].enqueue(resp.pkt, flits);
                     // The egress buffer slot frees as the packet enters the
                     // serializer queue.
-                    let q = self.quad_of_link(resp.link);
+                    let q = self.ports.quad_of_link(resp.link);
                     if self.resp_sw[q].return_credits(LINK_PORT, flits) {
                         self.resp_dirty |= 1 << q;
                     }
@@ -425,20 +503,15 @@ impl HmcDevice {
                 }
                 InternalEvent::BankComplete { vault, bank } => {
                     self.vaults[vault].complete(bank);
-                    self.mark_dirty(vault);
+                    self.dirty_vaults.mark(vault);
                 }
             }
         }
-        // The pop loop consumed the entries the cache pointed at;
-        // re-seed it from the queue head. Later phases only lower it
-        // (through `schedule`), so this is the one recompute needed.
-        self.cal_next = self.calendar.peek_time();
         // Phase 2: fixpoint over dirty vaults, dirty switches and links.
         loop {
             let mut progress = false;
             // Vault pipelines.
             while let Some(v) = self.dirty_vaults.pop() {
-                self.dirty_flag[v] = false;
                 progress |= self.pump_vault(v, now);
             }
             // Request-plane switches.
@@ -447,8 +520,8 @@ impl HmcDevice {
                     continue;
                 }
                 self.req_dirty &= !(1 << q);
-                self.req_sw[q].service_into(now, &mut req_deps);
-                for d in req_deps.drain() {
+                self.req_sw[q].service_into(now, &mut self.req_dep_scratch);
+                for d in self.req_dep_scratch.drain() {
                     progress = true;
                     if d.input == LINK_PORT {
                         let link = self.link_of_quad[q].expect("link-attached quadrant");
@@ -465,7 +538,7 @@ impl HmcDevice {
                     }
                     if self.ports.is_xq(d.output) {
                         let to = self.ports.xq_peer(q, d.output);
-                        self.schedule(
+                        self.calendar.schedule(
                             d.at,
                             InternalEvent::XqRequest {
                                 from: q,
@@ -475,7 +548,7 @@ impl HmcDevice {
                         );
                     } else {
                         debug_assert!(self.ports.vault_slot(d.output).is_some());
-                        self.schedule(
+                        self.calendar.schedule(
                             d.at + self.cfg.vault.ctrl_latency,
                             InternalEvent::VaultArrival(d.payload),
                         );
@@ -488,14 +561,14 @@ impl HmcDevice {
                     continue;
                 }
                 self.resp_dirty &= !(1 << q);
-                self.resp_sw[q].service_into(now, &mut resp_deps);
-                for d in resp_deps.drain() {
+                self.resp_sw[q].service_into(now, &mut self.resp_dep_scratch);
+                for d in self.resp_dep_scratch.drain() {
                     progress = true;
                     if let Some(slot) = self.ports.vault_slot(d.input) {
                         // Input buffer space freed: the vault may push its
                         // next blocked response.
-                        let v = q * self.ports.vaults_per_quad + slot;
-                        self.mark_dirty(v);
+                        self.dirty_vaults
+                            .mark(q * self.ports.vaults_per_quad + slot);
                     } else if self.ports.is_xq(d.input) {
                         let sender = self.ports.xq_peer(q, d.input);
                         let port = self.ports.xq_port(sender, q);
@@ -504,11 +577,12 @@ impl HmcDevice {
                         }
                     }
                     if d.output == LINK_PORT {
-                        self.schedule(d.at, InternalEvent::LinkPush(d.payload));
+                        self.calendar
+                            .schedule(d.at, InternalEvent::LinkPush(d.payload));
                     } else {
                         debug_assert!(self.ports.is_xq(d.output));
                         let to = self.ports.xq_peer(q, d.output);
-                        self.schedule(
+                        self.calendar.schedule(
                             d.at,
                             InternalEvent::XqResponse {
                                 from: q,
@@ -521,8 +595,8 @@ impl HmcDevice {
             }
             // Upstream serializers.
             for l in 0..self.link_tx.len() {
-                self.link_tx[l].service_into(now, &mut deliveries);
-                for delivery in deliveries.drain() {
+                self.link_tx[l].service_into(now, &mut self.delivery_scratch);
+                for delivery in self.delivery_scratch.drain() {
                     progress = true;
                     self.probe.trace_mark(
                         u16::from(delivery.payload.port.0),
@@ -541,9 +615,6 @@ impl HmcDevice {
                 break;
             }
         }
-        self.req_dep_scratch = req_deps;
-        self.resp_dep_scratch = resp_deps;
-        self.delivery_scratch = deliveries;
         &self.outputs
     }
 
@@ -551,7 +622,7 @@ impl HmcDevice {
     /// input, or `None` if the device is quiescent. Also available
     /// through the [`hmc_des::Clocked`] protocol.
     pub fn next_wake(&self) -> Option<Time> {
-        let mut wake = self.cal_next;
+        let mut wake = self.calendar.next;
         let consider = |wake: &mut Option<Time>, t: Option<Time>| {
             if let Some(t) = t {
                 *wake = Some(wake.map_or(t, |w| w.min(t)));
@@ -650,24 +721,6 @@ impl HmcDevice {
 
     // -- internals ---------------------------------------------------------
 
-    fn schedule(&mut self, at: Time, ev: InternalEvent) {
-        let seq = self.cal_seq;
-        self.cal_seq += 1;
-        self.calendar.push(Entry {
-            time: at,
-            seq,
-            item: ev,
-        });
-        self.cal_next = Some(self.cal_next.map_or(at, |w| w.min(at)));
-    }
-
-    fn mark_dirty(&mut self, vault: usize) {
-        if !self.dirty_flag[vault] {
-            self.dirty_flag[vault] = true;
-            self.dirty_vaults.push(vault);
-        }
-    }
-
     /// Runs one vault's pipeline stages; returns whether anything moved.
     fn pump_vault(&mut self, v: usize, now: Time) -> bool {
         let mut progress = false;
@@ -690,7 +743,7 @@ impl HmcDevice {
             let (t_port, t_tag) = (u16::from(req.pkt.port.0), req.pkt.tag.0);
             let flits = resp.pkt.flits();
             let entry = SwitchEntry {
-                output: self.route_response(q, &resp),
+                output: self.ports.route_response(q, &resp),
                 flits,
                 payload: resp,
             };
@@ -708,40 +761,15 @@ impl HmcDevice {
         }
         // Idle banks with queued work → DRAM.
         let ctrl_out = self.cfg.vault.ctrl_latency;
-        let mut started = std::mem::take(&mut self.started_scratch);
-        self.vaults[v].start_services(now, &mut started);
-        for (bank, completion) in started.drain(..) {
-            self.schedule(
+        self.vaults[v].start_services(now, &mut self.started_scratch);
+        for (bank, completion) in self.started_scratch.drain(..) {
+            self.calendar.schedule(
                 completion + ctrl_out,
                 InternalEvent::BankComplete { vault: v, bank },
             );
             progress = true;
         }
-        self.started_scratch = started;
         progress
-    }
-
-    fn quad_of_link(&self, link: LinkId) -> usize {
-        self.cfg.link_quadrants[link.index()].index()
-    }
-
-    fn route_request(&self, q: usize, req: &DeviceRequest) -> usize {
-        let dest_quad = usize::from(req.vault.0) / self.ports.vaults_per_quad;
-        if dest_quad == q {
-            self.ports
-                .vault_port(usize::from(req.vault.0) % self.ports.vaults_per_quad)
-        } else {
-            self.ports.xq_port(q, dest_quad)
-        }
-    }
-
-    fn route_response(&self, q: usize, resp: &DeviceResponse) -> usize {
-        let dest_quad = self.quad_of_link(resp.link);
-        if dest_quad == q {
-            LINK_PORT
-        } else {
-            self.ports.xq_port(q, dest_quad)
-        }
     }
 }
 
@@ -750,103 +778,5 @@ impl Clocked for HmcDevice {
     /// independent of `now`.
     fn next_wake(&self, _now: Time) -> Option<Time> {
         HmcDevice::next_wake(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    /// The calendar the wheel replaced: a binary heap popping in
-    /// `(time, seq)` order. Kept here as the oracle for the equivalence
-    /// property below.
-    #[derive(Default)]
-    struct HeapCalendar {
-        heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
-    }
-
-    impl HeapCalendar {
-        fn push(&mut self, at: Time, seq: u64, tag: u32) {
-            self.heap.push(Reverse((at, seq, tag)));
-        }
-
-        fn pop(&mut self) -> Option<(Time, u64, u32)> {
-            self.heap.pop().map(|Reverse(e)| e)
-        }
-    }
-
-    fn xorshift(state: &mut u64) -> u64 {
-        let mut x = *state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *state = x;
-        x
-    }
-
-    /// Property: under random interleavings of schedules and drains at
-    /// calendar-realistic timescales (sub-ns service steps through
-    /// multi-µs bank timings, with deliberate time ties), the wheel pops
-    /// the exact `(time, seq)` sequence the old binary heap did. This is
-    /// the invariant that keeps the device byte-identical across the
-    /// swap.
-    #[test]
-    fn wheel_calendar_pops_exactly_like_the_heap_it_replaced() {
-        let mut rng = 0x1d_2e_3f_4a_5b_6c_7d_8eu64;
-        for trial in 0..50u64 {
-            let mut wheel: EventQueue<u32> = EventQueue::new();
-            let mut heap = HeapCalendar::default();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            for _ in 0..400 {
-                match xorshift(&mut rng) % 4 {
-                    // Schedule a burst; spans (mod choices) cover the
-                    // active slot, the near wheel and the far heap.
-                    0 | 1 => {
-                        let burst = 1 + xorshift(&mut rng) % 4;
-                        for _ in 0..burst {
-                            let span = match xorshift(&mut rng) % 4 {
-                                0 => xorshift(&mut rng) % 800,
-                                1 => xorshift(&mut rng) % 60_000,
-                                2 => xorshift(&mut rng) % 1_500_000,
-                                _ => (xorshift(&mut rng) % 10) * 55_000,
-                            };
-                            let at = Time::from_ps(now + span);
-                            let tag = (trial as u32) << 16 | seq as u32;
-                            wheel.push(Entry {
-                                time: at,
-                                seq,
-                                item: tag,
-                            });
-                            heap.push(at, seq, tag);
-                            seq += 1;
-                        }
-                    }
-                    // Drain a few events, advancing `now` to the pop time
-                    // so later schedules never land in the past.
-                    _ => {
-                        for _ in 0..(1 + xorshift(&mut rng) % 3) {
-                            let got = wheel.pop().map(|e| (e.time, e.seq, e.item));
-                            let want = heap.pop();
-                            assert_eq!(got, want, "trial {trial}: pop diverged");
-                            if let Some((t, _, _)) = got {
-                                now = now.max(t.as_ps());
-                            }
-                        }
-                    }
-                }
-            }
-            // Full drain must agree too.
-            loop {
-                let got = wheel.pop().map(|e| (e.time, e.seq, e.item));
-                let want = heap.pop();
-                assert_eq!(got, want, "trial {trial}: drain diverged");
-                if got.is_none() {
-                    break;
-                }
-            }
-        }
     }
 }

@@ -211,10 +211,9 @@ impl HostModel {
             self.staged[link].push_back((now + self.cfg.ctrl_latency_req, pkt));
         }
         // Serialize onto the wire.
-        let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         for l in 0..self.link_tx.len() {
-            self.link_tx[l].service_into(now, &mut deliveries);
-            for d in deliveries.drain() {
+            self.link_tx[l].service_into(now, &mut self.delivery_scratch);
+            for d in self.delivery_scratch.drain() {
                 self.events.push(HostEvent::RequestArrival {
                     link: LinkId(l as u8),
                     pkt: d.payload,
@@ -222,7 +221,6 @@ impl HostModel {
                 });
             }
         }
-        self.delivery_scratch = deliveries;
         &self.events
     }
 
@@ -328,8 +326,6 @@ impl HostModel {
     /// message-driven and deliberately *not* reported here; the
     /// surrounding component re-queries after every such message.
     pub fn next_wake(&self, now: Time) -> Option<Time> {
-        let period = self.cfg.fpga_period.as_ps();
-        let grid_ceil = |t: Time| Time::from_ps(t.as_ps().div_ceil(period) * period);
         let mut wake: Option<Time> = None;
         let mut propose = |t: Time| {
             wake = Some(wake.map_or(t, |w| w.min(t)));
@@ -340,31 +336,38 @@ impl HostModel {
                 continue;
             }
             if let Some(t) = hint {
-                propose(grid_ceil((*t).max(now)));
+                propose(*t);
             }
         }
-        for fifo in &self.fifos {
-            let Some(pkt) = fifo.peek() else { continue };
-            // Earliest admission over all links: the per-cycle admission
-            // gate and the wire-drain room bound both satisfied.
-            let at = (0..self.link_tx.len())
-                .filter_map(|l| {
-                    self.wire_room_at(l, pkt.flits(), now)
-                        .map(|room| room.max(self.stage_admit_at[l]))
-                })
-                .min();
-            if let Some(t) = at {
-                propose(grid_ceil(t.max(now)));
+        // Earliest admission of any FIFO head over all links: the
+        // per-cycle admission gate and the wire-drain room bound both
+        // satisfied. `wire_room_at` is monotone in `flits`, so the
+        // smallest head gives every link's earliest admission.
+        let min_head = self
+            .fifos
+            .iter()
+            .filter_map(|f| f.peek())
+            .map(|p| p.flits())
+            .min();
+        if let Some(flits) = min_head {
+            for (l, &admit) in self.stage_admit_at.iter().enumerate() {
+                if let Some(room) = self.wire_room_at(l, flits, now) {
+                    propose(room.max(admit));
+                }
             }
         }
         for (l, staged) in self.staged.iter().enumerate() {
             if let Some(&(ready, pkt)) = staged.front() {
                 if let Some(room) = self.wire_room_at(l, pkt.flits(), now) {
-                    propose(grid_ceil(room.max(ready).max(now)));
+                    propose(room.max(ready));
                 }
             }
         }
-        wake
+        // Clamping to `now` and snapping to the grid are both monotone,
+        // so snapping the earliest candidate once equals the earliest of
+        // the snapped candidates.
+        let period = self.cfg.fpga_period.as_ps();
+        wake.map(|t| Time::from_ps(t.max(now).as_ps().div_ceil(period) * period))
     }
 
     /// `true` when every port is done and all plumbing is empty.
@@ -426,9 +429,61 @@ impl Clocked for HostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmc_des::Delay;
     use hmc_mapping::{AccessPattern, AddressMap};
     use hmc_packet::PayloadSize;
     use hmc_workloads::{GupsOp, GupsSource};
+    use std::collections::VecDeque;
+
+    /// The per-candidate `next_wake` the single-snap form replaced: every
+    /// port hint, every FIFO head on every link and every staged head
+    /// snapped to the grid on its own. Kept as the oracle for
+    /// `next_wake_matches_the_per_candidate_scan`.
+    fn scan_next_wake(h: &HostModel, now: Time) -> Option<Time> {
+        let period = h.cfg.fpga_period.as_ps();
+        let grid_ceil = |t: Time| Time::from_ps(t.as_ps().div_ceil(period) * period);
+        let mut wake: Option<Time> = None;
+        let mut propose = |t: Time| {
+            wake = Some(wake.map_or(t, |w| w.min(t)));
+        };
+        for (hint, fifo) in h.port_hints.iter().zip(&h.fifos) {
+            if fifo.is_full() {
+                continue;
+            }
+            if let Some(t) = hint {
+                propose(grid_ceil((*t).max(now)));
+            }
+        }
+        for fifo in &h.fifos {
+            let Some(pkt) = fifo.peek() else { continue };
+            let at = (0..h.link_tx.len())
+                .filter_map(|l| {
+                    h.wire_room_at(l, pkt.flits(), now)
+                        .map(|room| room.max(h.stage_admit_at[l]))
+                })
+                .min();
+            if let Some(t) = at {
+                propose(grid_ceil(t.max(now)));
+            }
+        }
+        for (l, staged) in h.staged.iter().enumerate() {
+            if let Some(&(ready, pkt)) = staged.front() {
+                if let Some(room) = h.wire_room_at(l, pkt.flits(), now) {
+                    propose(grid_ceil(room.max(ready).max(now)));
+                }
+            }
+        }
+        wake
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
 
     fn host_with_gups_ports(n: usize, tags: u16) -> HostModel {
         let map = AddressMap::hmc_gen2_default();
@@ -680,5 +735,105 @@ mod tests {
         h.freeze_stats();
         h.deliver_response(Time::from_us(2), &ResponsePacket::for_request(&reqs[1]));
         assert_eq!(h.port(reqs[1].port).latency().count(), 0);
+    }
+
+    /// Property: after every step of a randomized drive — ticks, request
+    /// token returns, response arrivals and deliveries, activation flips,
+    /// jumps to the reported wake and off-grid clocks — the single-snap
+    /// `next_wake` equals the per-candidate scan. Ports mix 128 B reads
+    /// (1-flit requests) with 64 B Mix-50 and 128 B writes (5- and
+    /// 9-flit requests), enough write flits to back the wire up, so FIFO
+    /// heads of different sizes wait on wire room and the smallest-head
+    /// argument decides the wake.
+    #[test]
+    fn next_wake_matches_the_per_candidate_scan() {
+        let map = AddressMap::hmc_gen2_default();
+        let filter = AccessPattern::Vaults { count: 16 }.filter(&map);
+        let ops = [
+            GupsOp::Read(PayloadSize::B128),
+            GupsOp::Mix {
+                size: PayloadSize::B64,
+                write_percent: 50,
+            },
+            GupsOp::Write(PayloadSize::B128),
+        ];
+        let mut rng = 0x005e_ed0f_f1a5_7e11_u64;
+        let mut mixed_heads = 0u32;
+        for trial in 0..8u64 {
+            let ports = (0..9)
+                .map(|i| {
+                    let op = ops[(i + trial as usize) % ops.len()];
+                    let source = GupsSource::new(filter, op, trial * 16 + i as u64);
+                    Port::new(PortId(i as u8), Box::new(source), 64)
+                })
+                .collect();
+            let mut h = HostModel::new(HostConfig::ac510_default(), ports);
+            h.set_all_active(true);
+            let period = h.config().fpga_period;
+            let mut now = Time::ZERO;
+            // Arrived requests whose link tokens the cube still holds, in
+            // arrival order, and requests awaiting their response.
+            let mut held: VecDeque<(LinkId, RequestPacket)> = VecDeque::new();
+            let mut awaiting: VecDeque<RequestPacket> = VecDeque::new();
+            for step in 0..3000u32 {
+                let events: Vec<HostEvent> = match xorshift(&mut rng) % 16 {
+                    0..=5 => h.tick(now).iter().copied().collect(),
+                    6..=8 if !held.is_empty() => {
+                        let (link, pkt) = held.pop_front().expect("non-empty");
+                        awaiting.push_back(pkt);
+                        h.on_request_tokens(now, link, pkt.flits())
+                            .iter()
+                            .copied()
+                            .collect()
+                    }
+                    9 | 10 if !awaiting.is_empty() => {
+                        let pkt = awaiting.pop_front().expect("non-empty");
+                        let resp = ResponsePacket::for_request(&pkt);
+                        let link = LinkId((xorshift(&mut rng) % 2) as u8);
+                        let _ = h.on_response_arrival(now, link, resp);
+                        h.deliver_response(now, &resp);
+                        Vec::new()
+                    }
+                    11 if xorshift(&mut rng).is_multiple_of(32) => {
+                        h.set_all_active(!xorshift(&mut rng).is_multiple_of(4));
+                        Vec::new()
+                    }
+                    12 => {
+                        now += Delay::from_ps(xorshift(&mut rng) % 3000);
+                        Vec::new()
+                    }
+                    13 => {
+                        now += period * (1 + xorshift(&mut rng) % 40);
+                        Vec::new()
+                    }
+                    _ => {
+                        // Sleep to the reported wake, as the simulation does.
+                        now = h.next_wake(now).unwrap_or(now + period).max(now + period);
+                        Vec::new()
+                    }
+                };
+                for e in events {
+                    if let HostEvent::RequestArrival { link, pkt, .. } = e {
+                        held.push_back((link, pkt));
+                    }
+                }
+                let heads = h.fifos.iter().filter_map(|f| f.peek()).map(|p| p.flits());
+                if heads.clone().min() != heads.max() {
+                    mixed_heads += 1;
+                }
+                // Query at the clock and just past it.
+                for q in [now, now + Delay::from_ps(1 + xorshift(&mut rng) % 3000)] {
+                    assert_eq!(
+                        h.next_wake(q),
+                        scan_next_wake(&h, q),
+                        "trial {trial} step {step} at {q}"
+                    );
+                }
+            }
+        }
+        assert!(
+            mixed_heads > 1000,
+            "FIFO heads of different sizes coexist: {mixed_heads} steps"
+        );
     }
 }
