@@ -35,7 +35,7 @@
 //! - Each case also reports round-trip `latency_p50_ns`/`p99`/`p999`
 //!   from one *untimed* run with the telemetry hub attached. These are
 //!   recorded for trend inspection, never gated — and the timed reps stay
-//!   telemetry-off, so the hub's cost cannot leak into the wall times.
+//!   probe-detached, so the hub's cost cannot leak into the wall times.
 //!
 //! Perf PRs append their snapshot as `BENCH_PR<n>.json` at the repo root;
 //! see README "Performance".
@@ -48,7 +48,7 @@ use hmc_sim::des::Delay;
 use hmc_sim::fabric::SchedStats;
 use hmc_sim::prelude::*;
 use hmc_sim::stats::{json_escape, json_f64};
-use hmc_sim::workloads::{GlobalGupsSource, OffloadSource};
+use hmc_sim::workloads::OffloadSource;
 
 /// What one basket run hands back: the report, the engine counters and
 /// the parallel-scheduler counters (all-zero default for one-domain
@@ -212,20 +212,7 @@ fn ext_offload(scale: Scale2) -> Workload {
 fn global_gups(topology: Topology, cubes: u8, ports: usize) -> Workload {
     let cfg = FabricConfig::ac510(topology, cubes, 2018);
     let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
-    let window = 1u64 << Address::BITS;
-    let spec = FabricPortSpec::from_source(
-        move |seed| {
-            Box::new(GlobalGupsSource::new(
-                GupsOp::Read(PayloadSize::B128),
-                window,
-                &fabric_map,
-                seed,
-            ))
-        },
-        CubeId::HOST,
-    )
-    .with_tags(hmc_sim::GUPS_TAGS)
-    .addressed(fabric_map);
+    let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     (cfg, vec![spec; ports], RunKind::Gups)
 }
 

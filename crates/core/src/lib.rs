@@ -72,6 +72,6 @@ pub mod prelude {
     pub use hmc_telemetry::{Hub, HubConfig, Probe, SharedHub, Stage};
     pub use hmc_workloads::{
         random_reads_in_banks, random_reads_in_vaults, vault_combinations, Feedback, OffloadSource,
-        Paced, PointerChase, SourceStep, Trace, TrafficSource,
+        PointerChase, SourceStep, Trace, TrafficSource,
     };
 }

@@ -50,9 +50,9 @@ fn stream_runs_conserve_requests() {
         assert_eq!(port.completed, 300, "every request answered");
         assert_eq!(port.latency.count(), 300, "every response recorded");
     }
-    assert_eq!(report.device.requests_received, 1_200);
-    assert_eq!(report.device.responses_sent, 1_200);
-    let serviced: u64 = report.device.per_vault_serviced.iter().sum();
+    assert_eq!(report.cubes[0].device.requests_received, 1_200);
+    assert_eq!(report.cubes[0].device.responses_sent, 1_200);
+    let serviced: u64 = report.cubes[0].device.per_vault_serviced.iter().sum();
     assert_eq!(
         serviced, 1_200,
         "every request serviced by exactly one vault"
@@ -71,8 +71,8 @@ fn gups_runs_are_deterministic_in_seed() {
         (
             r.total_accesses(),
             r.aggregate_latency().total_ps(),
-            r.device.requests_received,
-            r.device.switch_conflicts,
+            r.cubes[0].device.requests_received,
+            r.cubes[0].device.switch_conflicts,
         )
     };
     assert_eq!(summary(42), summary(42), "identical seeds, identical runs");

@@ -6,7 +6,7 @@
 //! --domains N` drives it.
 
 use hmc_sim::prelude::*;
-use hmc_sim::workloads::{GlobalGupsSource, OffloadSource};
+use hmc_sim::workloads::OffloadSource;
 
 /// One saturated interleaved 8-cube chain GUPS run at a given domain
 /// count, rendered to its full debug string (every field, every port,
@@ -14,20 +14,7 @@ use hmc_sim::workloads::{GlobalGupsSource, OffloadSource};
 fn intercube_fingerprint(domains: usize) -> (String, String) {
     let cfg = FabricConfig::ac510(Topology::Chain, 8, 2018);
     let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, 8, &cfg.cube.map);
-    let window = 1u64 << Address::BITS;
-    let spec = FabricPortSpec::from_source(
-        move |seed| {
-            Box::new(GlobalGupsSource::new(
-                GupsOp::Read(PayloadSize::B128),
-                window,
-                &fabric_map,
-                seed,
-            ))
-        },
-        CubeId::HOST,
-    )
-    .with_tags(GUPS_TAGS)
-    .addressed(fabric_map);
+    let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     let mut sim = FabricSim::new(cfg, vec![spec; 5]).with_domains(domains);
     let report = sim.run_gups(Delay::from_us(5), Delay::from_us(15));
     assert!(report.total_accesses() > 0, "the run moved real traffic");

@@ -447,23 +447,12 @@ impl<M> Engine<M> {
         self.core.time
     }
 
-    /// The number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
     /// Schedules `msg` for delivery to `to` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `at` is before the current time.
     pub fn schedule(&mut self, at: Time, to: ComponentId, msg: M) {
-        self.core.push(at, to, EventKind::Msg(msg));
-    }
-
-    /// Schedules `msg` for delivery to `to` after `delay` from now.
-    pub fn schedule_after(&mut self, delay: Delay, to: ComponentId, msg: M) {
-        let at = self.core.time + delay;
         self.core.push(at, to, EventKind::Msg(msg));
     }
 

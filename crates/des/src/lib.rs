@@ -13,9 +13,9 @@
 //! - first-class timers: [`Ctx::wake_at`] / [`Ctx::cancel_wake`] with a
 //!   [`WakeToken`], so a component sleeps while idle and re-arms or
 //!   cancels its own wakeup instead of ticking every cycle,
-//! - the shared clocked-component protocol ([`Clocked`] + [`AutoWake`]):
-//!   sans-event cores report their next interesting instant and their
-//!   engine wrappers keep exactly one timer armed at it.
+//! - the shared clocked-component protocol ([`wake`]): sans-event cores
+//!   report their next interesting instant from a `next_wake` method and
+//!   their engine wrappers keep exactly one [`AutoWake`] timer armed at it.
 //!
 //! ## Determinism
 //!
@@ -73,5 +73,5 @@ pub use engine::{
 };
 pub use inline::InlineVec;
 pub use time::{Delay, Time};
-pub use wake::{AutoWake, Clocked};
+pub use wake::AutoWake;
 pub use wheel::EventQueue;

@@ -86,12 +86,6 @@ impl Time {
         self.0 as f64 / 1e3
     }
 
-    /// This instant as (possibly fractional) microseconds since the epoch.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// This instant as (possibly fractional) seconds since the epoch.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -188,12 +182,6 @@ impl Delay {
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-
-    /// This span in (possibly fractional) microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// This span in (possibly fractional) seconds.

@@ -10,10 +10,12 @@
 //! an output port freeing, a pipeline stage's latency elapsing, the next
 //! FPGA cycle with work pending. Progress that depends on an external
 //! stimulus (a credit return, a packet arrival) is *not* reported: the
-//! stimulus itself is a message that triggers service.
+//! stimulus itself is a message that triggers service. The reported
+//! instant is the earliest **future or current** one, and it must be
+//! honest: servicing the core at or after it makes the promised progress.
 //!
-//! The [`Clocked`] trait names that query so new components follow the same
-//! protocol, and [`AutoWake`] is the engine-side half: a one-slot timer
+//! Each core exposes that query as an inherent `next_wake` method, and
+//! [`AutoWake`] is the engine-side half: a one-slot timer
 //! that a [`Component`](crate::Component) wrapper re-arms from `next_wake`
 //! after every message, cancelling stale deadlines instead of letting them
 //! fire as no-ops. Together they guarantee **no component ticks while
@@ -23,7 +25,7 @@
 //! # Writing a new clocked component
 //!
 //! ```
-//! use hmc_des::{AutoWake, Clocked, Component, Ctx, Delay, Engine, Time, WakeToken};
+//! use hmc_des::{AutoWake, Component, Ctx, Delay, Engine, Time, WakeToken};
 //!
 //! /// A sans-event core: emits one unit of work every `period`, at most
 //! /// `budget` times.
@@ -42,9 +44,8 @@
 //!             self.next_due = self.next_due + self.period;
 //!         }
 //!     }
-//! }
 //!
-//! impl Clocked for Core {
+//!     /// The earliest instant service could progress on its own, if any.
 //!     fn next_wake(&self, _now: Time) -> Option<Time> {
 //!         (self.done < self.budget).then_some(self.next_due)
 //!     }
@@ -92,18 +93,6 @@
 use crate::engine::{Ctx, WakeToken};
 use crate::time::Time;
 
-/// A sans-event core that can report the next instant it needs service.
-///
-/// `next_wake(now)` returns the earliest **future or current** instant at
-/// which the core could make progress without any external stimulus, or
-/// `None` if only an external stimulus can unblock it. Implementations
-/// must be monotone in the obvious sense: servicing the core at or after
-/// the reported instant must make the progress the report promised.
-pub trait Clocked {
-    /// The earliest instant service could progress on its own, if any.
-    fn next_wake(&self, now: Time) -> Option<Time>;
-}
-
 /// A one-slot self-timer for a [`Component`](crate::Component): keeps at
 /// most one engine timer armed, re-arming or cancelling as the target
 /// deadline moves.
@@ -118,12 +107,6 @@ impl AutoWake {
     /// A disarmed timer.
     pub const fn new() -> AutoWake {
         AutoWake { armed: None }
-    }
-
-    /// The armed deadline, if any.
-    #[inline]
-    pub fn armed_at(&self) -> Option<Time> {
-        self.armed.map(|(t, _)| t)
     }
 
     /// Moves the timer to `deadline`: arms, re-arms, or cancels so that

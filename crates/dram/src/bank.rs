@@ -50,12 +50,6 @@ impl Bank {
         Bank::default()
     }
 
-    /// The time at which the bank can accept its next activate.
-    #[inline]
-    pub fn free_at(&self) -> Time {
-        self.free_at
-    }
-
     /// Total accesses serviced.
     #[inline]
     pub fn accesses(&self) -> u64 {

@@ -50,12 +50,6 @@ impl VaultMemory {
         }
     }
 
-    /// Number of banks.
-    #[inline]
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// The timing parameters in effect.
     #[inline]
     pub fn timing(&self) -> &DramTiming {
@@ -102,15 +96,6 @@ impl VaultMemory {
         let (_, bus_done) = self.bus.reserve(now, bursts);
         let access = self.banks[bank].schedule_write(bus_done, bursts, &self.timing);
         access.data_ready
-    }
-
-    /// The earliest time `bank` could begin a new access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn bank_free_at(&self, bank: usize) -> Time {
-        self.banks[bank].free_at()
     }
 
     /// Aggregate bank utilization over `elapsed` (mean across banks).

@@ -131,12 +131,12 @@ pub const STAR_CUBES: u8 = 4;
 /// contend in the hub's pass-through crossbar.
 pub fn star(ctx: &ExpContext) -> Vec<StarPoint> {
     let seed = ctx.seed_for("ext-star", 0);
-    let routes = FabricConfig::star(seed, STAR_CUBES).routes();
+    let routes = FabricConfig::ac510(Topology::Star, STAR_CUBES, seed).routes();
 
     // Unloaded probes, one per target cube.
     let ctx2 = ctx.clone();
     let unloaded: Vec<f64> = ctx.clone().par_map((0..STAR_CUBES).collect(), move |&c| {
-        let cfg = FabricConfig::star(ctx2.seed_for("ext-star", 1), STAR_CUBES);
+        let cfg = FabricConfig::ac510(Topology::Star, STAR_CUBES, ctx2.seed_for("ext-star", 1));
         let trace = hmc_sim::workloads::random_reads_in_banks(
             &cfg.cube.map,
             VaultId(0),
@@ -153,7 +153,7 @@ pub fn star(ctx: &ExpContext) -> Vec<StarPoint> {
     });
 
     // Loaded: two 128 B GUPS ports per cube, all vaults.
-    let cfg = FabricConfig::star(seed, STAR_CUBES);
+    let cfg = FabricConfig::ac510(Topology::Star, STAR_CUBES, seed);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
     let specs: Vec<FabricPortSpec> = (0..STAR_CUBES)
         .flat_map(|c| {

@@ -27,7 +27,6 @@ use hmc_sim::fabric::{
     FabricConfig, FabricPortSpec, FabricSim, FaultPlan, LinkFaultTotals, Topology,
 };
 use hmc_sim::prelude::*;
-use hmc_sim::workloads::GlobalGupsSource;
 
 use crate::common::{ExpContext, Scale};
 
@@ -93,20 +92,7 @@ fn run_point(ctx: &ExpContext, idx: usize, label: &'static str, spec: &str) -> F
     let cubes = cube_count(ctx);
     let cfg = FabricConfig::ac510(Topology::Ring, cubes, seed);
     let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
-    let window = 1u64 << Address::BITS;
-    let port = FabricPortSpec::from_source(
-        move |seed| {
-            Box::new(GlobalGupsSource::new(
-                GupsOp::Read(PayloadSize::B128),
-                window,
-                &fabric_map,
-                seed,
-            ))
-        },
-        CubeId::HOST,
-    )
-    .with_tags(hmc_sim::GUPS_TAGS)
-    .addressed(fabric_map);
+    let port = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     let specs = vec![port; port_count(ctx)];
     let hub = Hub::shared(HubConfig {
         epoch: ctx.gups_measure(),

@@ -21,7 +21,6 @@
 
 use hmc_sim::fabric::{FabricConfig, FabricPortSpec, FabricSim, Topology};
 use hmc_sim::prelude::*;
-use hmc_sim::workloads::GlobalGupsSource;
 
 use crate::common::{ExpContext, Scale};
 
@@ -78,20 +77,7 @@ fn run_point(
     // One cube's worth of address space: under the blocked map this is
     // exactly cube 0's range; under the interleaved map the identical
     // window spreads across every cube.
-    let window = 1u64 << Address::BITS;
-    let spec = FabricPortSpec::from_source(
-        move |seed| {
-            Box::new(GlobalGupsSource::new(
-                GupsOp::Read(PayloadSize::B128),
-                window,
-                &fabric_map,
-                seed,
-            ))
-        },
-        CubeId::HOST,
-    )
-    .with_tags(hmc_sim::GUPS_TAGS)
-    .addressed(fabric_map);
+    let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     let specs = vec![spec; port_count(ctx)];
     let mut sim = FabricSim::new(cfg, specs).with_domains(ctx.domains);
     let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());

@@ -121,9 +121,10 @@ pub fn star(ctx: &ExpContext) -> Vec<OffloadPoint> {
     let ctx = ctx.clone();
     let blocks = copy_blocks(&ctx);
     ctx.clone().par_map((0..STAR_CUBES).collect(), move |&c| {
-        let cfg = FabricConfig::star(
-            ctx.seed_for("ext-offload-star", 1 + u64::from(c)),
+        let cfg = FabricConfig::ac510(
+            Topology::Star,
             STAR_CUBES,
+            ctx.seed_for("ext-offload-star", 1 + u64::from(c)),
         );
         let hops = cfg.routes().hops(CubeId(0), CubeId(c));
         let map = cfg.cube.map;

@@ -16,7 +16,6 @@
 
 use hmc_sim::fabric::{FabricConfig, FabricPortSpec, FabricSim, Topology};
 use hmc_sim::prelude::*;
-use hmc_sim::workloads::GlobalGupsSource;
 
 use crate::common::{ExpContext, Scale};
 
@@ -76,20 +75,7 @@ fn run_point(ctx: &ExpContext, topology: Topology, cubes: u8) -> ScalePoint {
     let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
     // One cube's worth of address space, interleaved: the identical
     // footprint spreads across however many cubes the fabric has.
-    let window = 1u64 << Address::BITS;
-    let spec = FabricPortSpec::from_source(
-        move |seed| {
-            Box::new(GlobalGupsSource::new(
-                GupsOp::Read(PayloadSize::B128),
-                window,
-                &fabric_map,
-                seed,
-            ))
-        },
-        CubeId::HOST,
-    )
-    .with_tags(hmc_sim::GUPS_TAGS)
-    .addressed(fabric_map);
+    let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     let specs = vec![spec; PORTS];
     let mut sim = FabricSim::new(cfg, specs).with_domains(ctx.domains);
     let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());

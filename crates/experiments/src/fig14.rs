@@ -43,7 +43,7 @@ pub fn run(ctx: &ExpContext) -> Vec<Fig14Point> {
             size,
             banks,
             outstanding: report.estimated_outstanding(),
-            vault_peak: report.device.per_vault_peak_outstanding[0],
+            vault_peak: report.cubes[0].device.per_vault_peak_outstanding[0],
         }
     })
 }

@@ -282,26 +282,6 @@ impl FabricConfig {
         FabricConfig::ac510(Topology::Chain, cube_count, seed)
     }
 
-    /// An `n`-cube star with cube 0 as the host-attached hub.
-    pub fn star(seed: u64, cube_count: u8) -> FabricConfig {
-        FabricConfig::ac510(Topology::Star, cube_count, seed)
-    }
-
-    /// An `n`-cube ring.
-    pub fn ring(seed: u64, cube_count: u8) -> FabricConfig {
-        FabricConfig::ac510(Topology::Ring, cube_count, seed)
-    }
-
-    /// An `n`-cube 2-D mesh (grid shape from [`Topology::grid_dims`]).
-    pub fn mesh(seed: u64, cube_count: u8) -> FabricConfig {
-        FabricConfig::ac510(Topology::Mesh2D, cube_count, seed)
-    }
-
-    /// An `n`-cube 2-D torus.
-    pub fn torus(seed: u64, cube_count: u8) -> FabricConfig {
-        FabricConfig::ac510(Topology::Torus2D, cube_count, seed)
-    }
-
     /// The source-routing table for this fabric.
     pub fn routes(&self) -> RouteTable {
         RouteTable::for_topology(self.topology, self.cube_count)
@@ -436,9 +416,13 @@ mod tests {
         assert!(cfg.validate().is_err());
         // A 64-cube star hub would need 63 fabric ports plus its device
         // and host links — past the 64-port crossbar ceiling.
-        let err = FabricConfig::star(0, 64).validate().unwrap_err();
+        let err = FabricConfig::ac510(Topology::Star, 64, 0)
+            .validate()
+            .unwrap_err();
         assert!(err.contains("crossbar"), "{err}");
-        FabricConfig::star(0, 32).validate().unwrap();
+        FabricConfig::ac510(Topology::Star, 32, 0)
+            .validate()
+            .unwrap();
     }
 
     #[test]

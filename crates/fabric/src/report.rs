@@ -87,9 +87,6 @@ pub struct RunReport {
     pub ports: Vec<PortReport>,
     /// Length of the measurement window.
     pub elapsed: Delay,
-    /// Cube 0's device counters (kept as a field for the single-cube
-    /// experiments; multi-cube consumers read [`RunReport::cubes`]).
-    pub device: DeviceStats,
     /// Per-cube results, in cube order.
     pub cubes: Vec<CubeReport>,
     /// Simulation time when the run quiesced.
@@ -340,7 +337,6 @@ mod tests {
                 cube_completions,
             }],
             elapsed,
-            device: DeviceStats::default(),
             cubes: vec![CubeReport {
                 cube: CubeId(0),
                 device: DeviceStats::default(),

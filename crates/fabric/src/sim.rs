@@ -53,7 +53,9 @@ use hmc_mapping::CubeTargeting;
 use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
 use hmc_packet::{LinkId, PortId, RequestPacket, ResponsePacket};
 use hmc_telemetry::{Hub, HubConfig, Probe, Stage};
-use hmc_workloads::{source_factory, GupsSource, SourceFactory, TraceReplay, TrafficSource};
+use hmc_workloads::{
+    source_factory, GlobalGupsSource, GupsSource, SourceFactory, TraceReplay, TrafficSource,
+};
 
 use crate::config::{CubeId, FabricConfig};
 use crate::domain::{plan_windows, BarrierPoisoned, DomainPlan, PhaseBarrier};
@@ -109,6 +111,26 @@ impl FabricPortSpec {
             source: source_factory(move |seed| Box::new(GupsSource::new(filter, op, seed))),
             tags: GUPS_TAGS,
             targeting: CubeTargeting::Fixed(cube),
+        }
+    }
+
+    /// A GUPS port over the fabric-global address space: `op`s drawn
+    /// uniformly from one cube's worth of global addresses
+    /// (`1 << Address::BITS` bytes), with the default GUPS tag pool, each
+    /// request's cube derived from its address under `map`. Under an
+    /// interleaved map the window spreads across every cube; under a
+    /// blocked map it pins every request to cube 0.
+    pub fn global_gups(
+        op: hmc_workloads::GupsOp,
+        map: hmc_mapping::FabricAddressMap,
+    ) -> FabricPortSpec {
+        let window = 1u64 << hmc_packet::Address::BITS;
+        FabricPortSpec {
+            source: source_factory(move |seed| {
+                Box::new(GlobalGupsSource::new(op, window, &map, seed))
+            }),
+            tags: GUPS_TAGS,
+            targeting: CubeTargeting::Addressed(map),
         }
     }
 
@@ -1406,7 +1428,6 @@ fn assemble(
     let report = RunReport {
         ports: host.ports,
         elapsed,
-        device: cube_reports[0].device.clone(),
         cubes: cube_reports,
         sim_end,
     };
@@ -2116,7 +2137,7 @@ impl FabricSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinkFaultTotals;
+    use crate::{LinkFaultTotals, Topology};
     use hmc_mapping::{AccessPattern, VaultId};
     use hmc_packet::PayloadSize;
     use hmc_workloads::random_reads_in_banks;
@@ -2160,7 +2181,7 @@ mod tests {
     #[test]
     fn fabric_runs_are_deterministic() {
         let run = |seed: u64| {
-            let cfg = FabricConfig::star(seed, 4);
+            let cfg = FabricConfig::ac510(Topology::Star, 4, seed);
             let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
             let specs: Vec<FabricPortSpec> = (0..4)
                 .map(|c| {
@@ -2296,7 +2317,7 @@ mod tests {
     #[test]
     fn domain_schedules_reproduce_serial_runs_byte_for_byte() {
         let run = |domains: usize| {
-            let cfg = FabricConfig::star(21, 4);
+            let cfg = FabricConfig::ac510(Topology::Star, 4, 21);
             let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
             let specs: Vec<FabricPortSpec> = (0..4)
                 .map(|c| {
@@ -2418,7 +2439,7 @@ mod tests {
         domains: usize,
         hub: Option<&hmc_telemetry::SharedHub>,
     ) -> (RunReport, EngineStats) {
-        let cfg = FabricConfig::ring(21, 4);
+        let cfg = FabricConfig::ac510(Topology::Ring, 4, 21);
         let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
         let specs: Vec<FabricPortSpec> = (0..4)
             .map(|c| {
@@ -2501,7 +2522,7 @@ mod tests {
 
     #[test]
     fn ring_reroutes_around_a_dead_edge_and_completes() {
-        let cfg = FabricConfig::ring(33, 4);
+        let cfg = FabricConfig::ac510(Topology::Ring, 4, 33);
         let trace = random_reads_in_banks(&cfg.cube.map, VaultId(1), 4, PayloadSize::B32, 40, 3);
         let sim = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId(1))]);
         let mut sim = sim

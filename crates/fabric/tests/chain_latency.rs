@@ -4,7 +4,7 @@
 //! says it must be — in the pass-through NoC.
 
 use hmc_des::Delay;
-use hmc_fabric::{CubeId, FabricConfig, FabricPortSpec, FabricSim};
+use hmc_fabric::{CubeId, FabricConfig, FabricPortSpec, FabricSim, Topology};
 use hmc_mapping::{AccessPattern, VaultId};
 use hmc_packet::{PayloadSize, RequestKind};
 use hmc_workloads::random_reads_in_banks;
@@ -56,7 +56,7 @@ fn fabric_conserves_requests_across_cubes() {
     // Four ports, one per cube of a 4-cube ring, each replaying a
     // bounded trace: every request must be serviced by exactly its
     // target cube and every response must come home.
-    let cfg = FabricConfig::ring(31, 4);
+    let cfg = FabricConfig::ac510(Topology::Ring, 4, 31);
     let reads = 200;
     let specs: Vec<FabricPortSpec> = (0..4u8)
         .map(|c| {
@@ -90,7 +90,7 @@ fn transit_traffic_contends_in_the_hub_crossbar() {
     // A star hub forwards every leaf's traffic; with all leaves loaded,
     // the hub's pass-through crossbar must observe arbitration conflicts
     // — the fabric-level version of the paper's NoC contention claim.
-    let cfg = FabricConfig::star(37, 4);
+    let cfg = FabricConfig::ac510(Topology::Star, 4, 37);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
     let specs: Vec<FabricPortSpec> = (1..4u8)
         .flat_map(|c| {

@@ -2,7 +2,7 @@
 //! links behind a single sans-event facade.
 
 use hmc_des::wheel::{Entry, EventQueue};
-use hmc_des::{Clocked, InlineVec, Time};
+use hmc_des::{InlineVec, Time};
 use hmc_link::{Deliveries, LinkTx};
 use hmc_mapping::VaultId;
 use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
@@ -619,8 +619,9 @@ impl HmcDevice {
     }
 
     /// The earliest instant at which internal state changes without new
-    /// input, or `None` if the device is quiescent. Also available
-    /// through the [`hmc_des::Clocked`] protocol.
+    /// input, or `None` if the device is quiescent. The calendar is
+    /// absolute, so unlike the [`hmc_des::wake`] protocol's cores this
+    /// query takes no `now`.
     pub fn next_wake(&self) -> Option<Time> {
         let mut wake = self.calendar.next;
         let consider = |wake: &mut Option<Time>, t: Option<Time>| {
@@ -713,12 +714,6 @@ impl HmcDevice {
         out
     }
 
-    /// Tokens currently available on an upstream transmitter (host RX
-    /// buffer space as seen by the cube).
-    pub fn response_tokens_available(&self, link: LinkId) -> u32 {
-        self.link_tx[link.index()].tokens_available()
-    }
-
     // -- internals ---------------------------------------------------------
 
     /// Runs one vault's pipeline stages; returns whether anything moved.
@@ -770,13 +765,5 @@ impl HmcDevice {
             progress = true;
         }
         progress
-    }
-}
-
-impl Clocked for HmcDevice {
-    /// The device's internal calendar is absolute, so the report is
-    /// independent of `now`.
-    fn next_wake(&self, _now: Time) -> Option<Time> {
-        HmcDevice::next_wake(self)
     }
 }

@@ -207,11 +207,6 @@ impl VaultCtrl {
         }
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.engines.len()
-    }
-
     /// Requests currently resident in this vault (ingress + bank queues +
     /// in service or blocked).
     pub fn outstanding(&self) -> usize {

@@ -1,7 +1,7 @@
 //! The host controller: per-port FIFOs, arbitration, link scheduling and
 //! response drain — the FPGA half of Figure 5.
 
-use hmc_des::{Clocked, InlineVec, Time};
+use hmc_des::{InlineVec, Time};
 use hmc_link::{Deliveries, LinkTx};
 use hmc_noc::{BoundedQueue, RoundRobinArbiter};
 use hmc_packet::{LinkId, PortId, RequestPacket, ResponsePacket};
@@ -417,12 +417,6 @@ impl HostModel {
     /// Total outstanding requests across ports.
     pub fn outstanding(&self) -> u32 {
         self.ports.iter().map(|p| u32::from(p.outstanding())).sum()
-    }
-}
-
-impl Clocked for HostModel {
-    fn next_wake(&self, now: Time) -> Option<Time> {
-        HostModel::next_wake(self, now)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use hmc_des::{Clocked, Delay, InlineVec, Time};
+use hmc_des::{Delay, InlineVec, Time};
 use hmc_faults::LinkFaults;
 use hmc_noc::Credits;
 use hmc_telemetry::{Probe, Stage};
@@ -70,7 +70,10 @@ pub struct LinkStats {
 /// Packets wait in a sender queue, spend receiver tokens (one per flit) and
 /// serialize at the effective flit rate; delivery lands after the SerDes
 /// latency. Sans-event like [`hmc_noc::SwitchCore`]: call
-/// [`LinkTx::service`] on changes, sleep until [`LinkTx::next_wake`].
+/// [`LinkTx::service`] on changes. Service serializes everything sendable
+/// immediately (charging wire time forward), so the link never needs a
+/// self-wake; token-blocked heads wait for the [`LinkTx::return_tokens`]
+/// notification.
 ///
 /// # Examples
 ///
@@ -323,15 +326,6 @@ impl<P> LinkTx<P> {
         self.busy_until = cursor;
     }
 
-    /// The earliest future time service could progress on its own. Because
-    /// [`LinkTx::service`] serializes everything sendable immediately
-    /// (charging wire time forward), there is no self-wake; token-blocked
-    /// heads wait for the [`LinkTx::return_tokens`] notification. Exposed
-    /// for [`Clocked`] protocol symmetry.
-    pub fn next_wake(&self, _now: Time) -> Option<Time> {
-        None
-    }
-
     /// When the wire finishes its current serialization backlog.
     #[inline]
     pub fn busy_until(&self) -> Time {
@@ -342,12 +336,6 @@ impl<P> LinkTx<P> {
     #[inline]
     pub fn stats(&self) -> LinkStats {
         self.stats
-    }
-}
-
-impl<P> Clocked for LinkTx<P> {
-    fn next_wake(&self, now: Time) -> Option<Time> {
-        LinkTx::next_wake(self, now)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use hmc_des::{Clocked, Delay, InlineVec, Time};
+use hmc_des::{Delay, InlineVec, Time};
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::credit::Credits;
@@ -280,11 +280,6 @@ impl<P> SwitchCore<P> {
         self.output_credits[output].put(flits)
     }
 
-    /// Available downstream credits at output `o`.
-    pub fn credits_available(&self, output: usize) -> u32 {
-        self.output_credits[output].available()
-    }
-
     /// Runs arbitration until no further progress is possible at `now`.
     /// Returns every departing packet with its exit timestamp.
     ///
@@ -415,12 +410,6 @@ impl<P> SwitchCore<P> {
             self.head_inputs[head.output] |= 1 << input;
             self.wanted_outputs |= 1 << head.output;
         }
-    }
-}
-
-impl<P> Clocked for SwitchCore<P> {
-    fn next_wake(&self, now: Time) -> Option<Time> {
-        SwitchCore::next_wake(self, now)
     }
 }
 

@@ -100,11 +100,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest sample, or `None` if empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -9,8 +9,7 @@
 //! 1. [`Probe`] — a cheap, cloneable handle held by the components that
 //!    mark a request's lifecycle (`Port`, `HostModel`, `HmcDevice`, the
 //!    fabric's pass-through stages and their `LinkTx`s). When detached
-//!    ([`Probe::off`]) each event call is a single branch on a `None`;
-//!    the `off` cargo feature compiles even that branch away.
+//!    ([`Probe::off`]) each event call is a single branch on a `None`.
 //! 2. [`Hub`] — the sink behind attached probes: per-epoch **completion
 //!    timelines** (requests, round-trip bytes, latency sums) and
 //!    per-source / per-cube [`hmc_stats::LatencySketch`] quantile sketches
@@ -32,7 +31,6 @@
 //! let hub = Hub::shared(HubConfig::default());
 //! let probe = Probe::attached(&hub);
 //! probe.completion(0, 0, 1_500_000, 160, Time::from_us(2));
-//! # #[cfg(not(feature = "off"))]
 //! assert_eq!(hub.borrow().aggregate_sketch().count(), 1);
 //! ```
 

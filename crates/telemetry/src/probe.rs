@@ -7,16 +7,13 @@ use hmc_des::Time;
 
 /// A cheap, cloneable telemetry handle. Components hold one and call the
 /// typed event methods unconditionally; a detached probe ([`Probe::off`],
-/// the default) reduces every call to a single `None` branch, and the
-/// crate's `off` feature compiles even that away (the struct becomes a
-/// zero-sized type with the same API).
+/// the default) reduces every call to a single `None` branch.
 ///
 /// Event methods take raw ids (`u8` cube, `u16` port/tag) so the link
 /// serializers in `hmc-link` can mark traced packets without depending
 /// on packet or topology types.
 #[derive(Clone, Default)]
 pub struct Probe {
-    #[cfg(not(feature = "off"))]
     hub: Option<SharedHub>,
 }
 
@@ -32,43 +29,27 @@ impl Probe {
         Probe::default()
     }
 
-    /// A probe feeding `hub`. With the `off` feature this still compiles
-    /// but returns a detached probe.
+    /// A probe feeding `hub`.
     pub fn attached(hub: &SharedHub) -> Probe {
-        #[cfg(not(feature = "off"))]
-        {
-            Probe {
-                hub: Some(hub.clone()),
-            }
-        }
-        #[cfg(feature = "off")]
-        {
-            let _ = hub;
-            Probe {}
+        Probe {
+            hub: Some(hub.clone()),
         }
     }
 
     /// The configuration of the hub this probe feeds, or `None` when
-    /// detached (always `None` with the `off` feature). A partitioned
+    /// detached. A partitioned
     /// simulation reads this to create per-domain shard hubs with the
     /// same epoch layout, then merges them back via
     /// [`Hub::absorb`](crate::Hub::absorb).
     pub fn hub_config(&self) -> Option<crate::HubConfig> {
-        #[cfg(not(feature = "off"))]
-        {
-            self.hub.as_ref().map(|h| h.borrow().config())
-        }
-        #[cfg(feature = "off")]
-        {
-            None
-        }
+        self.hub.as_ref().map(|h| h.borrow().config())
     }
 
     /// Folds a per-domain shard hub back into the hub this probe feeds.
     /// The domain scheduler gives each worker domain its own shard (same
     /// [`HubConfig`](crate::HubConfig) as the primary, read via
     /// [`Probe::hub_config`]) and merges them all here after the join —
-    /// a no-op on a detached probe and with the `off` feature.
+    /// a no-op on a detached probe.
     #[inline]
     pub fn absorb_shard(&self, shard: &crate::Hub) {
         self.with(|h| h.absorb(shard));
@@ -77,25 +58,13 @@ impl Probe {
     /// Whether events reach a hub.
     #[inline]
     pub fn is_on(&self) -> bool {
-        #[cfg(not(feature = "off"))]
-        {
-            self.hub.is_some()
-        }
-        #[cfg(feature = "off")]
-        {
-            false
-        }
+        self.hub.is_some()
     }
 
     #[inline]
     fn with(&self, f: impl FnOnce(&mut crate::Hub)) {
-        #[cfg(not(feature = "off"))]
         if let Some(hub) = &self.hub {
             f(&mut hub.borrow_mut());
-        }
-        #[cfg(feature = "off")]
-        {
-            let _ = f;
         }
     }
 
@@ -153,16 +122,7 @@ mod tests {
         let q = p.clone(); // clones share the hub
         p.completion(2, 0, 1_000, 160, Time::from_ns(1));
         q.completion(2, 0, 3_000, 160, Time::from_ns(2));
-        #[cfg(not(feature = "off"))]
-        {
-            assert!(p.is_on());
-            let h = hub.borrow();
-            assert_eq!(h.source_sketches()[&2].count(), 2);
-        }
-        #[cfg(feature = "off")]
-        {
-            assert!(!p.is_on());
-            assert_eq!(hub.borrow().aggregate_sketch().count(), 0);
-        }
+        assert!(p.is_on());
+        assert_eq!(hub.borrow().source_sketches()[&2].count(), 2);
     }
 }

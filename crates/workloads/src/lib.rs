@@ -120,7 +120,7 @@ pub use generate::{
 };
 pub use source::{
     source_factory, Completion, Feedback, GlobalGupsSource, GupsOp, GupsSource, LinearSource,
-    OffloadSource, Paced, PointerChase, SourceFactory, SourceStep, TraceReplay, TrafficSource,
+    OffloadSource, PointerChase, SourceFactory, SourceStep, TraceReplay, TrafficSource,
     UniformSource,
 };
 pub use trace::{ParseTraceError, Trace, TraceOp};

@@ -14,8 +14,6 @@
 //! - [`UniformSource`] / [`LinearSource`] — the uniform/linear generators
 //!   of [`crate::random_reads_in_vaults`] / [`crate::linear_reads`], lazy
 //!   and optionally unbounded;
-//! - [`Paced`] — a rate-control wrapper spacing any open-loop source's
-//!   requests by a fixed gap;
 //! - [`PointerChase`] — N walkers each deriving their next address
 //!   deterministically from the completed transaction: the unloaded-latency
 //!   probe of the companion study (Hadidi et al., ISPASS 2017);
@@ -45,7 +43,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use hmc_des::{Delay, Time};
+use hmc_des::Time;
 use hmc_mapping::{AddressFilter, AddressMap, BankId, FabricAddressMap, VaultId};
 use hmc_packet::{Address, CubeId, GlobalAddress, PayloadSize, RequestKind};
 use rand::rngs::SmallRng;
@@ -504,90 +502,6 @@ impl TrafficSource for LinearSource {
     }
 }
 
-/// Rate control: spaces the wrapped source's operations at least `gap`
-/// apart, turning a flow-control-limited generator into a fixed-rate one.
-///
-/// Pacing delays *operations*, never feedback: completions reach the
-/// inner source on every poll, exactly once, even mid-gap — so wrapping a
-/// closed-loop source (a paced pointer chase, a throttled offload stream)
-/// is safe. Ops the inner source answers with while the gap is still
-/// open are buffered and released on the pacing schedule, in order.
-#[derive(Debug, Clone)]
-pub struct Paced<S> {
-    inner: S,
-    gap: Delay,
-    earliest: Time,
-    /// Ops pulled from the inner source (to deliver its feedback) but not
-    /// yet released by the pacing schedule.
-    pending: VecDeque<TraceOp>,
-    inner_done: bool,
-}
-
-impl<S: TrafficSource> Paced<S> {
-    /// Wraps `inner`, spacing its ops by `gap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gap` is zero (use the inner source directly).
-    pub fn new(inner: S, gap: Delay) -> Paced<S> {
-        assert!(!gap.is_zero(), "pacing gap must be positive");
-        Paced {
-            inner,
-            gap,
-            earliest: Time::ZERO,
-            pending: VecDeque::new(),
-            inner_done: false,
-        }
-    }
-}
-
-impl<S: TrafficSource> TrafficSource for Paced<S> {
-    fn next(&mut self, now: Time, feedback: &Feedback<'_>) -> SourceStep {
-        // Poll the inner source whenever there is feedback to deliver (a
-        // closed-loop inner must see every completion) or nothing is
-        // buffered; its answer is stashed, not returned, so pacing and
-        // feedback delivery stay decoupled.
-        if !self.inner_done && (!feedback.completions.is_empty() || self.pending.is_empty()) {
-            match self.inner.next(now, feedback) {
-                SourceStep::Op(op) => self.pending.push_back(op),
-                SourceStep::Done => self.inner_done = true,
-                SourceStep::Blocked => {
-                    if self.pending.is_empty() {
-                        return SourceStep::Blocked;
-                    }
-                }
-                SourceStep::WaitUntil(t) => {
-                    if self.pending.is_empty() {
-                        return SourceStep::WaitUntil(t.max(self.earliest));
-                    }
-                }
-            }
-        }
-        if self.pending.is_empty() {
-            debug_assert!(self.inner_done, "unbuffered non-done inner answered above");
-            return SourceStep::Done;
-        }
-        if now < self.earliest {
-            return SourceStep::WaitUntil(self.earliest);
-        }
-        let op = self.pending.pop_front().expect("checked non-empty");
-        self.earliest = now + self.gap;
-        SourceStep::Op(op)
-    }
-
-    fn duration_gated(&self) -> bool {
-        self.inner.duration_gated()
-    }
-
-    fn rx_extra_flits(&self) -> u32 {
-        self.inner.rx_extra_flits()
-    }
-
-    fn label(&self) -> &'static str {
-        self.inner.label()
-    }
-}
-
 /// SplitMix64: the deterministic address-derivation hash behind
 /// [`PointerChase`].
 fn splitmix64(x: u64) -> u64 {
@@ -996,74 +910,6 @@ mod tests {
             assert_eq!(op.addr.raw() % 64, 0, "aligned");
             assert!(m.decode(op.addr.local_unchecked()).vault.0 < 2, "filtered");
         }
-    }
-
-    #[test]
-    fn paced_source_spaces_ops_by_the_gap() {
-        let inner = LinearSource::new(Address::new(0), PayloadSize::B16, 3);
-        let mut src = Paced::new(inner, Delay::from_ns(100));
-        let t0 = Time::ZERO;
-        assert!(matches!(src.next(t0, &Feedback::EMPTY), SourceStep::Op(_)));
-        assert_eq!(
-            src.next(t0, &Feedback::EMPTY),
-            SourceStep::WaitUntil(Time::from_ns(100))
-        );
-        let t1 = Time::from_ns(100);
-        assert!(matches!(src.next(t1, &Feedback::EMPTY), SourceStep::Op(_)));
-        let t2 = Time::from_ns(250);
-        assert!(matches!(src.next(t2, &Feedback::EMPTY), SourceStep::Op(_)));
-        // Exhaustion needs no gap: nothing is left to pace.
-        assert_eq!(src.next(t2, &Feedback::EMPTY), SourceStep::Done);
-    }
-
-    #[test]
-    fn paced_closed_loop_source_never_loses_completions() {
-        // Regression: completions arriving while the pacing gap is open
-        // must still reach a closed-loop inner exactly once — dropping
-        // one would leave the chase thinking its read is in flight
-        // forever (and trip the port's blocked-with-nothing-outstanding
-        // protocol check).
-        let m = map();
-        let vaults: Vec<VaultId> = (0..4).map(VaultId).collect();
-        let chase = PointerChase::new(&m, &vaults, PayloadSize::B64, 1, 5, 3);
-        let mut src = Paced::new(chase, Delay::from_ns(1_000));
-        let mut now = Time::ZERO;
-        let mut index = 0u64;
-        let mut done = 0;
-        while done < 5 {
-            match src.next(now, &Feedback::EMPTY) {
-                SourceStep::Op(op) => {
-                    // Complete the read 100 ns later — mid-gap — and hand
-                    // the completion over on that (early) poll.
-                    now += Delay::from_ns(100);
-                    let c = Completion {
-                        index,
-                        op,
-                        issued_at: now,
-                        completed_at: now,
-                    };
-                    index += 1;
-                    done += 1;
-                    let fb = Feedback {
-                        completions: std::slice::from_ref(&c),
-                        outstanding: 0,
-                    };
-                    match src.next(now, &fb) {
-                        SourceStep::WaitUntil(t) => now = t,
-                        // The final completion legitimately exhausts the
-                        // chain with nothing left to pace.
-                        SourceStep::Done => assert_eq!(done, 5, "early exhaustion"),
-                        SourceStep::Op(_) => panic!("gap must still be open at +100 ns"),
-                        SourceStep::Blocked => panic!("completion was dropped"),
-                    }
-                }
-                SourceStep::WaitUntil(t) => now = t,
-                SourceStep::Blocked => panic!("chase starved: a completion was lost"),
-                SourceStep::Done => break,
-            }
-        }
-        assert_eq!(done, 5, "every hop of the paced chase completed");
-        assert_eq!(src.next(now, &Feedback::EMPTY), SourceStep::Done);
     }
 
     #[test]
