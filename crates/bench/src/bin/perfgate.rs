@@ -33,9 +33,8 @@
 //!   `BENCH_*.json` trajectory at the repo root), per-experiment speedups
 //!   are computed and embedded as `speedup_vs_baseline`.
 //! - Each case also reports round-trip `latency_p50_ns`/`p99`/`p999`
-//!   from one *untimed* run with the telemetry hub attached. These are
-//!   recorded for trend inspection, never gated — and the timed reps stay
-//!   probe-detached, so the hub's cost cannot leak into the wall times.
+//!   from the last timed rep's report. These are recorded for trend
+//!   inspection, never gated.
 //!
 //! Perf PRs append their snapshot as `BENCH_PR<n>.json` at the repo root;
 //! see README "Performance".
@@ -78,13 +77,10 @@ struct Case {
 }
 
 impl Case {
-    /// Builds and runs the workload on the case's engine domains. Timed
-    /// reps pass `Probe::off()` (the one-branch no-op path the gate
-    /// measures); the extra untimed percentile run passes an attached
-    /// probe.
-    fn run(&self, scale: Scale2, probe: Probe) -> CaseOutput {
+    /// Builds and runs the workload on the case's engine domains.
+    fn run(&self, scale: Scale2) -> CaseOutput {
         let (cfg, ports, kind) = (self.build)(scale);
-        let mut sim = FabricSim::with_telemetry(cfg, ports, probe).with_domains(self.domains);
+        let mut sim = FabricSim::new(cfg, ports).with_domains(self.domains);
         let report = match kind {
             RunKind::Gups => {
                 let (warmup, measure) = scale.gups_windows();
@@ -307,9 +303,6 @@ struct Measured {
     workers: u64,
     pool_steals: u64,
     pool_parks: u64,
-    /// Round-trip `(p50, p99, p999)` ps from one untimed telemetry-on
-    /// run. Recorded for trend inspection, never gated: latency is part
-    /// of the simulated model, not the harness's wall-clock subject.
     tail_ps: Option<[u64; 3]>,
     /// Set when a multi-domain case ran on a 1-core budget: its wall
     /// time measures core time-slicing, not parallel speedup.
@@ -422,9 +415,10 @@ fn main() -> ExitCode {
         let mut best = f64::INFINITY;
         let mut sig: Option<Signature> = None;
         let mut last_sched = SchedStats::default();
+        let mut tail_ps = None;
         for rep in 0..args.reps {
             let start = Instant::now();
-            let (report, stats, sched) = case.run(args.scale, Probe::off());
+            let (report, stats, sched) = case.run(args.scale);
             let wall = start.elapsed().as_secs_f64();
             best = best.min(wall);
             let this = Signature {
@@ -437,6 +431,7 @@ fn main() -> ExitCode {
                 window_events: sched.window_events,
             };
             last_sched = sched;
+            tail_ps = report.latency_tail_ps();
             match sig {
                 None => sig = Some(this),
                 Some(prev) if prev != this => {
@@ -453,12 +448,6 @@ fn main() -> ExitCode {
         }
         let sig = sig.expect("at least one rep ran");
         assert!(sig.accesses > 0, "{} moved no traffic", case.name);
-        // One extra untimed run with the telemetry hub attached: the
-        // latency percentiles ride along in the snapshot without the
-        // instruments' cost ever touching the timed reps.
-        let hub = Hub::shared(HubConfig::default());
-        let _ = case.run(args.scale, Probe::attached(&hub));
-        let tail_ps = hub.borrow().aggregate_tail_ps();
         let cores_warning =
             (case.domains > 1 && hmc_sim::des::pool::budget_total() == 1).then(|| {
                 format!(

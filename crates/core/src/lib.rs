@@ -68,7 +68,7 @@ pub mod prelude {
         VaultId,
     };
     pub use hmc_packet::{Address, GlobalAddress, PayloadSize, PortId, RequestKind};
-    pub use hmc_stats::{Histogram, LatencyRecorder, LatencySketch, Summary, Table};
+    pub use hmc_stats::{Histogram, LatencySketch, Summary, Table};
     pub use hmc_telemetry::{Hub, HubConfig, Probe, SharedHub, Stage};
     pub use hmc_workloads::{
         random_reads_in_banks, random_reads_in_vaults, vault_combinations, Feedback, OffloadSource,

@@ -405,3 +405,27 @@ fn hot_path_allocations_are_bounded_not_per_event() {
         long.scratch_spills
     );
 }
+
+#[test]
+fn report_tails_equal_the_hub_tails_at_any_domain_count() {
+    // Every port records into its own sketch; the hub's per-cube sketches
+    // see the same samples. Merged, the two must agree exactly, and
+    // splitting the ring over engine domains must not move either.
+    let run = |domains: usize| {
+        let cubes = 4;
+        let cfg = FabricConfig::ac510(Topology::Ring, cubes, 31);
+        let map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
+        let specs = vec![FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), map); 4];
+        let hub = Hub::shared(HubConfig::default());
+        let report = FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub))
+            .with_domains(domains)
+            .run_gups(Delay::from_us(4), Delay::from_us(12));
+        let hub = hub.borrow();
+        let tail = report.latency_tail_ps().expect("the ring moved traffic");
+        assert_eq!(Some(tail), hub.aggregate_tail_ps(), "--domains {domains}");
+        let samples: u64 = report.ports.iter().map(|p| p.latency.count()).sum();
+        assert_eq!(samples, hub.aggregate_sketch().count());
+        tail
+    };
+    assert_eq!(run(1), run(2), "domain split moved the tails");
+}

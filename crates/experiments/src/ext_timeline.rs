@@ -6,8 +6,8 @@
 //! tag pools, few outstanding requests) and at saturation (the full
 //! 64-tag pools) — with the telemetry hub attached and reports what the
 //! averages hide: per-epoch bandwidth and mean-latency timelines, and the
-//! full latency *distribution* (p50/p99/p999 per source port and per
-//! cube) from the hub's mergeable quantile sketches.
+//! full latency *distribution* (p50/p99/p999 per source port, from the
+//! run report, and per cube, from the hub's mergeable quantile sketches).
 //!
 //! Everything here is derived from one deterministic simulation per
 //! point, so the rendered tables are byte-identical across runs and
@@ -77,7 +77,7 @@ fn run_point(ctx: &ExpContext, label: &'static str, tags: u16) -> TimelinePoint 
         trace_sample: None,
     });
     let mut sim = FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub));
-    let _ = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
+    let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
     ctx.stats.record(&sim.engine_stats());
     let hub = hub.borrow();
     let epoch_ps = hub.epoch_ps() as f64;
@@ -99,10 +99,10 @@ fn run_point(ctx: &ExpContext, label: &'static str, tags: u16) -> TimelinePoint 
             }
         })
         .collect();
-    let source_tails = hub
-        .source_sketches()
-        .keys()
-        .map(|&s| (s, hub.source_tail_ps(s).expect("sketch has samples")))
+    let source_tails = report
+        .ports
+        .iter()
+        .filter_map(|p| Some((u16::from(p.port.0), p.latency.tail_ps()?)))
         .collect();
     let cube_tails = hub
         .cube_sketches()

@@ -5,7 +5,7 @@ use hmc_des::{Delay, Time};
 use hmc_device::DeviceStats;
 use hmc_link::LinkStats;
 use hmc_packet::PortId;
-use hmc_stats::{BandwidthMeter, LatencyRecorder};
+use hmc_stats::{BandwidthMeter, LatencySketch};
 
 use crate::config::CubeId;
 
@@ -22,8 +22,8 @@ pub struct PortReport {
     pub issued: u64,
     /// Responses received (including unrecorded warmup traffic).
     pub completed: u64,
-    /// Latency aggregate over the measurement window.
-    pub latency: LatencyRecorder,
+    /// Latency aggregate and quantile sketch over the measurement window.
+    pub latency: LatencySketch,
     /// Byte counter over the measurement window (paper bandwidth units:
     /// request + response packets including header, tail and payload).
     pub bytes: BandwidthMeter,
@@ -95,8 +95,8 @@ pub struct RunReport {
 
 impl RunReport {
     /// Merged latency aggregate across all ports.
-    pub fn aggregate_latency(&self) -> LatencyRecorder {
-        let mut total = LatencyRecorder::new();
+    pub fn aggregate_latency(&self) -> LatencySketch {
+        let mut total = LatencySketch::new();
         for p in &self.ports {
             total.merge(&p.latency);
         }
@@ -106,12 +106,18 @@ impl RunReport {
     /// Merged latency aggregate across the ports *statically* targeting
     /// one cube (address-targeted ports span cubes and are excluded; use
     /// [`RunReport::cube_completions`] for their per-cube attribution).
-    pub fn cube_latency(&self, cube: CubeId) -> LatencyRecorder {
-        let mut total = LatencyRecorder::new();
+    pub fn cube_latency(&self, cube: CubeId) -> LatencySketch {
+        let mut total = LatencySketch::new();
         for p in self.ports.iter().filter(|p| p.cube == Some(cube)) {
             total.merge(&p.latency);
         }
         total
+    }
+
+    /// `[p50, p99, p999]` round-trip picoseconds across all ports, or
+    /// `None` if nothing completed in the measurement window.
+    pub fn latency_tail_ps(&self) -> Option<[u64; 3]> {
+        self.aggregate_latency().tail_ps()
     }
 
     /// Bidirectional bandwidth moved by the ports statically targeting
@@ -250,8 +256,8 @@ impl RunReport {
     /// total requests issued, responses completed, and the merged latency
     /// aggregate — the closed-loop pipeline's per-source view of a mixed
     /// run (e.g. offload streams contending with GUPS background load).
-    pub fn source_summary(&self) -> Vec<(&'static str, u64, u64, LatencyRecorder)> {
-        let mut out: Vec<(&'static str, u64, u64, LatencyRecorder)> = Vec::new();
+    pub fn source_summary(&self) -> Vec<(&'static str, u64, u64, LatencySketch)> {
+        let mut out: Vec<(&'static str, u64, u64, LatencySketch)> = Vec::new();
         for p in &self.ports {
             match out.iter_mut().find(|(label, ..)| *label == p.source) {
                 Some((_, issued, completed, latency)) => {
@@ -259,7 +265,7 @@ impl RunReport {
                     *completed += p.completed;
                     latency.merge(&p.latency);
                 }
-                None => out.push((p.source, p.issued, p.completed, p.latency)),
+                None => out.push((p.source, p.issued, p.completed, p.latency.clone())),
             }
         }
         out
@@ -316,7 +322,7 @@ mod tests {
     use super::*;
 
     fn report_with(latencies_ns: &[u64], bytes_per_access: u64, elapsed: Delay) -> RunReport {
-        let mut latency = LatencyRecorder::new();
+        let mut latency = LatencySketch::new();
         let mut meter = BandwidthMeter::new();
         for &ns in latencies_ns {
             latency.record_ps(ns * 1_000);

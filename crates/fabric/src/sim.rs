@@ -1375,7 +1375,7 @@ fn harvest_host(parts: &DomainParts, targets: &[CubeTargeting]) -> HostHarvest {
             source: p.source_label(),
             issued: p.issued(),
             completed: p.completed(),
-            latency: *p.latency(),
+            latency: p.latency().clone(),
             bytes: *p.bytes(),
             reads: p.reads_recorded(),
             writes: p.writes_recorded(),
@@ -2428,7 +2428,6 @@ mod tests {
                 h.completion_bytes().total(),
                 h.completion_count().counts().to_vec(),
                 h.cube_sketches().keys().copied().collect::<Vec<_>>(),
-                h.source_sketches().len(),
             )
         };
         assert_eq!(run(1), run(4), "shard merge must reproduce the one-hub run");

@@ -6,7 +6,7 @@ use core::fmt;
 use hmc_des::Time;
 use hmc_mapping::CubeTargeting;
 use hmc_packet::{CubeId, PortId, RequestPacket, ResponsePacket, Tag};
-use hmc_stats::{BandwidthMeter, LatencyRecorder};
+use hmc_stats::{BandwidthMeter, LatencySketch};
 use hmc_telemetry::Probe;
 use hmc_workloads::{Completion, Feedback, SourceStep, TraceOp, TrafficSource};
 
@@ -119,7 +119,7 @@ pub struct Port {
     issued: u64,
     completed: u64,
     recording: bool,
-    latency: LatencyRecorder,
+    latency: LatencySketch,
     bytes: BandwidthMeter,
     reads_recorded: u64,
     writes_recorded: u64,
@@ -171,7 +171,7 @@ impl Port {
             issued: 0,
             completed: 0,
             recording: true,
-            latency: LatencyRecorder::new(),
+            latency: LatencySketch::new(),
             bytes: BandwidthMeter::new(),
             reads_recorded: 0,
             writes_recorded: 0,
@@ -188,8 +188,8 @@ impl Port {
     }
 
     /// Attaches a telemetry probe (default [`Probe::off`]): issues feed
-    /// the sampled packet tracer, completions feed the per-source and
-    /// per-cube latency sketches.
+    /// the sampled packet tracer, completions feed the epoch timelines
+    /// and the per-cube latency sketches.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -344,13 +344,8 @@ impl Port {
                 self.completed_by_cube.resize(cube.index() + 1, 0);
             }
             self.completed_by_cube[cube.index()] += 1;
-            self.probe.completion(
-                u16::from(self.id.0),
-                cube.0,
-                latency_ps,
-                op.kind.round_trip_bytes(),
-                now,
-            );
+            self.probe
+                .completion(cube.0, latency_ps, op.kind.round_trip_bytes(), now);
         }
         self.fresh.push(Completion {
             index,
@@ -401,8 +396,8 @@ impl Port {
         self.completed
     }
 
-    /// The monitoring-logic latency aggregate.
-    pub fn latency(&self) -> &LatencyRecorder {
+    /// The monitoring-logic latency aggregate, with quantile buckets.
+    pub fn latency(&self) -> &LatencySketch {
         &self.latency
     }
 

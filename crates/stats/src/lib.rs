@@ -1,15 +1,16 @@
 //! # hmc-stats
 //!
-//! Measurement plumbing for the `hmc-noc-sim` workspace: the aggregate
-//! latency counters the FPGA monitoring logic keeps, bandwidth accounting
-//! in the paper's units, fixed-range histograms for the heatmap figures,
-//! Welford summaries for the average/σ figures, Little's-law occupancy
-//! estimation, and a small table renderer for experiment reports.
+//! Measurement plumbing for the `hmc-noc-sim` workspace: a latency sketch
+//! holding the FPGA monitoring logic's aggregate counters plus quantiles,
+//! bandwidth accounting in the paper's units, fixed-range histograms for
+//! the heatmap figures, Welford summaries for the average/σ figures,
+//! Little's-law occupancy estimation, and a small table renderer for
+//! experiment reports.
 //!
 //! ```
-//! use hmc_stats::{BandwidthMeter, LatencyRecorder};
+//! use hmc_stats::{BandwidthMeter, LatencySketch};
 //!
-//! let mut lat = LatencyRecorder::new();
+//! let mut lat = LatencySketch::new();
 //! let mut bw = BandwidthMeter::new();
 //! // One 128 B read: 160 B round trip, 2 µs latency.
 //! lat.record_ps(2_000_000);
@@ -23,7 +24,6 @@
 
 mod bandwidth;
 mod histogram;
-mod latency;
 mod sketch;
 mod summary;
 mod table;
@@ -31,7 +31,6 @@ mod validate;
 
 pub use bandwidth::{little_law_outstanding, BandwidthMeter};
 pub use histogram::{Histogram, SharedRange};
-pub use latency::LatencyRecorder;
 pub use sketch::LatencySketch;
 pub use summary::Summary;
 pub use table::{json_escape, json_f64, Table};

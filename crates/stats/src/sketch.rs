@@ -9,6 +9,12 @@
 //! yields byte-identical counts — and therefore byte-identical quantiles.
 //! That property is what lets `--threads 1/2/N` runs produce identical
 //! percentile rows.
+//!
+//! The sketch is also the workspace's one latency aggregate: besides the
+//! buckets it keeps the exact count, `u128` total, minimum and maximum the
+//! FPGA monitoring logic reports — "the total number of read and write
+//! requests and the total, minimum, and maximum of read latencies"
+//! (Section III-B) — so every port records into one.
 
 use core::fmt;
 
@@ -18,8 +24,10 @@ const LINEAR_CUTOFF: u64 = 64;
 const SUBBUCKET_BITS: u32 = 5;
 const SUBBUCKETS: usize = 1 << SUBBUCKET_BITS; // 32
 /// Octaves covered: values with MSB in 6..=63.
+#[cfg(test)]
 const OCTAVES: usize = 58;
 /// Total bucket count: 64 exact + 58 octaves × 32 sub-buckets.
+#[cfg(test)]
 const BUCKETS: usize = LINEAR_CUTOFF as usize + OCTAVES * SUBBUCKETS; // 1920
 
 /// A fixed-structure log-linear quantile sketch over `u64` samples
@@ -30,6 +38,13 @@ const BUCKETS: usize = LINEAR_CUTOFF as usize + OCTAVES * SUBBUCKETS; // 1920
 /// relative error of any reported quantile by `2^-5` (~3.1%). Quantile
 /// queries return a bucket's inclusive upper bound clamped into the true
 /// observed `[min, max]`, so results are deterministic integers.
+///
+/// Buckets are allocated on demand, a whole octave at a time, up to the
+/// octave of the largest sample: an empty sketch allocates nothing, and
+/// a port's sketch stays a few hundred buckets for nanosecond-to-
+/// microsecond latencies. Growing one bucket at a time instead
+/// reallocates on almost every new maximum while queues build up, and
+/// that churn fragments the heap.
 ///
 /// # Examples
 ///
@@ -92,7 +107,7 @@ impl LatencySketch {
     /// An empty sketch.
     pub fn new() -> LatencySketch {
         LatencySketch {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             total_ps: 0,
             min_ps: u64::MAX,
@@ -103,7 +118,15 @@ impl LatencySketch {
     /// Records one sample in picoseconds.
     #[inline]
     pub fn record_ps(&mut self, ps: u64) {
-        self.counts[bucket_of(ps)] += 1;
+        let idx = bucket_of(ps);
+        if self.counts.len() <= idx {
+            // The length is a function of the largest bucket only, so two
+            // sketches of the same samples still compare equal.
+            let len = (idx | (SUBBUCKETS - 1)) + 1;
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+        self.counts[idx] += 1;
         self.count += 1;
         self.total_ps += u128::from(ps);
         self.min_ps = self.min_ps.min(ps);
@@ -114,6 +137,13 @@ impl LatencySketch {
     #[inline]
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Aggregate latency in picoseconds (exact: a `u128` never overflows
+    /// on `u64` samples).
+    #[inline]
+    pub fn total_ps(&self) -> u128 {
+        self.total_ps
     }
 
     /// True observed minimum, if any samples were recorded.
@@ -133,6 +163,16 @@ impl LatencySketch {
         } else {
             self.total_ps as f64 / self.count as f64 / 1e3
         }
+    }
+
+    /// Exact mean in microseconds (0 if empty).
+    pub fn mean_us(&self) -> f64 {
+        self.mean_ns() / 1e3
+    }
+
+    /// True observed maximum in microseconds (0 if empty).
+    pub fn max_us(&self) -> f64 {
+        self.max_ps().unwrap_or(0) as f64 / 1e6
     }
 
     /// The quantile `q` in `[0, 1]` as a deterministic picosecond value:
@@ -160,10 +200,25 @@ impl LatencySketch {
         Some(self.max_ps)
     }
 
+    /// `[p50, p99, p999]` in picoseconds, or `None` for an empty sketch.
+    pub fn tail_ps(&self) -> Option<[u64; 3]> {
+        Some([
+            self.quantile_ps(0.50)?,
+            self.quantile_ps(0.99)?,
+            self.quantile_ps(0.999)?,
+        ])
+    }
+
     /// Merges another sketch into this one. Elementwise addition over a
-    /// fixed structure — commutative and associative, so any merge order
-    /// over the same shards yields identical state.
+    /// fixed structure, extended to the longer side — commutative and
+    /// associative, so any merge order over the same shards yields
+    /// identical state.
     pub fn merge(&mut self, other: &LatencySketch) {
+        if self.counts.len() < other.counts.len() {
+            self.counts
+                .reserve_exact(other.counts.len() - self.counts.len());
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -175,7 +230,7 @@ impl LatencySketch {
 
     /// Clears all counters (used at the end of the warmup window).
     pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.counts.clear();
         self.count = 0;
         self.total_ps = 0;
         self.min_ps = u64::MAX;
@@ -262,6 +317,92 @@ mod tests {
         assert_eq!(s.min_ps(), None);
         assert_eq!(s.max_ps(), None);
         assert_eq!(s.mean_ns(), 0.0);
+        assert_eq!(s.tail_ps(), None);
+    }
+
+    #[test]
+    fn empty_sketch_reports_zero_mean_and_max_us() {
+        let s = LatencySketch::new();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.total_ps(), 0);
+        assert_eq!(s.mean_us(), 0.0);
+        assert_eq!(s.max_us(), 0.0);
+    }
+
+    #[test]
+    fn tracks_min_max_total() {
+        let mut s = LatencySketch::new();
+        for ps in [500, 1500, 1000] {
+            s.record_ps(ps);
+        }
+        assert_eq!(s.count(), 3);
+        assert_eq!(s.total_ps(), 3000);
+        assert_eq!(s.min_ps(), Some(500));
+        assert_eq!(s.max_ps(), Some(1500));
+        assert_eq!(s.mean_ns(), 1.0);
+        assert_eq!(s.max_us(), 0.0015);
+    }
+
+    #[test]
+    fn total_is_exact_past_u64() {
+        let mut s = LatencySketch::new();
+        for _ in 0..1000 {
+            s.record_ps(u64::MAX / 2);
+        }
+        assert_eq!(s.count(), 1000);
+        assert_eq!(s.total_ps(), 1000 * u128::from(u64::MAX / 2));
+    }
+
+    #[test]
+    fn merge_combines_extremes() {
+        let mut a = LatencySketch::new();
+        a.record_ps(100);
+        let mut b = LatencySketch::new();
+        b.record_ps(50);
+        b.record_ps(200);
+        a.merge(&b);
+        assert_eq!(a.count(), 3);
+        assert_eq!(a.total_ps(), 350);
+        assert_eq!(a.min_ps(), Some(50));
+        assert_eq!(a.max_ps(), Some(200));
+    }
+
+    #[test]
+    fn buckets_grow_by_octave_to_the_largest_sample() {
+        let octave_end = |v: u64| (bucket_of(v) / SUBBUCKETS + 1) * SUBBUCKETS;
+        let mut s = LatencySketch::new();
+        assert_eq!(s.counts.capacity(), 0, "an empty sketch allocates nothing");
+        s.record_ps(700_000);
+        s.record_ps(1_000);
+        assert_eq!(s.counts.len(), octave_end(700_000));
+        assert_eq!(s.counts.capacity(), s.counts.len());
+        let mut wide = LatencySketch::new();
+        wide.record_ps(5_000_000);
+        s.merge(&wide);
+        assert_eq!(s.counts.len(), octave_end(5_000_000));
+        wide.merge(&LatencySketch::new());
+        assert_eq!(wide.counts.len(), octave_end(5_000_000));
+        let mut small = LatencySketch::new();
+        small.record_ps(3);
+        assert_eq!(small.counts.len(), SUBBUCKETS);
+    }
+
+    #[test]
+    fn tail_is_p50_p99_p999() {
+        let mut s = LatencySketch::new();
+        for ps in 1..=1000u64 {
+            s.record_ps(ps);
+        }
+        let tail = s.tail_ps().unwrap();
+        assert_eq!(
+            tail,
+            [
+                s.quantile_ps(0.50).unwrap(),
+                s.quantile_ps(0.99).unwrap(),
+                s.quantile_ps(0.999).unwrap(),
+            ]
+        );
+        assert!(tail[0] <= tail[1] && tail[1] <= tail[2]);
     }
 
     #[test]
@@ -269,6 +410,18 @@ mod tests {
         let mut s = LatencySketch::new();
         s.record_ps(123);
         s.reset();
+        assert_eq!(s, LatencySketch::new());
+    }
+
+    #[test]
+    fn reset_drops_buckets_grown_by_a_large_sample() {
+        let mut s = LatencySketch::new();
+        s.record_ps(10_000_000);
+        assert!(!s.counts.is_empty());
+        s.reset();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.min_ps(), None);
+        assert!(s.counts.is_empty());
         assert_eq!(s, LatencySketch::new());
     }
 

@@ -89,20 +89,12 @@ impl EpochSeries {
     }
 }
 
-/// Convenience: a sketch's (p50, p99, p999) in picoseconds.
-pub(crate) fn tail_ps(sketch: &LatencySketch) -> Option<[u64; 3]> {
-    Some([
-        sketch.quantile_ps(0.50)?,
-        sketch.quantile_ps(0.99)?,
-        sketch.quantile_ps(0.999)?,
-    ])
-}
-
 /// The sink behind attached [`Probe`](crate::Probe)s: per-epoch
-/// completion timelines (requests, bytes, latency sums), per-source /
-/// per-cube latency sketches, and the sampled packet tracer. The sketch
-/// maps are `BTreeMap`s so iteration (and therefore any report built from
-/// a hub) is deterministic.
+/// completion timelines (requests, bytes, latency sums), per-cube latency
+/// sketches, and the sampled packet tracer. The sketch map is a
+/// `BTreeMap` so iteration (and therefore any report built from a hub) is
+/// deterministic. Per-port sketches live on the ports themselves
+/// (`PortReport::latency`).
 #[derive(Debug, Clone)]
 pub struct Hub {
     cfg: HubConfig,
@@ -114,7 +106,6 @@ pub struct Hub {
     /// Sum of completed-request latencies (ps) per epoch; divide by
     /// [`Hub::completion_count`] for a mean-latency timeline.
     completion_latency_ps: EpochSeries,
-    by_source: BTreeMap<u16, LatencySketch>,
     by_cube: BTreeMap<u8, LatencySketch>,
     tracer: Tracer,
 }
@@ -128,7 +119,6 @@ impl Hub {
             completion_bytes: EpochSeries::default(),
             completion_count: EpochSeries::default(),
             completion_latency_ps: EpochSeries::default(),
-            by_source: BTreeMap::new(),
             by_cube: BTreeMap::new(),
             tracer: Tracer::new(cfg.trace_sample),
         }
@@ -154,7 +144,6 @@ impl Hub {
         self.completion_bytes = EpochSeries::default();
         self.completion_count = EpochSeries::default();
         self.completion_latency_ps = EpochSeries::default();
-        self.by_source.clear();
         self.by_cube.clear();
     }
 
@@ -174,9 +163,6 @@ impl Hub {
         self.completion_count.absorb(&other.completion_count);
         self.completion_latency_ps
             .absorb(&other.completion_latency_ps);
-        for (k, s) in &other.by_source {
-            self.by_source.entry(*k).or_default().merge(s);
-        }
         for (k, s) in &other.by_cube {
             self.by_cube.entry(*k).or_default().merge(s);
         }
@@ -185,22 +171,11 @@ impl Hub {
 
     // --- event sinks (called via Probe) ---
 
-    pub(crate) fn on_completion(
-        &mut self,
-        source: u16,
-        cube: u8,
-        latency_ps: u64,
-        bytes: u64,
-        now: Time,
-    ) {
+    pub(crate) fn on_completion(&mut self, cube: u8, latency_ps: u64, bytes: u64, now: Time) {
         let e = self.epoch_of(now);
         self.completion_bytes.add(e, bytes);
         self.completion_count.add(e, 1);
         self.completion_latency_ps.add(e, latency_ps);
-        self.by_source
-            .entry(source)
-            .or_default()
-            .record_ps(latency_ps);
         self.by_cube.entry(cube).or_default().record_ps(latency_ps);
     }
 
@@ -255,11 +230,6 @@ impl Hub {
         &self.completion_latency_ps
     }
 
-    /// Latency sketch per source port.
-    pub fn source_sketches(&self) -> &BTreeMap<u16, LatencySketch> {
-        &self.by_source
-    }
-
     /// Latency sketch per target cube.
     pub fn cube_sketches(&self) -> &BTreeMap<u8, LatencySketch> {
         &self.by_cube
@@ -278,18 +248,12 @@ impl Hub {
     /// `(p50, p99, p999)` round-trip picoseconds across all completions,
     /// or `None` if nothing completed.
     pub fn aggregate_tail_ps(&self) -> Option<[u64; 3]> {
-        tail_ps(&self.aggregate_sketch())
-    }
-
-    /// `(p50, p99, p999)` round-trip picoseconds for one source port, or
-    /// `None` if it completed nothing.
-    pub fn source_tail_ps(&self, source: u16) -> Option<[u64; 3]> {
-        tail_ps(self.by_source.get(&source)?)
+        self.aggregate_sketch().tail_ps()
     }
 
     /// `(p50, p99, p999)` for one cube.
     pub fn cube_tail_ps(&self, cube: u8) -> Option<[u64; 3]> {
-        tail_ps(self.by_cube.get(&cube)?)
+        self.by_cube.get(&cube)?.tail_ps()
     }
 
     /// Whether the sampled packet tracer is active.
@@ -319,9 +283,9 @@ mod tests {
             epoch: Delay::from_us(1),
             trace_sample: None,
         });
-        h.on_completion(0, 3, 500, 32, Time::from_ns(100));
-        h.on_completion(0, 3, 700, 32, Time::from_ns(200));
-        h.on_completion(1, 3, 900, 64, Time::from_us(2) + Delay::from_ns(1));
+        h.on_completion(3, 500, 32, Time::from_ns(100));
+        h.on_completion(3, 700, 32, Time::from_ns(200));
+        h.on_completion(3, 900, 64, Time::from_us(2) + Delay::from_ns(1));
         let s = h.completion_count();
         assert_eq!(s.counts(), &[2, 0, 1]);
         assert_eq!(s.total(), 3);
@@ -337,24 +301,23 @@ mod tests {
             epoch: Delay::from_us(1),
             trace_sample: None,
         });
-        h.on_completion(0, 0, 500, 160, Time::from_ns(100));
+        h.on_completion(0, 500, 160, Time::from_ns(100));
         h.reset_window(Time::from_us(10));
         assert_eq!(h.epochs(), 0);
-        h.on_completion(1, 0, 700, 160, Time::from_us(10) + Delay::from_ns(50));
+        assert!(h.cube_tail_ps(0).is_none());
+        h.on_completion(1, 700, 160, Time::from_us(10) + Delay::from_ns(50));
         assert_eq!(h.completion_count().counts(), &[1]);
         // Only the post-reset completion survives in the sketches.
         assert_eq!(h.aggregate_sketch().count(), 1);
-        assert!(h.source_tail_ps(0).is_none());
-        assert_eq!(h.source_tail_ps(1), Some([700, 700, 700]));
+        assert_eq!(h.cube_tail_ps(1), Some([700, 700, 700]));
     }
 
     #[test]
-    fn completions_feed_source_and_cube_sketches() {
+    fn completions_feed_cube_sketches() {
         let mut h = Hub::new(HubConfig::default());
-        h.on_completion(4, 1, 1000, 160, Time::from_ns(10));
-        h.on_completion(4, 2, 3000, 160, Time::from_ns(20));
-        h.on_completion(5, 1, 2000, 32, Time::from_ns(30));
-        assert_eq!(h.source_sketches()[&4].count(), 2);
+        h.on_completion(1, 1000, 160, Time::from_ns(10));
+        h.on_completion(2, 3000, 160, Time::from_ns(20));
+        h.on_completion(1, 2000, 32, Time::from_ns(30));
         assert_eq!(h.cube_sketches()[&1].count(), 2);
         assert_eq!(h.aggregate_sketch().count(), 3);
         let [p50, p99, p999] = h.cube_tail_ps(1).unwrap();
@@ -369,9 +332,9 @@ mod tests {
             trace_sample: None,
         };
         let mut a = Hub::new(cfg);
-        a.on_completion(0, 0, 500, 160, Time::from_ns(200));
+        a.on_completion(0, 500, 160, Time::from_ns(200));
         let mut b = Hub::new(cfg);
-        b.on_completion(3, 1, 900, 32, Time::from_us(1));
+        b.on_completion(1, 900, 32, Time::from_us(1));
         let mut ab = Hub::new(cfg);
         ab.absorb(&a);
         ab.absorb(&b);
@@ -384,15 +347,15 @@ mod tests {
         );
         assert_eq!(ab.completion_bytes().total(), 192);
         assert_eq!(ab.aggregate_tail_ps(), ba.aggregate_tail_ps());
-        assert_eq!(ab.source_sketches()[&3].count(), 1);
+        assert_eq!(ab.cube_sketches()[&1].count(), 1);
     }
 
     #[test]
     fn absorb_into_a_fresh_hub_reproduces_the_shard() {
         let cfg = HubConfig::default();
         let mut shard = Hub::new(cfg);
-        shard.on_completion(2, 5, 400, 32, Time::from_ns(40));
-        shard.on_completion(3, 5, 600, 160, Time::from_ns(41));
+        shard.on_completion(5, 400, 32, Time::from_ns(40));
+        shard.on_completion(5, 600, 160, Time::from_ns(41));
         let mut total = Hub::new(cfg);
         total.absorb(&shard);
         assert_eq!(total.completion_count(), shard.completion_count());

@@ -4,7 +4,7 @@
 //! insights all come from *looking inside* the cube — per-vault bandwidth,
 //! link utilization, latency distributions under open- vs closed-loop load
 //! — but report-time aggregates can't show *when* bandwidth collapsed or
-//! *which* source's tail grew. This crate adds three layers:
+//! *which* cube's tail grew. This crate adds three layers:
 //!
 //! 1. [`Probe`] — a cheap, cloneable handle held by the components that
 //!    mark a request's lifecycle (`Port`, `HostModel`, `HmcDevice`, the
@@ -12,8 +12,9 @@
 //!    ([`Probe::off`]) each event call is a single branch on a `None`.
 //! 2. [`Hub`] — the sink behind attached probes: per-epoch **completion
 //!    timelines** (requests, round-trip bytes, latency sums) and
-//!    per-source / per-cube [`hmc_stats::LatencySketch`] quantile sketches
-//!    for streaming p50/p99/p999.
+//!    per-cube [`hmc_stats::LatencySketch`] quantile sketches for
+//!    streaming p50/p99/p999. Per-port sketches need no hub: every port
+//!    records one into its run report.
 //! 3. a **packet-lifecycle tracer** that samples every Nth issued request
 //!    and emits Chrome `trace_event` JSON ([`Hub::trace_json`]), one track
 //!    per component the packet crosses — open it in `chrome://tracing` or
@@ -30,7 +31,7 @@
 //!
 //! let hub = Hub::shared(HubConfig::default());
 //! let probe = Probe::attached(&hub);
-//! probe.completion(0, 0, 1_500_000, 160, Time::from_us(2));
+//! probe.completion(0, 1_500_000, 160, Time::from_us(2));
 //! assert_eq!(hub.borrow().aggregate_sketch().count(), 1);
 //! ```
 

@@ -68,11 +68,11 @@ impl Probe {
         }
     }
 
-    /// A request completed its round trip: `source` port, target `cube`,
-    /// measured `latency_ps`, `bytes` moved on the links.
+    /// A request completed its round trip: target `cube`, measured
+    /// `latency_ps`, `bytes` moved on the links.
     #[inline]
-    pub fn completion(&self, source: u16, cube: u8, latency_ps: u64, bytes: u64, now: Time) {
-        self.with(|h| h.on_completion(source, cube, latency_ps, bytes, now));
+    pub fn completion(&self, cube: u8, latency_ps: u64, bytes: u64, now: Time) {
+        self.with(|h| h.on_completion(cube, latency_ps, bytes, now));
     }
 
     /// Restart the measurement window (end of warmup): clears counters
@@ -111,7 +111,7 @@ mod tests {
     fn detached_probe_is_inert() {
         let p = Probe::off();
         assert!(!p.is_on());
-        p.completion(0, 0, 100, 160, Time::ZERO);
+        p.completion(0, 100, 160, Time::ZERO);
         p.reset_window(Time::ZERO);
     }
 
@@ -120,9 +120,9 @@ mod tests {
         let hub = Hub::shared(HubConfig::default());
         let p = Probe::attached(&hub);
         let q = p.clone(); // clones share the hub
-        p.completion(2, 0, 1_000, 160, Time::from_ns(1));
-        q.completion(2, 0, 3_000, 160, Time::from_ns(2));
+        p.completion(2, 1_000, 160, Time::from_ns(1));
+        q.completion(2, 3_000, 160, Time::from_ns(2));
         assert!(p.is_on());
-        assert_eq!(hub.borrow().source_sketches()[&2].count(), 2);
+        assert_eq!(hub.borrow().cube_sketches()[&2].count(), 2);
     }
 }
