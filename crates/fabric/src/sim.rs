@@ -1770,9 +1770,10 @@ impl FabricSim {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, `specs` is empty, a spec
-    /// statically targets a cube outside the fabric, or an addressed
-    /// spec's map disagrees with the fabric's cube count.
+    /// Panics if the configuration is invalid, `specs` is empty or holds
+    /// more than [`HostModel::MAX_PORTS`] ports, a spec statically
+    /// targets a cube outside the fabric, or an addressed spec's map
+    /// disagrees with the fabric's cube count.
     pub fn new(cfg: FabricConfig, specs: Vec<FabricPortSpec>) -> FabricSim {
         FabricSim::with_telemetry(cfg, specs, Probe::off())
     }
@@ -1793,6 +1794,12 @@ impl FabricSim {
     ) -> FabricSim {
         cfg.validate().expect("valid fabric config");
         assert!(!specs.is_empty(), "a system needs at least one port");
+        assert!(
+            specs.len() <= HostModel::MAX_PORTS,
+            "{} ports exceed the host's {}-port arbiter",
+            specs.len(),
+            HostModel::MAX_PORTS
+        );
         for s in &specs {
             match s.targeting {
                 CubeTargeting::Fixed(cube) => assert!(
@@ -2227,6 +2234,14 @@ mod tests {
         let cfg = FabricConfig::chain(0, 2);
         let trace = one_read_trace(&cfg, 0);
         let _ = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId(5))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "65 ports exceed the host's 64-port arbiter")]
+    fn port_count_is_bounded_by_the_host_arbiter() {
+        let cfg = FabricConfig::chain(0, 1);
+        let trace = one_read_trace(&cfg, 0);
+        let _ = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId(0)); 65]);
     }
 
     #[test]

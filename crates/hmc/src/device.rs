@@ -201,7 +201,7 @@ pub struct DeviceStats {
 /// 2. [`HmcDevice::advance`] to process internal work up to `now`,
 ///    collecting [`DeviceOutput`]s (responses and token returns);
 /// 3. [`HmcDevice::next_wake`] to learn when internal state next changes
-///    on its own.
+///    on its own, as of that `advance`.
 ///
 /// # Examples
 ///
@@ -254,6 +254,18 @@ pub struct HmcDevice {
     req_dirty: u32,
     /// Response-plane counterpart of `req_dirty`.
     resp_dirty: u32,
+    /// Bitmask of upstream serializers that may send: set when a response
+    /// is enqueued and when a token return relieves a starved head. A
+    /// clean serializer is empty or token-starved, so servicing it would
+    /// commit nothing.
+    link_dirty: u32,
+    /// Each quadrant's `[request, response]` switch busy-interval expiry
+    /// (`SwitchCore::next_wake(Time::ZERO)`) as of the end of the last
+    /// `advance`. Between advances only `on_request` mutates a switch, and
+    /// it marks that switch dirty.
+    sw_exp: Vec<[Option<Time>; 2]>,
+    /// The earliest entry of `sw_exp`.
+    sw_next: Option<Time>,
     /// Reused output buffer (returned as a view by `advance`).
     outputs: DeviceOutputs,
     /// Reused departure scratch for request-plane switch service.
@@ -341,6 +353,7 @@ impl HmcDevice {
             .collect::<Vec<_>>();
         let vault_count = usize::from(g.vaults);
         assert!(quadrants <= 32, "dirty bitmasks cover up to 32 quadrants");
+        assert!(link_tx.len() <= 32, "dirty bitmasks cover up to 32 links");
         HmcDevice {
             cfg,
             ports,
@@ -360,6 +373,9 @@ impl HmcDevice {
             },
             req_dirty: 0,
             resp_dirty: 0,
+            link_dirty: 0,
+            sw_exp: vec![[None; 2]; quadrants],
+            sw_next: None,
             outputs: DeviceOutputs::new(),
             req_dep_scratch: Departures::new(),
             resp_dep_scratch: Departures::new(),
@@ -421,7 +437,9 @@ impl HmcDevice {
     /// Returns host-RX-buffer tokens to the upstream serializer of `link`
     /// (the host drained `flits` flits of responses).
     pub fn return_response_tokens(&mut self, link: LinkId, flits: u32) {
-        self.link_tx[link.index()].return_tokens(flits);
+        if self.link_tx[link.index()].return_tokens(flits) {
+            self.link_dirty |= 1 << link.index();
+        }
     }
 
     /// Processes all internal events up to and including `now` and runs the
@@ -435,18 +453,46 @@ impl HmcDevice {
     /// Servicing a clean switch is a no-op — the arbiter does not rotate
     /// and no counter moves on a grantless pass — so the gate is
     /// observably pure and removes the ~96% of service calls that used to
-    /// scan loaded runs without forwarding anything.
+    /// scan loaded runs without forwarding anything. Upstream serializers
+    /// are gated the same way: one is serviced only after a response was
+    /// enqueued on it or a token return relieved its starved head, since
+    /// a clean one is empty or token-starved. The fixpoint ends as soon as
+    /// no vault, switch or serializer is dirty.
+    ///
+    /// Each switch's busy-interval expiry is computed once, at the end of
+    /// the call, and stored: the next call reads the stored expiries to
+    /// find the switches that became ready on their own, and
+    /// [`HmcDevice::next_wake`] reads their minimum.
     pub fn advance(&mut self, now: Time) -> &DeviceOutputs {
         self.outputs.clear();
         // Phase 0: switches whose busy-interval deadlines expired by `now`
         // can progress on their own — mark them dirty. (Credit- and
         // enqueue-driven progress marks dirty at the mutation site.)
-        for q in 0..self.req_sw.len() {
-            if SwitchCore::next_wake(&self.req_sw[q], Time::ZERO).is_some_and(|t| t <= now) {
-                self.req_dirty |= 1 << q;
+        #[cfg(debug_assertions)]
+        for (q, exp) in self.sw_exp.iter().enumerate() {
+            if self.req_dirty & (1 << q) == 0 {
+                debug_assert_eq!(
+                    exp[0],
+                    self.req_sw[q].next_wake(Time::ZERO),
+                    "stale switch expiry"
+                );
             }
-            if SwitchCore::next_wake(&self.resp_sw[q], Time::ZERO).is_some_and(|t| t <= now) {
-                self.resp_dirty |= 1 << q;
+            if self.resp_dirty & (1 << q) == 0 {
+                debug_assert_eq!(
+                    exp[1],
+                    self.resp_sw[q].next_wake(Time::ZERO),
+                    "stale switch expiry"
+                );
+            }
+        }
+        if self.sw_next.is_some_and(|t| t <= now) {
+            for (q, [req, resp]) in self.sw_exp.iter().enumerate() {
+                if req.is_some_and(|t| t <= now) {
+                    self.req_dirty |= 1 << q;
+                }
+                if resp.is_some_and(|t| t <= now) {
+                    self.resp_dirty |= 1 << q;
+                }
             }
         }
         // Phase 1: deliver due calendar events.
@@ -493,6 +539,7 @@ impl HmcDevice {
                     let l = resp.link.index();
                     let flits = resp.pkt.flits();
                     self.link_tx[l].enqueue(resp.pkt, flits);
+                    self.link_dirty |= 1 << l;
                     // The egress buffer slot frees as the packet enters the
                     // serializer queue.
                     let q = self.ports.quad_of_link(resp.link);
@@ -507,12 +554,13 @@ impl HmcDevice {
                 }
             }
         }
-        // Phase 2: fixpoint over dirty vaults, dirty switches and links.
-        loop {
-            let mut progress = false;
+        // Phase 2: fixpoint over dirty vaults, switches and serializers.
+        while !self.dirty_vaults.list.is_empty()
+            || self.req_dirty | self.resp_dirty | self.link_dirty != 0
+        {
             // Vault pipelines.
             while let Some(v) = self.dirty_vaults.pop() {
-                progress |= self.pump_vault(v, now);
+                self.pump_vault(v, now);
             }
             // Request-plane switches.
             for q in 0..self.req_sw.len() {
@@ -522,7 +570,6 @@ impl HmcDevice {
                 self.req_dirty &= !(1 << q);
                 self.req_sw[q].service_into(now, &mut self.req_dep_scratch);
                 for d in self.req_dep_scratch.drain() {
-                    progress = true;
                     if d.input == LINK_PORT {
                         let link = self.link_of_quad[q].expect("link-attached quadrant");
                         self.outputs.push(DeviceOutput::RequestTokens {
@@ -563,7 +610,6 @@ impl HmcDevice {
                 self.resp_dirty &= !(1 << q);
                 self.resp_sw[q].service_into(now, &mut self.resp_dep_scratch);
                 for d in self.resp_dep_scratch.drain() {
-                    progress = true;
                     if let Some(slot) = self.ports.vault_slot(d.input) {
                         // Input buffer space freed: the vault may push its
                         // next blocked response.
@@ -594,10 +640,13 @@ impl HmcDevice {
                 }
             }
             // Upstream serializers.
-            for l in 0..self.link_tx.len() {
+            let mut links = self.link_dirty;
+            self.link_dirty = 0;
+            while links != 0 {
+                let l = links.trailing_zeros() as usize;
+                links &= links - 1;
                 self.link_tx[l].service_into(now, &mut self.delivery_scratch);
                 for delivery in self.delivery_scratch.drain() {
-                    progress = true;
                     self.probe.trace_mark(
                         u16::from(delivery.payload.port.0),
                         delivery.payload.tag.0,
@@ -611,10 +660,21 @@ impl HmcDevice {
                     });
                 }
             }
-            if !progress {
-                break;
-            }
         }
+        debug_assert!(
+            self.link_tx
+                .iter()
+                .all(|tx| tx.head_flits().is_none_or(|f| f > tx.tokens_available())),
+            "clean serializer could send"
+        );
+        for (exp, (req, resp)) in self
+            .sw_exp
+            .iter_mut()
+            .zip(self.req_sw.iter().zip(&self.resp_sw))
+        {
+            *exp = [req.next_wake(Time::ZERO), resp.next_wake(Time::ZERO)];
+        }
+        self.sw_next = self.sw_exp.iter().flatten().flatten().copied().min();
         &self.outputs
     }
 
@@ -622,22 +682,16 @@ impl HmcDevice {
     /// input, or `None` if the device is quiescent. The calendar is
     /// absolute, so unlike the [`hmc_des::wake`] protocol's cores this
     /// query takes no `now`.
+    ///
+    /// The answer reflects the device as of the last
+    /// [`HmcDevice::advance`], which stores the switches' busy-interval
+    /// expiries: call it after `advance`, as the three-call order in the
+    /// type docs does.
     pub fn next_wake(&self) -> Option<Time> {
-        let mut wake = self.calendar.next;
-        let consider = |wake: &mut Option<Time>, t: Option<Time>| {
-            if let Some(t) = t {
-                *wake = Some(wake.map_or(t, |w| w.min(t)));
-            }
-        };
-        // Switch wakes depend on "now"; using Time::ZERO yields every
-        // pending busy-interval expiry, which is what we need here.
-        for sw in &self.req_sw {
-            consider(&mut wake, sw.next_wake(Time::ZERO));
+        match (self.calendar.next, self.sw_next) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        for sw in &self.resp_sw {
-            consider(&mut wake, sw.next_wake(Time::ZERO));
-        }
-        wake
     }
 
     /// Requests currently resident in the vault controllers (ingress
@@ -671,11 +725,6 @@ impl HmcDevice {
     /// Immutable view of a vault controller (for experiment statistics).
     pub fn vault(&self, v: VaultId) -> &VaultCtrl {
         &self.vaults[v.index()]
-    }
-
-    /// Upstream (response-direction) link transmitter statistics.
-    pub fn link_stats(&self, link: LinkId) -> hmc_link::LinkStats {
-        self.link_tx[link.index()].stats()
     }
 
     /// Peak-occupancy census across every internal buffer, as
@@ -716,18 +765,14 @@ impl HmcDevice {
 
     // -- internals ---------------------------------------------------------
 
-    /// Runs one vault's pipeline stages; returns whether anything moved.
-    fn pump_vault(&mut self, v: usize, now: Time) -> bool {
-        let mut progress = false;
+    /// Runs one vault's pipeline stages.
+    fn pump_vault(&mut self, v: usize, now: Time) {
         let q = v / self.ports.vaults_per_quad;
         let slot = v % self.ports.vaults_per_quad;
         // Ingress → bank queues (freeing NoC credits).
         let freed = self.vaults[v].pump_ingress();
-        if freed > 0 {
-            if self.req_sw[q].return_credits(self.ports.vault_port(slot), freed) {
-                self.req_dirty |= 1 << q;
-            }
-            progress = true;
+        if freed > 0 && self.req_sw[q].return_credits(self.ports.vault_port(slot), freed) {
+            self.req_dirty |= 1 << q;
         }
         // Completed responses → response switch.
         while let Some((bank, req)) = self.vaults[v].ready_response() {
@@ -749,7 +794,6 @@ impl HmcDevice {
                     self.resp_dirty |= 1 << q;
                     self.probe
                         .trace_mark(t_port, t_tag, Stage::ResponseReady, now);
-                    progress = true;
                 }
                 Err(_) => break,
             }
@@ -762,8 +806,6 @@ impl HmcDevice {
                 completion + ctrl_out,
                 InternalEvent::BankComplete { vault: v, bank },
             );
-            progress = true;
         }
-        progress
     }
 }

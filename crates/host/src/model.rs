@@ -78,6 +78,11 @@ pub struct HostModel {
     /// [`HostModel::next_wake`] — queried after every message — skip
     /// re-deriving each port's tag/state condition.
     port_hints: Vec<Option<Time>>,
+    /// Flits of each port FIFO's head packet, 0 for an empty FIFO, kept
+    /// at every push into an empty FIFO and every pop. The arbiter's
+    /// ready mask and [`HostModel::next_wake`]'s smallest head read it
+    /// instead of peeking every FIFO.
+    head_flits: Vec<u32>,
     /// Reused event buffer (returned as a view by `tick`/`pump_links`/
     /// `on_response_arrival`/`on_request_tokens`).
     events: HostEvents,
@@ -87,14 +92,25 @@ pub struct HostModel {
 }
 
 impl HostModel {
+    /// Most ports one host may have: the port arbiter takes its ready set
+    /// as one `u64` bitmask.
+    pub const MAX_PORTS: usize = 64;
+
     /// Builds a host over the given ports.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or `ports` is empty.
+    /// Panics if the configuration is invalid, `ports` is empty, or it
+    /// holds more than [`HostModel::MAX_PORTS`] ports.
     pub fn new(cfg: HostConfig, ports: Vec<Port>) -> HostModel {
         cfg.validate().expect("valid host config");
         assert!(!ports.is_empty(), "host needs at least one port");
+        assert!(
+            ports.len() <= HostModel::MAX_PORTS,
+            "host has {} ports; its arbiter's ready mask covers at most {}",
+            ports.len(),
+            HostModel::MAX_PORTS
+        );
         let fifos = ports
             .iter()
             .map(|_| BoundedQueue::new(cfg.port_fifo_packets))
@@ -109,6 +125,7 @@ impl HostModel {
         let arb = RoundRobinArbiter::new(ports.len());
         let rx_busy = vec![Time::ZERO; ports.len()];
         let port_hints = ports.iter().map(Port::wake_hint).collect();
+        let head_flits = vec![0; ports.len()];
         HostModel {
             cfg,
             ports,
@@ -119,6 +136,7 @@ impl HostModel {
             link_tx,
             rx_busy,
             port_hints,
+            head_flits,
             events: HostEvents::new(),
             delivery_scratch: Deliveries::new(),
             probe: Probe::off(),
@@ -149,6 +167,9 @@ impl HostModel {
         for i in 0..self.ports.len() {
             if !self.fifos[i].is_full() {
                 if let Some(pkt) = self.ports[i].try_issue(now) {
+                    if self.fifos[i].is_empty() {
+                        self.head_flits[i] = pkt.flits();
+                    }
                     self.fifos[i].push(pkt).expect("checked not full");
                 }
                 // Issue attempts advance the source (and may consume the
@@ -199,12 +220,17 @@ impl HostModel {
                 })
                 .max_by_key(|&(l, room)| (room, std::cmp::Reverse(l)));
             let Some((link, room)) = candidate else { break };
-            let fifos = &self.fifos;
-            let granted = self
-                .arb
-                .grant(|p| fifos[p].peek().is_some_and(|pkt| pkt.flits() <= room));
-            let Some(p) = granted else { break };
+            let ready = self
+                .head_flits
+                .iter()
+                .enumerate()
+                .filter(|&(_, &f)| f != 0 && f <= room)
+                .fold(0u64, |mask, (p, _)| mask | 1 << p);
+            let Some(p) = self.arb.grant_mask(ready) else {
+                break;
+            };
             let pkt = self.fifos[p].pop().expect("granted head exists");
+            self.head_flits[p] = self.fifos[p].peek().map_or(0, RequestPacket::flits);
             self.stage_admit_at[link] = now + self.cfg.fpga_period;
             self.probe
                 .trace_mark(u16::from(pkt.port.0), pkt.tag.0, Stage::HostLink, now);
@@ -332,6 +358,11 @@ impl HostModel {
         };
         for (i, (hint, fifo)) in self.port_hints.iter().zip(&self.fifos).enumerate() {
             debug_assert_eq!(*hint, self.ports[i].wake_hint(), "stale port wake hint");
+            debug_assert_eq!(
+                self.head_flits[i],
+                fifo.peek().map_or(0, RequestPacket::flits),
+                "stale FIFO head size"
+            );
             if fifo.is_full() {
                 continue;
             }
@@ -343,12 +374,7 @@ impl HostModel {
         // per-cycle admission gate and the wire-drain room bound both
         // satisfied. `wire_room_at` is monotone in `flits`, so the
         // smallest head gives every link's earliest admission.
-        let min_head = self
-            .fifos
-            .iter()
-            .filter_map(|f| f.peek())
-            .map(|p| p.flits())
-            .min();
+        let min_head = self.head_flits.iter().copied().filter(|&f| f != 0).min();
         if let Some(flits) = min_head {
             for (l, &admit) in self.stage_admit_at.iter().enumerate() {
                 if let Some(room) = self.wire_room_at(l, flits, now) {

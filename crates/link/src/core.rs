@@ -45,8 +45,12 @@ pub struct LinkStats {
     pub packets_sent: u64,
     /// Flits fully serialized onto the wire (delivered transmissions).
     pub flits_sent: u64,
-    /// Service attempts that found a head-of-queue packet but no tokens —
-    /// a direct measure of receiver-buffer backpressure.
+    /// Service passes that found a head-of-queue packet but no tokens —
+    /// a measure of receiver-buffer backpressure. It counts passes, not
+    /// time: the device's upstream serializers and the pass-through
+    /// stages' serializers are serviced only after a change marks them
+    /// (an enqueue, or a token return to a starved head), so a starved
+    /// head is counted once per such change.
     pub token_stalls: u64,
     /// Peak occupancy of the sender-side queue, in flits.
     pub peak_queue_flits: u32,
@@ -210,6 +214,12 @@ impl<P> LinkTx<P> {
     #[inline]
     pub fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Flits of the packet at the head of the sender queue, if any.
+    #[inline]
+    pub fn head_flits(&self) -> Option<u32> {
+        self.queue.front().map(|&(flits, _)| flits)
     }
 
     /// Tokens currently available (receiver buffer space).

@@ -58,6 +58,11 @@ impl RoundRobinArbiter {
     /// whether requester `i` wants the resource.
     ///
     /// Returns `None` if no requester is ready.
+    ///
+    /// The simulator's hot paths (switch outputs, the host's port
+    /// arbiter) call [`RoundRobinArbiter::grant_mask`] instead; this
+    /// per-requester scan stays as the reference that the property tests
+    /// check `grant_mask` against.
     pub fn grant<F: FnMut(usize) -> bool>(&mut self, mut ready: F) -> Option<usize> {
         let mut contenders = 0usize;
         let mut winner = None;
