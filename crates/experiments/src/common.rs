@@ -128,6 +128,25 @@ impl ExpContext {
         parallel_map_with_threads(items, self.threads, f)
     }
 
+    /// Runs `sim`'s GUPS firmware for this context's warmup and
+    /// measurement windows on this context's domain budget, recording
+    /// its engine counters.
+    pub fn run_gups(&self, sim: FabricSim) -> RunReport {
+        let mut sim = sim.with_domains(self.domains);
+        let report = sim.run_gups(self.gups_warmup(), self.gups_measure());
+        self.stats.record(&sim.engine_stats());
+        report
+    }
+
+    /// Runs `sim`'s stream firmware to completion on this context's
+    /// domain budget, recording its engine counters.
+    pub fn run_streams(&self, sim: FabricSim) -> RunReport {
+        let mut sim = sim.with_domains(self.domains);
+        let report = sim.run_streams();
+        self.stats.record(&sim.engine_stats());
+        report
+    }
+
     /// GUPS warmup window.
     pub fn gups_warmup(&self) -> Delay {
         match self.scale {
@@ -284,10 +303,7 @@ pub fn gups_run(
     let cfg = FabricConfig::chain(seed, 1);
     let filter = pattern.filter(&cfg.cube.map);
     let specs = vec![FabricPortSpec::gups(filter, op, CubeId::HOST); ports];
-    let mut sim = FabricSim::new(cfg, specs);
-    let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-    ctx.stats.record(&sim.engine_stats());
-    report
+    ctx.run_gups(FabricSim::new(cfg, specs))
 }
 
 /// Runs one multi-port stream experiment from explicit traces.
@@ -297,10 +313,7 @@ pub fn stream_run(ctx: &ExpContext, seed: u64, traces: Vec<Trace>) -> RunReport 
         .into_iter()
         .map(|trace| FabricPortSpec::stream(trace, CubeId::HOST))
         .collect();
-    let mut sim = FabricSim::new(cfg, specs);
-    let report = sim.run_streams();
-    ctx.stats.record(&sim.engine_stats());
-    report
+    ctx.run_streams(FabricSim::new(cfg, specs))
 }
 
 /// The four request sizes every figure sweeps.

@@ -64,18 +64,14 @@ pub fn chain_for_lengths(ctx: &ExpContext, lengths: Vec<u8>) -> Vec<ChainPoint> 
             1,
             ctx.seed_for("ext-chain-unloaded", u64::from(n)),
         );
-        let mut sim =
-            FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, far)]).with_domains(ctx.domains);
-        let unloaded = sim.run_streams().mean_latency_ns();
-        ctx.stats.record(&sim.engine_stats());
+        let sim = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, far)]);
+        let unloaded = ctx.run_streams(sim).mean_latency_ns();
 
         // Loaded: nine GUPS ports of 128 B reads over all vaults.
         let cfg = mk();
         let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
         let specs = vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), far); 9];
-        let mut sim = FabricSim::new(cfg, specs).with_domains(ctx.domains);
-        let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-        ctx.stats.record(&sim.engine_stats());
+        let report = ctx.run_gups(FabricSim::new(cfg, specs));
 
         ChainPoint {
             cubes: n,
@@ -145,11 +141,8 @@ pub fn star(ctx: &ExpContext) -> Vec<StarPoint> {
             1,
             ctx2.seed_for("ext-star-unloaded", u64::from(c)),
         );
-        let mut sim = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId(c))])
-            .with_domains(ctx2.domains);
-        let unloaded = sim.run_streams().mean_latency_ns();
-        ctx2.stats.record(&sim.engine_stats());
-        unloaded
+        let sim = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId(c))]);
+        ctx2.run_streams(sim).mean_latency_ns()
     });
 
     // Loaded: two 128 B GUPS ports per cube, all vaults.
@@ -160,9 +153,7 @@ pub fn star(ctx: &ExpContext) -> Vec<StarPoint> {
             vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId(c)); 2]
         })
         .collect();
-    let mut sim = FabricSim::new(cfg, specs).with_domains(ctx.domains);
-    let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-    ctx.stats.record(&sim.engine_stats());
+    let report = ctx.run_gups(FabricSim::new(cfg, specs));
 
     (0..STAR_CUBES)
         .map(|c| StarPoint {

@@ -94,13 +94,12 @@ fn run_point(ctx: &ExpContext, idx: usize, label: &'static str, spec: &str) -> F
     let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
     let port = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     let specs = vec![port; port_count(ctx)];
-    let mut sim = FabricSim::new(cfg, specs).with_domains(ctx.domains);
+    let mut sim = FabricSim::new(cfg, specs);
     if !spec.is_empty() {
         let plan = FaultPlan::parse(seed, spec).expect("scenario spec parses");
         sim = sim.with_faults(plan).expect("scenario plan arms");
     }
-    let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-    ctx.stats.record(&sim.engine_stats());
+    let report = ctx.run_gups(sim);
     let tails = report
         .latency_tail_ps()
         .expect("a saturated run records completions");

@@ -79,9 +79,7 @@ fn run_point(
     // window spreads across every cube.
     let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     let specs = vec![spec; port_count(ctx)];
-    let mut sim = FabricSim::new(cfg, specs).with_domains(ctx.domains);
-    let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-    ctx.stats.record(&sim.engine_stats());
+    let report = ctx.run_gups(FabricSim::new(cfg, specs));
     let total: u64 = CubeId::all(cubes).map(|c| report.cube_completions(c)).sum();
     IntercubePoint {
         topology,

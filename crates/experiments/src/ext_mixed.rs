@@ -89,9 +89,7 @@ pub fn run(ctx: &ExpContext) -> Vec<MixedPoint> {
             );
             bg
         ]);
-        let mut sim = FabricSim::new(cfg, specs).with_domains(ctx2.domains);
-        let report = sim.run_gups(ctx2.gups_warmup(), ctx2.gups_measure());
-        ctx2.stats.record(&sim.engine_stats());
+        let report = ctx2.run_gups(FabricSim::new(cfg, specs));
         let mut point = MixedPoint {
             background: bg,
             chase_reads: 0,

@@ -108,10 +108,8 @@ pub fn chain(ctx: &ExpContext) -> Vec<OffloadPoint> {
         let cfg = FabricConfig::chain(ctx.seed_for("ext-offload-chain", u64::from(n)), n);
         let map = cfg.cube.map;
         let far = CubeId(n - 1);
-        let mut sim = FabricSim::new(cfg, vec![offload_spec(map, far, blocks, DEFAULT_WINDOW)])
-            .with_domains(ctx.domains);
-        let report = sim.run_streams();
-        ctx.stats.record(&sim.engine_stats());
+        let sim = FabricSim::new(cfg, vec![offload_spec(map, far, blocks, DEFAULT_WINDOW)]);
+        let report = ctx.run_streams(sim);
         point_from(&report, n - 1, u32::from(n - 1), DEFAULT_WINDOW, blocks)
     })
 }
@@ -128,13 +126,11 @@ pub fn star(ctx: &ExpContext) -> Vec<OffloadPoint> {
         );
         let hops = cfg.routes().hops(CubeId(0), CubeId(c));
         let map = cfg.cube.map;
-        let mut sim = FabricSim::new(
+        let sim = FabricSim::new(
             cfg,
             vec![offload_spec(map, CubeId(c), blocks, DEFAULT_WINDOW)],
-        )
-        .with_domains(ctx.domains);
-        let report = sim.run_streams();
-        ctx.stats.record(&sim.engine_stats());
+        );
+        let report = ctx.run_streams(sim);
         point_from(&report, c, hops, DEFAULT_WINDOW, blocks)
     })
 }
@@ -158,10 +154,8 @@ pub fn windows(ctx: &ExpContext) -> Vec<OffloadPoint> {
             ctx.seed_for("ext-offload-window", u64::from(w)),
         );
         let map = cfg.cube.map;
-        let mut sim = FabricSim::new(cfg, vec![offload_spec(map, CubeId(0), blocks, w)])
-            .with_domains(ctx.domains);
-        let report = sim.run_streams();
-        ctx.stats.record(&sim.engine_stats());
+        let sim = FabricSim::new(cfg, vec![offload_spec(map, CubeId(0), blocks, w)]);
+        let report = ctx.run_streams(sim);
         point_from(&report, 0, 0, w, blocks)
     })
 }

@@ -77,9 +77,7 @@ fn run_point(ctx: &ExpContext, topology: Topology, cubes: u8) -> ScalePoint {
     // footprint spreads across however many cubes the fabric has.
     let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
     let specs = vec![spec; PORTS];
-    let mut sim = FabricSim::new(cfg, specs).with_domains(ctx.domains);
-    let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-    ctx.stats.record(&sim.engine_stats());
+    let report = ctx.run_gups(FabricSim::new(cfg, specs));
     let total: u64 = CubeId::all(cubes).map(|c| report.cube_completions(c)).sum();
     ScalePoint {
         topology,

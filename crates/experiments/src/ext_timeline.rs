@@ -76,9 +76,7 @@ fn run_point(ctx: &ExpContext, label: &'static str, tags: u16) -> TimelinePoint 
         epoch,
         trace_sample: None,
     });
-    let mut sim = FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub));
-    let report = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-    ctx.stats.record(&sim.engine_stats());
+    let report = ctx.run_gups(FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub)));
     let hub = hub.borrow();
     let epoch_ps = hub.epoch_ps() as f64;
     let rows = (0..hub.epochs())
@@ -196,9 +194,7 @@ pub fn traced_run(ctx: &ExpContext, sample: u64) -> (String, usize) {
         epoch: epoch_width(ctx),
         trace_sample: Some(sample.max(1)),
     });
-    let mut sim = FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub));
-    let _ = sim.run_gups(ctx.gups_warmup(), ctx.gups_measure());
-    ctx.stats.record(&sim.engine_stats());
+    let _ = ctx.run_gups(FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub)));
     let hub = hub.borrow();
     (hub.trace_json(), hub.traced_slices())
 }

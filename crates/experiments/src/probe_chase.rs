@@ -71,9 +71,7 @@ pub fn chain_with_threads(ctx: &ExpContext, threads: usize) -> Vec<ChainChasePoi
             },
             far,
         );
-        let mut sim = FabricSim::new(cfg, vec![spec]).with_domains(ctx.domains);
-        let report = sim.run_streams();
-        ctx.stats.record(&sim.engine_stats());
+        let report = ctx.run_streams(FabricSim::new(cfg, vec![spec]));
         ChainChasePoint {
             cubes: n,
             hops: u32::from(n - 1),
@@ -139,9 +137,7 @@ pub fn walkers(ctx: &ExpContext) -> Vec<WalkerPoint> {
             CubeId::HOST,
         )
         .with_tags(w.max(1));
-        let mut sim = FabricSim::new(cfg, vec![spec]);
-        let report = sim.run_streams();
-        ctx.stats.record(&sim.engine_stats());
+        let report = ctx.run_streams(FabricSim::new(cfg, vec![spec]));
         let reads = report.total_reads();
         let elapsed_ps = report.elapsed.as_ps() as f64;
         WalkerPoint {

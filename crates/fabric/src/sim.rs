@@ -12,8 +12,12 @@
 //! at the cube — the multi-cube extension of the paper's central claim
 //! that the NoC, not the DRAM, governs loaded latency.
 //!
-//! With `cube_count == 1` the component graph is exactly the single-cube
-//! system (host wired straight to the device, no pass-through stage), so
+//! The engine sees one component for the host and one per cube. A cube
+//! component owns its device and, in a fabric, its pass-through stage;
+//! the host always talks to cube 0's component the same way, and only
+//! the cube decides where host traffic lands. With `cube_count == 1`
+//! there is no pass-through stage: host requests and token returns go
+//! straight into the device, exactly the paper's single-cube system, so
 //! single-cube results are unchanged by the fabric machinery.
 //!
 //! # Parallel domains
@@ -228,6 +232,12 @@ enum Msg {
     PortDeliver { pkt: ResponsePacket },
     /// Request-direction tokens freed toward the host's transmitter.
     ReturnRequestTokens { link: LinkId, flits: u32 },
+    /// A request fully arrived from the host at cube 0 on host link
+    /// `link`.
+    HostRequest { link: LinkId, pkt: RequestPacket },
+    /// The host freed response-direction buffer space on host link
+    /// `link`; the tokens return to cube 0's transmitter.
+    HostTokens { link: LinkId, flits: u32 },
     /// A request fully arrived at a device on `link`.
     DeviceRequest { link: LinkId, pkt: RequestPacket },
     /// The downstream receiver freed response-direction buffer space.
@@ -260,8 +270,8 @@ struct Envelope {
 /// its contents onto the edge's channel after each `run_until`.
 type Outbox = Rc<RefCell<Vec<Envelope>>>;
 
-/// A domain's inbound channels, each tagged with the sending cube whose
-/// adapter the delivered envelopes address.
+/// A domain's inbound channels, each tagged with the owned cube whose
+/// component the delivered envelopes address.
 type Inboxes = Vec<(usize, Receiver<Envelope>)>;
 
 /// Where a fabric edge's messages go: straight into the shared engine
@@ -336,23 +346,10 @@ enum RunKind {
     Streams,
 }
 
-/// Where the host's request traffic goes.
-enum Downstream {
-    /// Single cube: straight into the device, as in the paper's system.
-    Direct { device: ComponentId },
-    /// Multi-cube: into cube 0's pass-through stage. The destination cube
-    /// is read off each packet's CUB field — the host's port logic
-    /// stamped it when it split the workload's address.
-    Fabric {
-        adapter: ComponentId,
-        /// Index of the first host-facing port on cube 0's crossbar.
-        host_port_base: usize,
-    },
-}
-
 struct HostComp {
     model: HostModel,
-    down: Option<Downstream>,
+    /// Cube 0's component, the receiver of every host link.
+    cube0: ComponentId,
     mode: RunMode,
     period: Delay,
     /// The tick timer: armed at the model's next interesting FPGA cycle,
@@ -366,47 +363,22 @@ struct HostComp {
 
 impl HostComp {
     /// Relays a view of the host model's reused event buffer. An
-    /// associated function over the `down` field (not `&self`) so callers
+    /// associated function over the `cube0` id (not `&self`) so callers
     /// can hold the model borrowed while relaying — the zero-copy,
     /// zero-allocation path from model to engine.
-    fn relay(down: &Option<Downstream>, events: &HostEvents, ctx: &mut Ctx<'_, Msg>) {
-        let down = down.as_ref().expect("host wired before first message");
+    fn relay(cube0: ComponentId, events: &HostEvents, ctx: &mut Ctx<'_, Msg>) {
         let me = ctx.self_id();
         for ev in events.iter() {
             match *ev {
-                HostEvent::RequestArrival { link, pkt, at } => match down {
-                    Downstream::Direct { device } => {
-                        ctx.send_at(at, *device, Msg::DeviceRequest { link, pkt });
-                    }
-                    Downstream::Fabric {
-                        adapter,
-                        host_port_base,
-                    } => {
-                        let msg = TransitMsg {
-                            dest: pkt.cube,
-                            host_link: link,
-                            body: TransitBody::Req(pkt),
-                        };
-                        let input = host_port_base + link.index();
-                        ctx.send_at(at, *adapter, Msg::AdapterArrive { input, msg });
-                    }
-                },
+                HostEvent::RequestArrival { link, pkt, at } => {
+                    ctx.send_at(at, cube0, Msg::HostRequest { link, pkt });
+                }
                 HostEvent::ResponseDrained { pkt, at, .. } => {
                     ctx.send_at(at, me, Msg::PortDeliver { pkt });
                 }
-                HostEvent::ResponseTokens { link, flits, at } => match down {
-                    Downstream::Direct { device } => {
-                        ctx.send_at(at, *device, Msg::ReturnResponseTokens { link, flits });
-                    }
-                    Downstream::Fabric {
-                        adapter,
-                        host_port_base,
-                        ..
-                    } => {
-                        let port = host_port_base + link.index();
-                        ctx.send_at(at, *adapter, Msg::AdapterLinkTokens { port, flits });
-                    }
-                },
+                HostEvent::ResponseTokens { link, flits, at } => {
+                    ctx.send_at(at, cube0, Msg::HostTokens { link, flits });
+                }
             }
         }
     }
@@ -421,7 +393,7 @@ impl HostComp {
     /// One host FPGA cycle, then re-arm for the next interesting one.
     fn do_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let events = self.model.tick(ctx.now());
-        Self::relay(&self.down, events, ctx);
+        Self::relay(self.cube0, events, ctx);
         self.arm_tick(ctx, true);
     }
 
@@ -462,7 +434,7 @@ impl Component<Msg> for HostComp {
             }
             Msg::HostResponse { link, pkt } => {
                 let events = self.model.on_response_arrival(ctx.now(), link, pkt);
-                Self::relay(&self.down, events, ctx);
+                Self::relay(self.cube0, events, ctx);
             }
             Msg::PortDeliver { pkt } => {
                 self.model.deliver_response(ctx.now(), &pkt);
@@ -470,7 +442,7 @@ impl Component<Msg> for HostComp {
             }
             Msg::ReturnRequestTokens { link, flits } => {
                 let events = self.model.on_request_tokens(ctx.now(), link, flits);
-                Self::relay(&self.down, events, ctx);
+                Self::relay(self.cube0, events, ctx);
                 self.arm_tick(ctx, false);
             }
             _ => unreachable!("message addressed elsewhere reached the host"),
@@ -488,98 +460,105 @@ impl Component<Msg> for HostComp {
     }
 }
 
-/// Where a device's upstream traffic (responses, freed tokens) goes.
-#[derive(Clone, Copy)]
-enum Upstream {
-    /// Single cube: straight back to the host.
-    Host(ComponentId),
-    /// Multi-cube: into the cube's own pass-through stage; device link
-    /// `l` feeds crossbar input `l` (device ports come first).
-    Adapter(ComponentId),
-}
-
-struct DeviceComp {
+/// One cube as the engine sees it: the device and, in a fabric, the
+/// pass-through stage that fronts its links. Host traffic reaches cube 0
+/// the same way whatever the cube count; this component alone decides
+/// whether it lands on the device or on the crossbar's host ports. The
+/// device↔pass-through handoffs stay engine messages the component sends
+/// to itself, so every event keeps its timestamp and its place in the
+/// schedule.
+struct CubeComp {
     device: HmcDevice,
-    /// Wired after construction (the pass-through stage is built later in
-    /// the same domain) and before the first message can arrive.
-    up: Option<Upstream>,
     /// Armed at the device's next internal deadline (bank timers, switch
     /// busy intervals); disarmed while the device is drained.
-    wake: AutoWake,
+    dev_wake: AutoWake,
+    /// The host component — present only on cube 0 in the domain that
+    /// owns it, wired once the host is registered.
+    host: Option<ComponentId>,
+    /// The pass-through stage; `None` on a single cube, whose device
+    /// links face the host directly.
+    pass: Option<PassThrough>,
 }
 
-impl DeviceComp {
-    /// Advances the device to `now`, relays its outputs, and re-arms the
-    /// timer at the next internal deadline.
+impl CubeComp {
+    /// Advances the device to `now`, relays its outputs — to the host on
+    /// a single cube, into the pass-through stage in a fabric — and
+    /// re-arms the device timer at the next internal deadline.
     fn service(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
-        let up = self.up.expect("device wired before first message");
+        let me = ctx.self_id();
+        let host = self.host;
+        let fabric = self.pass.is_some();
         for out in self.device.advance(now) {
             match *out {
-                DeviceOutput::Response { link, pkt, at } => match up {
-                    Upstream::Host(host) => {
-                        ctx.send_at(at, host, Msg::HostResponse { link, pkt });
-                    }
-                    Upstream::Adapter(adapter) => {
-                        let msg = TransitMsg {
-                            dest: CubeId::HOST,
-                            host_link: link,
-                            body: TransitBody::Resp(pkt),
-                        };
-                        ctx.send_at(
-                            at,
-                            adapter,
-                            Msg::AdapterArrive {
-                                input: link.index(),
-                                msg,
-                            },
-                        );
-                    }
-                },
-                DeviceOutput::RequestTokens { link, flits } => match up {
-                    Upstream::Host(host) => {
-                        ctx.send(Delay::ZERO, host, Msg::ReturnRequestTokens { link, flits });
-                    }
-                    Upstream::Adapter(adapter) => {
-                        ctx.send(
-                            Delay::ZERO,
-                            adapter,
-                            Msg::AdapterCredits {
-                                output: link.index(),
-                                flits,
-                            },
-                        );
-                    }
-                },
+                // Device link `l` feeds crossbar input `l`, and its
+                // request tokens are crossbar output `l`'s credits.
+                DeviceOutput::Response { link, pkt, at } if fabric => {
+                    let msg = TransitMsg {
+                        dest: CubeId::HOST,
+                        host_link: link,
+                        body: TransitBody::Resp(pkt),
+                    };
+                    let input = link.index();
+                    ctx.send_at(at, me, Msg::AdapterArrive { input, msg });
+                }
+                DeviceOutput::RequestTokens { link, flits } if fabric => {
+                    let output = link.index();
+                    ctx.send(Delay::ZERO, me, Msg::AdapterCredits { output, flits });
+                }
+                DeviceOutput::Response { link, pkt, at } => {
+                    let host = host.expect("a single cube fronts the host");
+                    ctx.send_at(at, host, Msg::HostResponse { link, pkt });
+                }
+                DeviceOutput::RequestTokens { link, flits } => {
+                    let host = host.expect("a single cube fronts the host");
+                    ctx.send(Delay::ZERO, host, Msg::ReturnRequestTokens { link, flits });
+                }
             }
         }
         let next = self.device.next_wake();
         debug_assert!(next.is_none_or(|t| t >= now), "device wake in the past");
-        self.wake.set(ctx, next);
+        self.dev_wake.set(ctx, next);
     }
 }
 
-impl Component<Msg> for DeviceComp {
+impl Component<Msg> for CubeComp {
     fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
-        match msg {
-            Msg::DeviceRequest { link, pkt } => self.device.on_request(now, link, pkt),
-            Msg::ReturnResponseTokens { link, flits } => {
+        match (msg, &mut self.pass) {
+            // The device's links: the host's on a single cube, crossbar
+            // outputs in a fabric.
+            (Msg::HostRequest { link, pkt }, None) | (Msg::DeviceRequest { link, pkt }, _) => {
+                self.device.on_request(now, link, pkt);
+            }
+            (Msg::HostTokens { link, flits }, None)
+            | (Msg::ReturnResponseTokens { link, flits }, _) => {
                 self.device.return_response_tokens(link, flits);
             }
-            _ => unreachable!("message addressed elsewhere reached a device"),
+            (msg, Some(pass)) => {
+                if pass.accept(msg, now) {
+                    pass.pump(now, self.host, ctx);
+                }
+                return;
+            }
+            _ => unreachable!("message addressed elsewhere reached a single cube"),
         }
         self.service(ctx);
     }
 
     fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, Msg>) {
-        if self.wake.fired(token) {
+        if self.dev_wake.fired(token) {
             self.service(ctx);
+        } else if let Some(pass) = &mut self.pass {
+            if pass.wake.fired(token) {
+                pass.sw_dirty = true;
+                pass.pump(ctx.now(), self.host, ctx);
+            }
         }
     }
 
     fn name(&self) -> &str {
-        "device"
+        "cube"
     }
 }
 
@@ -643,7 +622,9 @@ impl AdapterLayout {
 
 /// One cube's pass-through stage: the link-layer crossbar that joins the
 /// local device, the cube-to-cube links and (on cube 0) the host links.
-struct AdapterComp {
+/// Part of the cube's [`CubeComp`], which hands it every crossbar-bound
+/// message and pumps it when one can make progress.
+struct PassThrough {
     cube: CubeId,
     layout: AdapterLayout,
     routes: RouteTable,
@@ -653,10 +634,6 @@ struct AdapterComp {
     tx: Vec<Option<LinkTx<TransitMsg>>>,
     /// Fabric edge wiring per port (`None` on non-fabric ports).
     edges: Vec<Option<EdgeCtl>>,
-    device: ComponentId,
-    /// The host component — present only in the domain that owns cube 0,
-    /// the only cube with host-facing crossbar ports.
-    host: Option<ComponentId>,
     /// The fabric edge lookahead: token returns to a neighbor ride the
     /// reverse SerDes and arrive this much later.
     lookahead: Delay,
@@ -682,7 +659,7 @@ struct AdapterComp {
     probe: Probe,
 }
 
-impl AdapterComp {
+impl PassThrough {
     fn route_output(&self, msg: &TransitMsg) -> usize {
         match msg.body {
             TransitBody::Req(_) => {
@@ -704,11 +681,87 @@ impl AdapterComp {
         }
     }
 
+    /// Takes in one crossbar-bound message and reports whether a pump is
+    /// due. A credit or token return into a pool nobody starves on
+    /// unblocks nothing — time-driven progress is covered by the armed
+    /// wake — so it skips the pump entirely.
+    fn accept(&mut self, msg: Msg, now: Time) -> bool {
+        match msg {
+            // The host's links in a fabric: cube 0's crossbar host ports.
+            // The destination cube is read off each request's CUB field —
+            // the host's port logic stamped it when it split the
+            // workload's address.
+            Msg::HostRequest { link, pkt } => {
+                let msg = TransitMsg {
+                    dest: pkt.cube,
+                    host_link: link,
+                    body: TransitBody::Req(pkt),
+                };
+                self.arrive(self.layout.host_port(link), msg);
+                true
+            }
+            Msg::HostTokens { link, flits } => self.link_tokens(self.layout.host_port(link), flits),
+            Msg::AdapterArrive { input, msg } => {
+                self.arrive(input, msg);
+                true
+            }
+            Msg::AdapterEgress { port, msg } => {
+                let flits = msg.flits();
+                self.tx[port]
+                    .as_mut()
+                    .expect("egress targets a serialized port")
+                    .enqueue(msg, flits);
+                self.tx_dirty |= 1 << port;
+                true
+            }
+            Msg::AdapterCredits { output, flits } => {
+                let unblocked = self.sw.return_credits(output, flits);
+                self.sw_dirty |= unblocked;
+                unblocked
+            }
+            Msg::AdapterLinkTokens { port, flits } => self.link_tokens(port, flits),
+            Msg::AdapterResetWindow => {
+                self.probe.reset_window(now);
+                false
+            }
+            _ => unreachable!("message addressed elsewhere reached a pass-through stage"),
+        }
+    }
+
+    /// A packet fully arrived on crossbar input `input`.
+    fn arrive(&mut self, input: usize, msg: TransitMsg) {
+        let entry = SwitchEntry {
+            output: self.route_output(&msg),
+            flits: msg.flits(),
+            payload: msg,
+        };
+        self.sw
+            .try_enqueue(input, entry)
+            .unwrap_or_else(|_| panic!("pass-through input overflow: tokens violated"));
+        self.sw_dirty = true;
+    }
+
+    /// Link tokens returned to the serializer behind `port`; only a
+    /// return that un-starved its head lets it send more.
+    fn link_tokens(&mut self, port: usize, flits: u32) -> bool {
+        let starved = self.tx[port]
+            .as_mut()
+            .expect("tokens target a serialized port")
+            .return_tokens(flits);
+        if starved {
+            self.tx_dirty |= 1 << port;
+        }
+        starved
+    }
+
     /// Runs crossbar and egress service to a fixpoint, but only over the
     /// parts marked dirty: the crossbar when something enqueued, a credit
     /// un-starved an output or its time wake fired; each serializer when
     /// something entered it or a token return un-starved its head.
-    fn pump(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
+    /// Handoffs to the local device and to the egress serializers are
+    /// messages to the cube's own component; `host` receives what leaves
+    /// cube 0's host ports.
+    fn pump(&mut self, now: Time, host: Option<ComponentId>, ctx: &mut Ctx<'_, Msg>) {
         let me = ctx.self_id();
         while self.sw_dirty || self.tx_dirty != 0 {
             if self.sw_dirty {
@@ -728,7 +781,7 @@ impl AdapterComp {
                         PortClass::Dev(l) => {
                             ctx.send(
                                 Delay::ZERO,
-                                self.device,
+                                me,
                                 Msg::ReturnResponseTokens {
                                     link: LinkId(l as u8),
                                     flits: d.flits,
@@ -751,7 +804,7 @@ impl AdapterComp {
                         PortClass::Host(l) => {
                             ctx.send(
                                 Delay::ZERO,
-                                self.host.expect("cube 0's stage fronts the host"),
+                                host.expect("cube 0's stage fronts the host"),
                                 Msg::ReturnRequestTokens {
                                     link: LinkId(l as u8),
                                     flits: d.flits,
@@ -767,7 +820,7 @@ impl AdapterComp {
                             };
                             ctx.send_at(
                                 d.at,
-                                self.device,
+                                me,
                                 Msg::DeviceRequest {
                                     link: LinkId(l as u8),
                                     pkt,
@@ -820,7 +873,7 @@ impl AdapterComp {
                             };
                             ctx.send_at(
                                 delivery.at,
-                                self.host.expect("cube 0's stage fronts the host"),
+                                host.expect("cube 0's stage fronts the host"),
                                 Msg::HostResponse {
                                     link: LinkId(l as u8),
                                     pkt,
@@ -844,70 +897,6 @@ impl AdapterComp {
                 .collect(),
             link_stats: self.tx.iter().flatten().map(|tx| tx.stats()).collect(),
         }
-    }
-}
-
-impl Component<Msg> for AdapterComp {
-    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        let now = ctx.now();
-        match msg {
-            Msg::AdapterArrive { input, msg } => {
-                let entry = SwitchEntry {
-                    output: self.route_output(&msg),
-                    flits: msg.flits(),
-                    payload: msg,
-                };
-                self.sw
-                    .try_enqueue(input, entry)
-                    .unwrap_or_else(|_| panic!("pass-through input overflow: tokens violated"));
-                self.sw_dirty = true;
-            }
-            Msg::AdapterEgress { port, msg } => {
-                let flits = msg.flits();
-                self.tx[port]
-                    .as_mut()
-                    .expect("egress targets a serialized port")
-                    .enqueue(msg, flits);
-                self.tx_dirty |= 1 << port;
-            }
-            Msg::AdapterCredits { output, flits } => {
-                // A return into a pool nobody starves on unblocks nothing:
-                // time-driven progress is covered by the armed wake, so
-                // the pump can be skipped entirely.
-                if !self.sw.return_credits(output, flits) {
-                    return;
-                }
-                self.sw_dirty = true;
-            }
-            Msg::AdapterLinkTokens { port, flits } => {
-                let starved = self.tx[port]
-                    .as_mut()
-                    .expect("tokens target a serialized port")
-                    .return_tokens(flits);
-                if !starved {
-                    return;
-                }
-                self.tx_dirty |= 1 << port;
-            }
-            Msg::AdapterResetWindow => {
-                self.probe.reset_window(now);
-                return;
-            }
-            _ => unreachable!("message addressed elsewhere reached a pass-through stage"),
-        }
-        self.pump(now, ctx);
-    }
-
-    fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, Msg>) {
-        if self.wake.fired(token) {
-            self.sw_dirty = true;
-            let now = ctx.now();
-            self.pump(now, ctx);
-        }
-    }
-
-    fn name(&self) -> &str {
-        "passthrough"
     }
 }
 
@@ -958,8 +947,8 @@ struct BuildPlan {
 struct DomainParts {
     engine: Engine<Msg>,
     host: Option<ComponentId>,
-    devices: Vec<ComponentId>,
-    adapters: Vec<ComponentId>,
+    /// One component per owned cube, in `cubes` order.
+    comps: Vec<ComponentId>,
     /// The cubes this domain owns, ascending.
     cubes: Vec<usize>,
     outboxes: Vec<Outbox>,
@@ -975,20 +964,101 @@ fn arm_faults(plan: &BuildPlan, link: &mut LinkTx<TransitMsg>, key: LinkKey, cfg
     link.set_trace_identity(|m: &TransitMsg| m.identity());
 }
 
-/// Builds domain `dom` of the partition `dom_of`: the host (domain 0
-/// only), one device per owned cube and — multi-cube — one pass-through
-/// stage per owned cube, with fabric edges wired locally inside the
+/// Builds cube `c`'s pass-through stage, its fabric edges not yet wired.
+fn pass_through(plan: &BuildPlan, probe: &Probe, c: usize) -> PassThrough {
+    let layout = plan.layouts[c].clone();
+    let count = layout.count();
+    debug_assert!(count <= 64, "tx dirty mask covers 64 crossbar ports");
+    let sw_cfg = SwitchConfig {
+        inputs: count,
+        outputs: count,
+        input_capacity_flits: plan.cfg.hop.input_capacity_flits,
+        hop_latency: plan.cfg.hop.passthrough_latency,
+        flit_time: plan.cfg.hop.flit_time,
+    };
+    let mut credits = vec![0u32; count];
+    let mut tx: Vec<Option<LinkTx<TransitMsg>>> = Vec::with_capacity(count);
+    for (p, credit) in credits.iter_mut().enumerate() {
+        match layout.classify(p) {
+            PortClass::Dev(_) => {
+                // Downstream buffer: the device's link RX (its request
+                // token pool).
+                *credit = plan.req_tokens;
+                tx.push(None);
+            }
+            PortClass::Fabric(slot) => {
+                *credit = plan.cfg.hop.egress_capacity_flits;
+                let link_cfg = LinkConfig {
+                    input_buffer_flits: plan.cfg.hop.input_capacity_flits,
+                    ..plan.cfg.hop.link
+                };
+                let mut link = LinkTx::new(&link_cfg);
+                link.set_probe(probe.clone());
+                let peer = layout.neighbors[slot];
+                arm_faults(plan, &mut link, LinkKey::edge(c as u8, peer.0), &link_cfg);
+                tx.push(Some(link));
+            }
+            PortClass::Host(l) => {
+                *credit = plan.cfg.hop.egress_capacity_flits;
+                // Toward the host: the cube's own external link model,
+                // tokens guarding the host RX buffer — as the device's
+                // serializer does on a single-cube system.
+                let link_cfg = LinkConfig {
+                    min_packet_time: Delay::ZERO,
+                    ..plan.cfg.cube.link
+                };
+                let mut link = LinkTx::new(&link_cfg);
+                link.set_probe(probe.clone());
+                arm_faults(plan, &mut link, LinkKey::host(l as u8), &link_cfg);
+                tx.push(Some(link));
+            }
+        }
+    }
+    let caps = vec![plan.cfg.hop.input_capacity_flits; count];
+    let sw = SwitchCore::with_input_capacities(sw_cfg, &caps, &credits);
+    PassThrough {
+        cube: CubeId(c as u8),
+        layout,
+        routes: plan.routes.clone(),
+        sw,
+        tx,
+        edges: (0..count).map(|_| None).collect(),
+        lookahead: plan.cfg.lookahead(),
+        sw_dirty: false,
+        tx_dirty: 0,
+        wake: AutoWake::new(),
+        dep_scratch: Departures::new(),
+        del_scratch: Deliveries::new(),
+        probe: probe.clone(),
+    }
+}
+
+/// Builds domain `dom` of the partition `dom_of`: one component per owned
+/// cube — its device plus, multi-cube, its pass-through stage — and the
+/// host (domain 0 only), with fabric edges wired locally inside the
 /// domain and through outboxes across domains. With `dom_of` all zeros
 /// this builds the complete system on one engine.
 fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -> DomainParts {
-    let n = plan.n;
-    let include_host = dom == 0;
-    let cubes: Vec<usize> = (0..n).filter(|&c| dom_of[c] == dom).collect();
+    let cubes: Vec<usize> = (0..plan.n).filter(|&c| dom_of[c] == dom).collect();
     assert!(!cubes.is_empty(), "every domain owns at least one cube");
-    let capacity = usize::from(include_host) + cubes.len() * if n > 1 { 2 } else { 1 };
-    let mut engine = Engine::with_capacity(capacity);
+    let mut engine = Engine::with_capacity(usize::from(dom == 0) + cubes.len());
 
-    let host = include_host.then(|| {
+    let comps: Vec<ComponentId> = cubes
+        .iter()
+        .map(|&c| {
+            let mut device = HmcDevice::new(plan.dev_cfg.clone());
+            device.attach_probe(probe);
+            engine.add_component(Box::new(CubeComp {
+                device,
+                dev_wake: AutoWake::new(),
+                host: None,
+                pass: (plan.n > 1).then(|| pass_through(plan, probe, c)),
+            }))
+        })
+        .collect();
+
+    let host = (dom == 0).then(|| {
+        assert_eq!(cubes[0], 0, "the host's domain owns cube 0");
         let ports: Vec<Port> = plan
             .specs
             .iter()
@@ -1008,7 +1078,7 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
         let period = model.config().fpga_period;
         engine.add_component(Box::new(HostComp {
             model,
-            down: None,
+            cube0: comps[0],
             mode: RunMode::Stream,
             period,
             tick: AutoWake::new(),
@@ -1018,118 +1088,11 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
         }))
     });
 
-    let devices: Vec<ComponentId> = cubes
-        .iter()
-        .map(|_| {
-            let mut device = HmcDevice::new(plan.dev_cfg.clone());
-            device.attach_probe(probe);
-            let up = (n == 1).then(|| Upstream::Host(host.expect("single-cube host")));
-            engine.add_component(Box::new(DeviceComp {
-                device,
-                up,
-                wake: AutoWake::new(),
-            }))
-        })
-        .collect();
-
-    if n == 1 {
-        // The paper's single-cube system: host and device wired directly,
-        // exactly as before the fabric existed.
-        let h = host.expect("single-cube systems keep the host in domain 0");
-        engine
-            .component_mut::<HostComp>(h)
-            .expect("host registered")
-            .down = Some(Downstream::Direct { device: devices[0] });
-        return DomainParts {
-            engine,
-            host,
-            devices,
-            adapters: Vec::new(),
-            cubes,
-            outboxes: Vec::new(),
-        };
-    }
-
-    // Multi-cube: one pass-through stage per owned cube.
-    let adapters: Vec<ComponentId> = cubes
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            let layout = plan.layouts[c].clone();
-            let count = layout.count();
-            debug_assert!(count <= 64, "tx dirty mask covers 64 crossbar ports");
-            let sw_cfg = SwitchConfig {
-                inputs: count,
-                outputs: count,
-                input_capacity_flits: plan.cfg.hop.input_capacity_flits,
-                hop_latency: plan.cfg.hop.passthrough_latency,
-                flit_time: plan.cfg.hop.flit_time,
-            };
-            let mut credits = vec![0u32; count];
-            let mut tx: Vec<Option<LinkTx<TransitMsg>>> = Vec::with_capacity(count);
-            for (p, credit) in credits.iter_mut().enumerate() {
-                match layout.classify(p) {
-                    PortClass::Dev(_) => {
-                        // Downstream buffer: the device's link RX (its
-                        // request token pool).
-                        *credit = plan.req_tokens;
-                        tx.push(None);
-                    }
-                    PortClass::Fabric(slot) => {
-                        *credit = plan.cfg.hop.egress_capacity_flits;
-                        let link_cfg = LinkConfig {
-                            input_buffer_flits: plan.cfg.hop.input_capacity_flits,
-                            ..plan.cfg.hop.link
-                        };
-                        let mut link = LinkTx::new(&link_cfg);
-                        link.set_probe(probe.clone());
-                        let peer = layout.neighbors[slot];
-                        arm_faults(plan, &mut link, LinkKey::edge(c as u8, peer.0), &link_cfg);
-                        tx.push(Some(link));
-                    }
-                    PortClass::Host(l) => {
-                        *credit = plan.cfg.hop.egress_capacity_flits;
-                        // Toward the host: the cube's own external link
-                        // model, tokens guarding the host RX buffer — as
-                        // the device's serializer does on a single-cube
-                        // system.
-                        let link_cfg = LinkConfig {
-                            min_packet_time: Delay::ZERO,
-                            ..plan.cfg.cube.link
-                        };
-                        let mut link = LinkTx::new(&link_cfg);
-                        link.set_probe(probe.clone());
-                        arm_faults(plan, &mut link, LinkKey::host(l as u8), &link_cfg);
-                        tx.push(Some(link));
-                    }
-                }
-            }
-            let caps = vec![plan.cfg.hop.input_capacity_flits; count];
-            let sw = SwitchCore::with_input_capacities(sw_cfg, &caps, &credits);
-            engine.add_component(Box::new(AdapterComp {
-                cube: CubeId(c as u8),
-                layout,
-                routes: plan.routes.clone(),
-                sw,
-                tx,
-                edges: (0..count).map(|_| None).collect(),
-                device: devices[i],
-                host,
-                lookahead: plan.cfg.lookahead(),
-                sw_dirty: false,
-                tx_dirty: 0,
-                wake: AutoWake::new(),
-                dep_scratch: Departures::new(),
-                del_scratch: Deliveries::new(),
-                probe: probe.clone(),
-            }))
-        })
-        .collect();
-
-    // Wire the fabric edges: local neighbors get a direct component wire,
-    // cross-domain neighbors an outbox. Outboxes are created in ascending
-    // (cube, slot) order so they pair index-for-index with the channels
-    // run_domains enumerates in the same order.
+    // Wire cube 0 to the host and the fabric edges: local neighbors get a
+    // direct component wire, cross-domain neighbors an outbox. Outboxes
+    // are created in ascending (cube, slot) order so they pair
+    // index-for-index with the channels run_domains enumerates in the
+    // same order.
     let mut outboxes: Vec<Outbox> = Vec::new();
     for (i, &c) in cubes.iter().enumerate() {
         let layout = &plan.layouts[c];
@@ -1142,7 +1105,7 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
                 let j = cubes
                     .binary_search(&peer.index())
                     .expect("same-domain peer is owned");
-                EdgeWire::Local(adapters[j])
+                EdgeWire::Local(comps[j])
             } else {
                 let outbox: Outbox = Rc::new(RefCell::new(Vec::new()));
                 outboxes.push(outbox.clone());
@@ -1160,33 +1123,21 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
                 },
             ));
         }
-        let adapter = engine
-            .component_mut::<AdapterComp>(adapters[i])
-            .expect("adapter registered");
-        for (port, ctl) in ctls {
-            adapter.edges[port] = Some(ctl);
+        let cube = engine
+            .component_mut::<CubeComp>(comps[i])
+            .expect("cube registered");
+        if c == 0 {
+            cube.host = host;
         }
-    }
-    for (i, &id) in devices.iter().enumerate() {
-        engine
-            .component_mut::<DeviceComp>(id)
-            .expect("device registered")
-            .up = Some(Upstream::Adapter(adapters[i]));
-    }
-    if let Some(h) = host {
-        engine
-            .component_mut::<HostComp>(h)
-            .expect("host registered")
-            .down = Some(Downstream::Fabric {
-            adapter: adapters[0],
-            host_port_base: plan.layouts[0].host_port(LinkId(0)),
-        });
+        for (port, ctl) in ctls {
+            let pass = cube.pass.as_mut().expect("only fabric cubes have edges");
+            pass.edges[port] = Some(ctl);
+        }
     }
     DomainParts {
         engine,
         host,
-        devices,
-        adapters,
+        comps,
         cubes,
         outboxes,
     }
@@ -1216,11 +1167,10 @@ fn schedule_initial(parts: &mut DomainParts, kind: RunKind, n: usize) {
                 parts.engine.schedule(stop_at, id, Msg::HostStop);
             }
             if n > 1 {
-                for i in 0..parts.adapters.len() {
-                    let a = parts.adapters[i];
+                for &cube in &parts.comps {
                     parts
                         .engine
-                        .schedule(Time::ZERO + warmup, a, Msg::AdapterResetWindow);
+                        .schedule(Time::ZERO + warmup, cube, Msg::AdapterResetWindow);
                 }
             }
         }
@@ -1299,7 +1249,6 @@ impl SchedStats {
 /// Post-run state of one cube, extracted inside its owning thread.
 struct CubeHarvest {
     device: DeviceStats,
-    census: Vec<(String, u64)>,
     transit: Option<TransitStats>,
 }
 
@@ -1327,8 +1276,6 @@ struct RunOutcome {
     report: RunReport,
     engine: EngineStats,
     sched: SchedStats,
-    /// Peak-occupancy census per cube, for `device_peak_census`.
-    census: Vec<Vec<(String, u64)>>,
 }
 
 fn harvest_cubes(parts: &DomainParts) -> Vec<(usize, CubeHarvest)> {
@@ -1337,30 +1284,22 @@ fn harvest_cubes(parts: &DomainParts) -> Vec<(usize, CubeHarvest)> {
         .iter()
         .enumerate()
         .map(|(i, &c)| {
-            let dev = parts
+            let cube = parts
                 .engine
-                .component::<DeviceComp>(parts.devices[i])
-                .expect("device registered");
-            let transit = parts.adapters.get(i).map(|&a| {
-                parts
-                    .engine
-                    .component::<AdapterComp>(a)
-                    .expect("adapter registered")
-                    .transit_stats()
-            });
+                .component::<CubeComp>(parts.comps[i])
+                .expect("cube registered");
             (
                 c,
                 CubeHarvest {
-                    device: dev.device.stats(),
-                    census: dev.device.peak_census(),
-                    transit,
+                    device: cube.device.stats(),
+                    transit: cube.pass.as_ref().map(PassThrough::transit_stats),
                 },
             )
         })
         .collect()
 }
 
-fn harvest_host(parts: &DomainParts, targets: &[CubeTargeting]) -> HostHarvest {
+fn harvest_host(parts: &DomainParts) -> HostHarvest {
     let id = parts.host.expect("domain 0 hosts the host");
     let host = parts
         .engine
@@ -1379,7 +1318,7 @@ fn harvest_host(parts: &DomainParts, targets: &[CubeTargeting]) -> HostHarvest {
             bytes: *p.bytes(),
             reads: p.reads_recorded(),
             writes: p.writes_recorded(),
-            cube: targets[p.id().index()].fixed_cube(),
+            cube: p.targeting().fixed_cube(),
             cube_completions: p.completed_by_cube().to_vec(),
         })
         .collect();
@@ -1416,7 +1355,6 @@ fn assemble(
     let sim_end = last;
     let measure_end = host.measure_end.unwrap_or(sim_end);
     let elapsed = measure_end.saturating_since(host.measure_start);
-    let census: Vec<Vec<(String, u64)>> = cubes.iter().map(|(_, h)| h.census.clone()).collect();
     let cube_reports: Vec<CubeReport> = cubes
         .into_iter()
         .map(|(c, h)| CubeReport {
@@ -1435,12 +1373,11 @@ fn assemble(
         report,
         engine,
         sched,
-        census,
     }
 }
 
-/// Maps each incoming cross-domain edge to the pass-through component it
-/// injects into.
+/// Maps each incoming cross-domain edge to the cube component it injects
+/// into.
 fn resolve_inlets(inc: Inboxes, parts: &DomainParts) -> Vec<(ComponentId, Receiver<Envelope>)> {
     inc.into_iter()
         .map(|(cube, rx)| {
@@ -1448,7 +1385,7 @@ fn resolve_inlets(inc: Inboxes, parts: &DomainParts) -> Vec<(ComponentId, Receiv
                 .cubes
                 .binary_search(&cube)
                 .expect("cross edge targets an owned cube");
-            (parts.adapters[i], rx)
+            (parts.comps[i], rx)
         })
         .collect()
 }
@@ -1616,7 +1553,7 @@ fn run_group(
 }
 
 /// Builds one domain into a [`DomainRun`]: engine and components, initial
-/// events, channel endpoints resolved onto the owned adapters.
+/// events, channel endpoints resolved onto the owned cubes.
 fn make_run(
     plan: &BuildPlan,
     kind: RunKind,
@@ -1659,7 +1596,6 @@ fn run_group_thread(
     l: u64,
     shard_cfg: Option<HubConfig>,
     main_probe: Option<&Probe>,
-    targets: Option<&[CubeTargeting]>,
 ) -> (GroupHarvest, SchedTally) {
     let _guard = barrier.guard();
     let shards: Vec<(Option<Rc<RefCell<Hub>>>, Probe)> = seats
@@ -1699,10 +1635,7 @@ fn run_group_thread(
         last = last.max(r.parts.engine.last_dispatched_at());
         window_events += r.window_events;
         if r.parts.host.is_some() {
-            host = Some(harvest_host(
-                &r.parts,
-                targets.expect("the host's group passes port targets"),
-            ));
+            host = Some(harvest_host(&r.parts));
         }
     }
     drop(runs);
@@ -1760,7 +1693,6 @@ pub struct FabricSim {
     plan: BuildPlan,
     probe: Probe,
     domains: usize,
-    port_targets: Vec<CubeTargeting>,
     outcome: Option<RunOutcome>,
     started: bool,
 }
@@ -1817,7 +1749,6 @@ impl FabricSim {
             }
         }
         let n = usize::from(cfg.cube_count);
-        let port_targets: Vec<CubeTargeting> = specs.iter().map(|s| s.targeting).collect();
 
         // Device configuration per mode: in a fabric, the device's
         // upstream serializer becomes the internal handoff into the
@@ -1875,7 +1806,6 @@ impl FabricSim {
             },
             probe,
             domains: 1,
-            port_targets,
             outcome: None,
             started: false,
         }
@@ -1977,7 +1907,6 @@ impl FabricSim {
     fn run_domains(&mut self, kind: RunKind, want: usize) -> RunOutcome {
         let plan = &self.plan;
         let probe = &self.probe;
-        let targets = &self.port_targets;
         let n = plan.n;
         let dplan = DomainPlan::new(n, want, |c| {
             plan.layouts[c]
@@ -2048,7 +1977,7 @@ impl FabricSim {
                     let lease = &lease;
                     s.spawn(move || {
                         let out = run_group_thread(
-                            plan, kind, seats, dplan, mins, done, barrier, l, shard_cfg, None, None,
+                            plan, kind, seats, dplan, mins, done, barrier, l, shard_cfg, None,
                         );
                         // Hand the core back before the join: a sweep
                         // sibling (or a later run's domain lease) can
@@ -2076,7 +2005,6 @@ impl FabricSim {
                 l,
                 shard_cfg,
                 Some(probe),
-                Some(targets),
             );
             for h in handles {
                 let (g, _) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
@@ -2127,17 +2055,6 @@ impl FabricSim {
     /// [`SchedStats`] for which fields are schedule-invariant.
     pub fn sched_stats(&self) -> SchedStats {
         self.outcome.as_ref().map(|o| o.sched).unwrap_or_default()
-    }
-
-    /// Peak-occupancy census of one cube's internal buffers after a run;
-    /// a calibration/debugging aid.
-    #[doc(hidden)]
-    pub fn device_peak_census(&self, cube: CubeId) -> Vec<(String, u64)> {
-        self.outcome
-            .as_ref()
-            .expect("census is read after a run")
-            .census[cube.index()]
-        .clone()
     }
 }
 
@@ -2561,5 +2478,34 @@ mod tests {
             .err()
             .expect("a severed chain must not build");
         assert!(err.contains("unreachable"), "unhelpful error: {err}");
+    }
+
+    /// Pins the event schedule itself, not only its results: a 1-cube
+    /// system and a 4-cube chain, each with nine 128 B GUPS ports over 16
+    /// vaults for 5 + 20 µs, must dispatch exactly these events, timer
+    /// fires and cancellations. A change that adds, drops or merges events
+    /// has to re-pin these counts on purpose.
+    #[test]
+    fn event_schedule_is_pinned() {
+        let run = |cubes: u8| {
+            let cfg = FabricConfig::chain(2018, cubes);
+            let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+            let op = hmc_host::GupsOp::Read(PayloadSize::B128);
+            let specs = (0..9u8)
+                .map(|p| FabricPortSpec::gups(filter, op, CubeId(p % cubes)))
+                .collect();
+            let mut sim = FabricSim::new(cfg, specs);
+            let report = sim.run_gups(Delay::from_us(5), Delay::from_us(20));
+            let s = sim.engine_stats();
+            (
+                s.dispatched,
+                s.wake_fires,
+                s.wake_cancels,
+                report.total_accesses(),
+            )
+        };
+        // (dispatched, wake_fires, wake_cancels, total_accesses)
+        assert_eq!(run(1), (32_867, 15_194, 2_158, 2_852));
+        assert_eq!(run(4), (85_352, 21_739, 4_120, 2_847));
     }
 }

@@ -727,42 +727,6 @@ impl HmcDevice {
         &self.vaults[v.index()]
     }
 
-    /// Peak-occupancy census across every internal buffer, as
-    /// `(stage label, peak flits-or-requests)` pairs — a debugging aid for
-    /// locating where traffic queues.
-    pub fn peak_census(&self) -> Vec<(String, u64)> {
-        let mut out = Vec::new();
-        for (q, sw) in self.req_sw.iter().enumerate() {
-            for p in 0..self.ports.count() {
-                let peak = sw.peak_input_flits(p);
-                if peak > 0 {
-                    out.push((format!("req_sw{q}.in{p}"), u64::from(peak)));
-                }
-            }
-        }
-        for (q, sw) in self.resp_sw.iter().enumerate() {
-            for p in 0..self.ports.count() {
-                let peak = sw.peak_input_flits(p);
-                if peak > 0 {
-                    out.push((format!("resp_sw{q}.in{p}"), u64::from(peak)));
-                }
-            }
-        }
-        for (v, vault) in self.vaults.iter().enumerate() {
-            let peak = vault.stats().peak_outstanding;
-            if peak > 0 {
-                out.push((format!("vault{v}"), peak as u64));
-            }
-        }
-        for (l, tx) in self.link_tx.iter().enumerate() {
-            let peak = tx.stats().peak_queue_flits;
-            if peak > 0 {
-                out.push((format!("link_tx{l}.queue"), u64::from(peak)));
-            }
-        }
-        out
-    }
-
     // -- internals ---------------------------------------------------------
 
     /// Runs one vault's pipeline stages.
