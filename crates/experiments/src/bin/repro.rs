@@ -229,19 +229,25 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     }
-    let mut names: Vec<String> = Vec::new();
+    // Aliases name one experiment (`fig10`..`fig12` are one sweep), so
+    // each canonical name runs once, at its first mention.
+    let mut names: Vec<&'static str> = Vec::new();
     for n in &args.names {
-        if n == "all" {
-            names.extend(EXPERIMENTS.iter().map(|s| s.to_string()));
-        } else if canonical_name(n).is_some() {
-            names.push(n.clone());
+        let expanded: &[&'static str] = if n == "all" {
+            EXPERIMENTS
+        } else if let Some(name) = canonical_name(n) {
+            &[name]
         } else {
             eprintln!("error: unknown experiment {n:?}");
             usage();
             return ExitCode::from(2);
+        };
+        for &name in expanded {
+            if !names.contains(&name) {
+                names.push(name);
+            }
         }
     }
-    names.dedup();
     // Fail fast on an unwritable trace path: better a one-line error now
     // than after minutes of sweeps.
     if let Some(path) = &args.trace_out {
@@ -278,7 +284,7 @@ fn main() -> ExitCode {
     let mut json_outcomes: Vec<String> = Vec::new();
     for name in names {
         let start = std::time::Instant::now();
-        let outcome = run_by_name(&name, &ctx).expect("validated above");
+        let outcome = run_by_name(name, &ctx).expect("validated above");
         if args.json {
             let doc = outcome_json(&outcome);
             if let Some(dir) = &args.out {

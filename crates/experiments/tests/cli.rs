@@ -142,3 +142,22 @@ fn exceeded_deadline_trips_the_watchdog_and_exits_3() {
     assert!(err.contains("scheduler rounds"), "{err}");
     assert!(err.contains("lookahead windows"), "{err}");
 }
+
+#[test]
+fn aliases_of_one_experiment_run_it_once() {
+    // `fig78` and `fig7-8` name `fig7`; each experiment runs once, in
+    // order of first mention.
+    let out = repro(&["--json", "fig7", "fig78", "fig7-8", "table1", "fig7"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let names: Vec<&str> = stdout
+        .split("{\"name\":\"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("closing quote")])
+        .collect();
+    assert_eq!(names, ["fig7", "table1"], "{stdout}");
+}

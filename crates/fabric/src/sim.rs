@@ -28,11 +28,15 @@
 //! token returns) crosses its edge with at least the fabric SerDes
 //! latency `L` ([`FabricConfig::lookahead`]), so a domain may safely
 //! simulate `L` per hop beyond its neighbors' earliest pending events
-//! (see [`crate::domain`]). Cross-domain messages travel as timestamped
-//! envelopes over channels and are injected as *keyed* events whose
+//! (see [`crate::domain`]). Each domain has one inbox: a cross-domain
+//! message leaves its edge as a timestamped envelope naming the
+//! receiving cube, goes straight into the receiving domain's inbox, and
+//! is injected when that domain next drains it as a *keyed* event whose
 //! ordering key — a per-edge channel id plus a per-channel sequence —
 //! is identical in serial and parallel schedules, which is what makes
-//! the run report byte-identical for every `--domains` setting.
+//! the run report byte-identical for every `--domains` setting. One
+//! `Harvest` per domain, folded together after the join, builds the
+//! report.
 //!
 //! Every run goes through that one scheduler. The default is one domain
 //! holding every cube: one engine, no envelopes, and a horizon of
@@ -42,14 +46,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hmc_des::pool;
 use hmc_des::{
     AutoWake, Component, ComponentId, Ctx, Delay, Engine, EngineStats, Time, WakeToken,
     KEYED_EVENT_BIT,
 };
-use hmc_device::{DeviceConfig, DeviceOutput, DeviceStats, HmcDevice};
+use hmc_device::{DeviceConfig, DeviceOutput, HmcDevice};
 use hmc_faults::{FaultPlan, LinkKey};
 use hmc_host::{HostConfig, HostEvent, HostEvents, HostModel, Port};
 use hmc_link::{Deliveries, LinkConfig, LinkTx, LinkWidth, RetryTuning};
@@ -257,36 +261,41 @@ enum Msg {
     AdapterResetWindow,
 }
 
-/// A cross-domain message captured at the sending edge: the absolute
-/// delivery time, the canonical ordering key and the payload. Injected
-/// into the receiving domain's engine between window rounds.
+/// A cross-domain message as it crosses an edge: the receiving cube, the
+/// absolute delivery time, the canonical ordering key and the payload.
+/// Injected into the receiving domain's engine when that domain next
+/// drains its inbox.
 struct Envelope {
+    cube: usize,
     at: Time,
     key: u64,
     msg: Msg,
 }
 
-/// The staging buffer one remote edge drains into; the window loop moves
-/// its contents onto the edge's channel after each `run_until`.
-type Outbox = Rc<RefCell<Vec<Envelope>>>;
-
-/// A domain's inbound channels, each tagged with the owned cube whose
-/// component the delivered envelopes address.
-type Inboxes = Vec<(usize, Receiver<Envelope>)>;
-
 /// Where a fabric edge's messages go: straight into the shared engine
-/// (serial, or a neighbor in the same domain) or into an outbox bound for
-/// another domain's engine.
+/// (serial, or a neighbor in the same domain) or into the inbox of the
+/// domain that owns `cube`.
 enum EdgeWire {
     Local(ComponentId),
-    Remote(Outbox),
+    Remote {
+        inbox: Sender<Envelope>,
+        cube: usize,
+    },
 }
 
 impl EdgeWire {
     fn send(&self, ctx: &mut Ctx<'_, Msg>, at: Time, key: u64, msg: Msg) {
         match self {
             EdgeWire::Local(to) => ctx.send_keyed_at(at, *to, key, msg),
-            EdgeWire::Remote(outbox) => outbox.borrow_mut().push(Envelope { at, key, msg }),
+            EdgeWire::Remote { inbox, cube } => {
+                let env = Envelope {
+                    cube: *cube,
+                    at,
+                    key,
+                    msg,
+                };
+                inbox.send(env).expect("inboxes outlive every domain");
+            }
         }
     }
 }
@@ -306,7 +315,7 @@ fn keyed(chan: u64, seq: &mut u64) -> u64 {
 }
 
 /// One directed fabric edge as seen by its sending pass-through stage:
-/// the wire (local engine or cross-domain outbox), the crossbar input
+/// the wire (local engine or the peer domain's inbox), the crossbar input
 /// port on the peer, and the two keyed channels — packet arrivals and
 /// link-token returns — with their monotone sequences. The channel ids
 /// derive from the global edge index, so serial and parallel schedules
@@ -330,15 +339,6 @@ impl EdgeCtl {
     }
 }
 
-/// How a run terminates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
-    /// GUPS ports tick until the stop time, then drain.
-    GupsUntil(Time),
-    /// Stream ports tick until every trace is issued and answered.
-    Stream,
-}
-
 /// What [`FabricSim::execute`] is asked to run.
 #[derive(Debug, Clone, Copy)]
 enum RunKind {
@@ -350,7 +350,9 @@ struct HostComp {
     model: HostModel,
     /// Cube 0's component, the receiver of every host link.
     cube0: ComponentId,
-    mode: RunMode,
+    /// GUPS ports tick until this instant, then drain; `None` (streams)
+    /// ticks until every trace is issued and answered.
+    stop: Option<Time>,
     period: Delay,
     /// The tick timer: armed at the model's next interesting FPGA cycle,
     /// disarmed while the host is idle.
@@ -384,9 +386,9 @@ impl HostComp {
     }
 
     fn should_tick_at(&self, at: Time) -> bool {
-        match self.mode {
-            RunMode::GupsUntil(stop) => at < stop,
-            RunMode::Stream => !self.model.all_done(),
+        match self.stop {
+            Some(stop) => at < stop,
+            None => !self.model.all_done(),
         }
     }
 
@@ -399,8 +401,8 @@ impl HostComp {
 
     /// Moves the tick timer to the model's next interesting instant:
     /// `HostModel::next_wake` snapped forward past the cycle just run (so
-    /// a tick never re-fires at its own timestamp) and gated by the run
-    /// mode. With no interesting instant the timer is cancelled — the
+    /// a tick never re-fires at its own timestamp) and gated by the stop
+    /// time. With no interesting instant the timer is cancelled — the
     /// idle-skip at the heart of the event-driven core.
     fn arm_tick(&mut self, ctx: &mut Ctx<'_, Msg>, just_ticked: bool) {
         let now = ctx.now();
@@ -940,10 +942,8 @@ struct BuildPlan {
     faults: Option<Arc<FaultPlan>>,
 }
 
-/// One engine domain, built and run on a single thread: its engine, the
-/// components it owns, and the outboxes of its outgoing cross-domain
-/// edges (ascending `(cube, slot)` order — the channel wiring in
-/// `run_domains` enumerates edges identically).
+/// One engine domain, built and run on a single thread: its engine and
+/// the components it owns.
 struct DomainParts {
     engine: Engine<Msg>,
     host: Option<ComponentId>,
@@ -951,7 +951,6 @@ struct DomainParts {
     comps: Vec<ComponentId>,
     /// The cubes this domain owns, ascending.
     cubes: Vec<usize>,
-    outboxes: Vec<Outbox>,
 }
 
 /// Arms one link transmitter with the build plan's fault injection, if
@@ -1036,9 +1035,16 @@ fn pass_through(plan: &BuildPlan, probe: &Probe, c: usize) -> PassThrough {
 /// Builds domain `dom` of the partition `dom_of`: one component per owned
 /// cube — its device plus, multi-cube, its pass-through stage — and the
 /// host (domain 0 only), with fabric edges wired locally inside the
-/// domain and through outboxes across domains. With `dom_of` all zeros
-/// this builds the complete system on one engine.
-fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -> DomainParts {
+/// domain and into the peer domain's inbox (`inboxes[domain]`) across
+/// domains. With `dom_of` all zeros this builds the complete system on
+/// one engine.
+fn build_domain(
+    plan: &BuildPlan,
+    probe: &Probe,
+    dom_of: &[usize],
+    dom: usize,
+    inboxes: &[Sender<Envelope>],
+) -> DomainParts {
     let cubes: Vec<usize> = (0..plan.n).filter(|&c| dom_of[c] == dom).collect();
     assert!(!cubes.is_empty(), "every domain owns at least one cube");
     let mut engine = Engine::with_capacity(usize::from(dom == 0) + cubes.len());
@@ -1079,7 +1085,7 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
         engine.add_component(Box::new(HostComp {
             model,
             cube0: comps[0],
-            mode: RunMode::Stream,
+            stop: None,
             period,
             tick: AutoWake::new(),
             measure_start: Time::ZERO,
@@ -1089,27 +1095,25 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
     });
 
     // Wire cube 0 to the host and the fabric edges: local neighbors get a
-    // direct component wire, cross-domain neighbors an outbox. Outboxes
-    // are created in ascending (cube, slot) order so they pair
-    // index-for-index with the channels run_domains enumerates in the
-    // same order.
-    let mut outboxes: Vec<Outbox> = Vec::new();
+    // direct component wire, cross-domain neighbors their domain's inbox.
     for (i, &c) in cubes.iter().enumerate() {
         let layout = &plan.layouts[c];
         let mut ctls: Vec<(usize, EdgeCtl)> = Vec::with_capacity(layout.neighbors.len());
-        for (slot, &peer) in layout.neighbors.iter().enumerate() {
+        for (slot, peer) in layout.neighbors.iter().enumerate() {
             let port = layout.fabric_port(slot);
-            let peer_port = plan.layouts[peer.index()].port_toward(CubeId(c as u8));
+            let peer = peer.index();
+            let peer_port = plan.layouts[peer].port_toward(CubeId(c as u8));
             let edge = (plan.edge_base[c] + slot) as u64;
-            let wire = if dom_of[peer.index()] == dom {
+            let wire = if dom_of[peer] == dom {
                 let j = cubes
-                    .binary_search(&peer.index())
+                    .binary_search(&peer)
                     .expect("same-domain peer is owned");
                 EdgeWire::Local(comps[j])
             } else {
-                let outbox: Outbox = Rc::new(RefCell::new(Vec::new()));
-                outboxes.push(outbox.clone());
-                EdgeWire::Remote(outbox)
+                EdgeWire::Remote {
+                    inbox: inboxes[dom_of[peer]].clone(),
+                    cube: peer,
+                }
             };
             ctls.push((
                 port,
@@ -1139,7 +1143,6 @@ fn build_domain(plan: &BuildPlan, probe: &Probe, dom_of: &[usize], dom: usize) -
         host,
         comps,
         cubes,
-        outboxes,
     }
 }
 
@@ -1157,7 +1160,7 @@ fn schedule_initial(parts: &mut DomainParts, kind: RunKind, n: usize) {
                         .engine
                         .component_mut::<HostComp>(id)
                         .expect("host registered");
-                    host.mode = RunMode::GupsUntil(stop_at);
+                    host.stop = Some(stop_at);
                     host.model.set_all_active(true);
                 }
                 parts.engine.schedule(Time::ZERO, id, Msg::HostKick);
@@ -1176,11 +1179,6 @@ fn schedule_initial(parts: &mut DomainParts, kind: RunKind, n: usize) {
         }
         RunKind::Streams => {
             if let Some(id) = parts.host {
-                parts
-                    .engine
-                    .component_mut::<HostComp>(id)
-                    .expect("host registered")
-                    .mode = RunMode::Stream;
                 parts.engine.schedule(Time::ZERO, id, Msg::HostKick);
             }
         }
@@ -1246,12 +1244,6 @@ impl SchedStats {
     }
 }
 
-/// Post-run state of one cube, extracted inside its owning thread.
-struct CubeHarvest {
-    device: DeviceStats,
-    transit: Option<TransitStats>,
-}
-
 /// Post-run state of the host (domain 0 only).
 struct HostHarvest {
     ports: Vec<PortReport>,
@@ -1259,52 +1251,88 @@ struct HostHarvest {
     measure_end: Option<Time>,
 }
 
-/// Everything a worker thread sends back to the caller after every
-/// domain it multiplexed quiesces. `Send`, unlike the engines.
-struct GroupHarvest {
-    cubes: Vec<(usize, CubeHarvest)>,
+/// What one or more domains hand back once they quiesce: their cubes'
+/// reports, summed engine counters, the latest dispatch, window tallies,
+/// telemetry shard hubs and — from domain 0 — the host. `Send`, unlike
+/// the engines: each worker thread absorbs its own domains, and the
+/// caller absorbs every worker.
+#[derive(Default)]
+struct Harvest {
+    cubes: Vec<CubeReport>,
     engine: EngineStats,
     last: Time,
-    hubs: Vec<Hub>,
     window_events: u64,
-    /// Present only for the group that owns domain 0.
+    hubs: Vec<Hub>,
     host: Option<HostHarvest>,
 }
 
-/// The merged result of a run, whatever the domain count.
-struct RunOutcome {
-    report: RunReport,
-    engine: EngineStats,
-    sched: SchedStats,
-}
-
-fn harvest_cubes(parts: &DomainParts) -> Vec<(usize, CubeHarvest)> {
-    parts
-        .cubes
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            let cube = parts
-                .engine
-                .component::<CubeComp>(parts.comps[i])
-                .expect("cube registered");
-            (
-                c,
-                CubeHarvest {
+impl Harvest {
+    /// Extracts one domain's results inside the thread that ran it.
+    fn of(r: &DomainRun) -> Harvest {
+        let parts = &r.parts;
+        let cubes = parts
+            .cubes
+            .iter()
+            .zip(&parts.comps)
+            .map(|(&c, &id)| {
+                let cube = parts
+                    .engine
+                    .component::<CubeComp>(id)
+                    .expect("cube registered");
+                CubeReport {
+                    cube: CubeId(c as u8),
                     device: cube.device.stats(),
                     transit: cube.pass.as_ref().map(PassThrough::transit_stats),
-                },
-            )
-        })
-        .collect()
+                }
+            })
+            .collect();
+        Harvest {
+            cubes,
+            engine: parts.engine.stats(),
+            last: parts.engine.last_dispatched_at(),
+            window_events: r.window_events,
+            hubs: Vec::new(),
+            host: parts.host.map(|id| harvest_host(&parts.engine, id)),
+        }
+    }
+
+    /// Folds `other` in. Every engine counter is schedule-invariant — the
+    /// same components dispatch the same events whichever engine they
+    /// run on — so the sums match a one-domain run exactly.
+    fn absorb(&mut self, other: Harvest) {
+        self.cubes.extend(other.cubes);
+        let (a, b) = (&mut self.engine, other.engine);
+        a.dispatched += b.dispatched;
+        a.pending += b.pending;
+        a.wake_fires += b.wake_fires;
+        a.wake_cancels += b.wake_cancels;
+        a.scratch_spills += b.scratch_spills;
+        self.last = self.last.max(other.last);
+        self.window_events += other.window_events;
+        self.hubs.extend(other.hubs);
+        if other.host.is_some() {
+            debug_assert!(self.host.is_none(), "one domain hosts the host");
+            self.host = other.host;
+        }
+    }
+
+    /// The run report of an `n`-cube fabric, cubes in id order.
+    fn report(mut self, n: usize) -> RunReport {
+        self.cubes.sort_by_key(|c| c.cube);
+        debug_assert_eq!(self.cubes.len(), n, "every cube harvested exactly once");
+        let host = self.host.expect("domain 0 harvested the host");
+        let measure_end = host.measure_end.unwrap_or(self.last);
+        RunReport {
+            ports: host.ports,
+            elapsed: measure_end.saturating_since(host.measure_start),
+            cubes: self.cubes,
+            sim_end: self.last,
+        }
+    }
 }
 
-fn harvest_host(parts: &DomainParts) -> HostHarvest {
-    let id = parts.host.expect("domain 0 hosts the host");
-    let host = parts
-        .engine
-        .component::<HostComp>(id)
-        .expect("host registered");
+fn harvest_host(engine: &Engine<Msg>, id: ComponentId) -> HostHarvest {
+    let host = engine.component::<HostComp>(id).expect("host registered");
     let ports = host
         .model
         .ports()
@@ -1329,108 +1357,58 @@ fn harvest_host(parts: &DomainParts) -> HostHarvest {
     }
 }
 
-/// Sums engine counters across domains. Every field is schedule-invariant
-/// — the same components dispatch the same events whichever engine they
-/// run on — so the merged stats match a one-domain run exactly.
-fn merge_stats(a: EngineStats, b: EngineStats) -> EngineStats {
-    EngineStats {
-        dispatched: a.dispatched + b.dispatched,
-        pending: a.pending + b.pending,
-        wake_fires: a.wake_fires + b.wake_fires,
-        wake_cancels: a.wake_cancels + b.wake_cancels,
-        scratch_spills: a.scratch_spills + b.scratch_spills,
-    }
+/// The scheduler state every worker thread reads: what to build and run,
+/// the domain plan, the per-domain published bounds (`mins`) and window
+/// levels (`done`), the rendezvous barrier, the lookahead `l` in ps, the
+/// telemetry shard config, and one inbox per domain — the sending halves
+/// cloned into every cross-domain edge, the receivers drained by the
+/// owning domain. The receivers live here, in `run_domains`' frame, so
+/// they outlive every sender and a send cannot fail.
+struct Shared<'a> {
+    plan: &'a BuildPlan,
+    kind: RunKind,
+    dplan: DomainPlan,
+    mins: Vec<AtomicU64>,
+    done: Vec<AtomicU64>,
+    barrier: Arc<PhaseBarrier>,
+    l: u64,
+    shard_cfg: Option<HubConfig>,
+    senders: Vec<Sender<Envelope>>,
+    inboxes: Vec<Mutex<Receiver<Envelope>>>,
 }
 
-fn assemble(
-    host: HostHarvest,
-    mut cubes: Vec<(usize, CubeHarvest)>,
-    engine: EngineStats,
-    sched: SchedStats,
-    last: Time,
-    n: usize,
-) -> RunOutcome {
-    cubes.sort_by_key(|&(c, _)| c);
-    debug_assert_eq!(cubes.len(), n, "every cube harvested exactly once");
-    let sim_end = last;
-    let measure_end = host.measure_end.unwrap_or(sim_end);
-    let elapsed = measure_end.saturating_since(host.measure_start);
-    let cube_reports: Vec<CubeReport> = cubes
-        .into_iter()
-        .map(|(c, h)| CubeReport {
-            cube: CubeId(c as u8),
-            device: h.device,
-            transit: h.transit,
-        })
-        .collect();
-    let report = RunReport {
-        ports: host.ports,
-        elapsed,
-        cubes: cube_reports,
-        sim_end,
-    };
-    RunOutcome {
-        report,
-        engine,
-        sched,
-    }
-}
-
-/// Maps each incoming cross-domain edge to the cube component it injects
-/// into.
-fn resolve_inlets(inc: Inboxes, parts: &DomainParts) -> Vec<(ComponentId, Receiver<Envelope>)> {
-    inc.into_iter()
-        .map(|(cube, rx)| {
-            let i = parts
-                .cubes
-                .binary_search(&cube)
-                .expect("cross edge targets an owned cube");
-            (parts.comps[i], rx)
-        })
-        .collect()
-}
-
-/// One engine domain as scheduled by a worker thread: its built parts,
-/// its channel endpoints, and the running tally of events its windows
-/// dispatched. A thread owns one *or several* of these — when the shared
-/// core budget grants fewer workers than domains, each thread simulates
-/// a contiguous block of domains itself, advancing them in lockstep
-/// through the same window levels a dedicated thread would.
+/// One engine domain as scheduled by a worker thread: its built parts and
+/// the running tally of events its windows dispatched. A thread owns one
+/// *or several* of these — when the shared core budget grants fewer
+/// workers than domains, each thread simulates a contiguous block of
+/// domains itself, advancing them in lockstep through the same window
+/// levels a dedicated thread would.
 struct DomainRun {
     d: usize,
     parts: DomainParts,
-    out: Vec<Sender<Envelope>>,
-    inc: Vec<(ComponentId, Receiver<Envelope>)>,
     window_events: u64,
 }
 
 impl DomainRun {
-    /// Injects everything the inbound channels currently hold. The keyed
+    /// Injects everything the domain's inbox currently holds, each
+    /// envelope into the component of the cube it addresses. The keyed
     /// ordering makes injection timing irrelevant to results, so a drain
-    /// may even pick up envelopes from a neighbor running a later window
-    /// — they simply schedule early.
-    fn drain_inboxes(&mut self) {
-        for (target, rx) in &self.inc {
-            while let Ok(env) = rx.try_recv() {
-                self.parts
-                    .engine
-                    .schedule_keyed(env.at, *target, env.key, env.msg);
-            }
+    /// may even pick up envelopes a neighbor sent in a later window — they
+    /// simply schedule early.
+    fn drain_inbox(&mut self, inbox: &Mutex<Receiver<Envelope>>) {
+        let rx = inbox
+            .lock()
+            .expect("only the owning domain drains its inbox");
+        for env in rx.try_iter() {
+            let i = self
+                .parts
+                .cubes
+                .binary_search(&env.cube)
+                .expect("envelope targets an owned cube");
+            self.parts
+                .engine
+                .schedule_keyed(env.at, self.parts.comps[i], env.key, env.msg);
         }
-    }
-
-    /// Moves this window's outbox contents onto the cross-domain
-    /// channels.
-    fn flush_outboxes(&mut self) -> Result<(), BarrierPoisoned> {
-        for (outbox, tx) in self.parts.outboxes.iter().zip(&self.out) {
-            for env in outbox.borrow_mut().drain(..) {
-                if tx.send(env).is_err() {
-                    // The receiving domain died; unwind like a poison.
-                    return Err(BarrierPoisoned);
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1446,24 +1424,19 @@ struct SchedTally {
 
 /// Blocks until every domain adjacent to `d` has published completion of
 /// window level `level` (its `done` counter passing `level` means levels
-/// `0..level` are flushed). Point-to-point: a domain waits only on its
-/// neighbors, never on the whole fabric — the reason multi-window rounds
-/// beat per-window barriers. Spins with periodic yields, polling the
-/// barrier's poison flag so a panicked neighbor can't strand the wait.
-fn wait_level(
-    d: usize,
-    dplan: &DomainPlan,
-    done: &[AtomicU64],
-    level: u64,
-    barrier: &PhaseBarrier,
-) -> Result<(), BarrierPoisoned> {
-    for (f, &dist) in dplan.dist[d].iter().enumerate() {
+/// `0..level` are complete, their sends in `d`'s inbox). Point-to-point:
+/// a domain waits only on its neighbors, never on the whole fabric — the
+/// reason multi-window rounds beat per-window barriers. Spins with
+/// periodic yields, polling the barrier's poison flag so a panicked
+/// neighbor can't strand the wait.
+fn wait_level(sh: &Shared<'_>, d: usize, level: u64) -> Result<(), BarrierPoisoned> {
+    for (f, &dist) in sh.dplan.dist[d].iter().enumerate() {
         if dist != 1 {
             continue;
         }
         let mut spins = 0u32;
-        while done[f].load(Ordering::Acquire) < level {
-            if barrier.is_poisoned() {
+        while sh.done[f].load(Ordering::Acquire) < level {
+            if sh.barrier.is_poisoned() {
                 return Err(BarrierPoisoned);
             }
             spins = spins.wrapping_add(1);
@@ -1482,28 +1455,24 @@ fn wait_level(
 ///
 /// Each round: publish every owned engine's earliest pending event time,
 /// meet at barrier A, read everyone's bound, stop if all engines are
-/// empty (no envelope can be in flight then — every send was flushed
-/// before the previous barrier B and injected right after it). Otherwise
-/// project the whole round's window ladder from the snapshot
-/// ([`plan_windows`]) and run it: window `k` of a domain first waits for
-/// its neighbors to finish window `k-1` (per-domain `done` counters —
-/// the only synchronization inside a round), drains their envelopes,
-/// runs to its ladder horizon, flushes its outboxes and publishes its
-/// own level. Barrier B then orders every send of the round before the
-/// final drain, and the next round begins. `runs` must be sorted by
-/// domain id: a thread's own earlier domains satisfy the level wait by
+/// empty (no envelope can be in flight then — every send happens inside
+/// a `run_until` before the previous barrier B and was injected right
+/// after it). Otherwise project the whole round's window ladder from the
+/// snapshot ([`plan_windows`]) and run it: window `k` of a domain first
+/// waits for its neighbors to finish window `k-1` (per-domain `done`
+/// counters — the only synchronization inside a round), drains its
+/// inbox, runs to its ladder horizon — cross-domain sends land straight
+/// in the receiving domain's inbox — and publishes its own level.
+/// Barrier B then orders every send of the round before the final
+/// drain, and the next round begins. `runs` must be sorted by domain id:
+/// a thread's own earlier domains satisfy the level wait by
 /// construction, so multiplexed groups can never self-deadlock.
 fn run_group(
+    sh: &Shared<'_>,
     runs: &mut [DomainRun],
-    dplan: &DomainPlan,
-    mins: &[AtomicU64],
-    done: &[AtomicU64],
-    barrier: &PhaseBarrier,
-    l: u64,
     tally: &mut SchedTally,
 ) -> Result<(), BarrierPoisoned> {
-    let count = dplan.count;
-    let mut snapshot = vec![0u64; count];
+    let mut snapshot = vec![0u64; sh.dplan.count];
     let mut base = 0u64;
     loop {
         for r in runs.iter_mut() {
@@ -1512,16 +1481,16 @@ fn run_group(
                 .engine
                 .next_event_time()
                 .map_or(u64::MAX, |t| t.as_ps());
-            mins[r.d].store(next, Ordering::Release);
+            sh.mins[r.d].store(next, Ordering::Release);
         }
-        barrier.wait()?;
+        sh.barrier.wait()?;
         for (slot, m) in snapshot.iter_mut().enumerate() {
-            *m = mins[slot].load(Ordering::Acquire);
+            *m = sh.mins[slot].load(Ordering::Acquire);
         }
         if snapshot.iter().all(|&m| m == u64::MAX) {
             return Ok(());
         }
-        let ladder = plan_windows(&snapshot, &dplan.dist, l);
+        let ladder = plan_windows(&snapshot, &sh.dplan.dist, sh.l);
         tally.rounds += 1;
         tally.windows += ladder.len() as u64;
         if runs.iter().any(|r| r.d == 0) {
@@ -1534,45 +1503,20 @@ fn run_group(
             let level = base + k as u64;
             for r in runs.iter_mut() {
                 if k > 0 {
-                    wait_level(r.d, dplan, done, level, barrier)?;
-                    r.drain_inboxes();
+                    wait_level(sh, r.d, level)?;
+                    r.drain_inbox(&sh.inboxes[r.d]);
                 }
                 let before = r.parts.engine.stats().dispatched;
                 r.parts.engine.run_until(Time::from_ps(horizons[r.d]));
                 r.window_events += r.parts.engine.stats().dispatched - before;
-                r.flush_outboxes()?;
-                done[r.d].store(level + 1, Ordering::Release);
+                sh.done[r.d].store(level + 1, Ordering::Release);
             }
         }
         base += ladder.len() as u64;
-        barrier.wait()?;
+        sh.barrier.wait()?;
         for r in runs.iter_mut() {
-            r.drain_inboxes();
+            r.drain_inbox(&sh.inboxes[r.d]);
         }
-    }
-}
-
-/// Builds one domain into a [`DomainRun`]: engine and components, initial
-/// events, channel endpoints resolved onto the owned cubes.
-fn make_run(
-    plan: &BuildPlan,
-    kind: RunKind,
-    probe: &Probe,
-    dplan: &DomainPlan,
-    d: usize,
-    out: Vec<Sender<Envelope>>,
-    inc: Inboxes,
-) -> DomainRun {
-    let mut parts = build_domain(plan, probe, &dplan.of_cube, d);
-    schedule_initial(&mut parts, kind, plan.n);
-    let inc = resolve_inlets(inc, &parts);
-    debug_assert_eq!(parts.outboxes.len(), out.len(), "one channel per outbox");
-    DomainRun {
-        d,
-        parts,
-        out,
-        inc,
-        window_events: 0,
     }
 }
 
@@ -1584,29 +1528,21 @@ fn make_run(
 /// threads; a poisoned run still harvests what it has — the caller's
 /// join of the panicked thread re-raises. The caller runs its own group
 /// through this same function on the calling thread.
-#[allow(clippy::too_many_arguments)]
 fn run_group_thread(
-    plan: &BuildPlan,
-    kind: RunKind,
-    seats: Vec<(usize, Vec<Sender<Envelope>>, Inboxes)>,
-    dplan: &DomainPlan,
-    mins: &[AtomicU64],
-    done: &[AtomicU64],
-    barrier: &PhaseBarrier,
-    l: u64,
-    shard_cfg: Option<HubConfig>,
+    sh: &Shared<'_>,
+    domains: &[usize],
     main_probe: Option<&Probe>,
-) -> (GroupHarvest, SchedTally) {
-    let _guard = barrier.guard();
-    let shards: Vec<(Option<Rc<RefCell<Hub>>>, Probe)> = seats
+) -> (Harvest, SchedTally) {
+    let _guard = sh.barrier.guard();
+    let shards: Vec<(Option<Rc<RefCell<Hub>>>, Probe)> = domains
         .iter()
-        .map(|&(d, _, _)| {
+        .map(|&d| {
             if d == 0 {
                 if let Some(p) = main_probe {
                     return (None, p.clone());
                 }
             }
-            match shard_cfg {
+            match sh.shard_cfg {
                 Some(cfg) => {
                     let hub = Hub::shared(cfg);
                     let probe = Probe::attached(&hub);
@@ -1616,30 +1552,28 @@ fn run_group_thread(
             }
         })
         .collect();
-    let mut runs: Vec<DomainRun> = seats
-        .into_iter()
+    let mut runs: Vec<DomainRun> = domains
+        .iter()
         .zip(&shards)
-        .map(|((d, out, inc), (_, probe))| make_run(plan, kind, probe, dplan, d, out, inc))
+        .map(|(&d, (_, probe))| {
+            let mut parts = build_domain(sh.plan, probe, &sh.dplan.of_cube, d, &sh.senders);
+            schedule_initial(&mut parts, sh.kind, sh.plan.n);
+            DomainRun {
+                d,
+                parts,
+                window_events: 0,
+            }
+        })
         .collect();
     let mut tally = SchedTally::default();
-    let _ = run_group(&mut runs, dplan, mins, done, barrier, l, &mut tally);
+    let _ = run_group(sh, &mut runs, &mut tally);
 
-    let mut cubes = Vec::new();
-    let mut engine = EngineStats::default();
-    let mut last = Time::ZERO;
-    let mut window_events = 0u64;
-    let mut host = None;
+    let mut harvest = Harvest::default();
     for r in &runs {
-        cubes.extend(harvest_cubes(&r.parts));
-        engine = merge_stats(engine, r.parts.engine.stats());
-        last = last.max(r.parts.engine.last_dispatched_at());
-        window_events += r.window_events;
-        if r.parts.host.is_some() {
-            host = Some(harvest_host(&r.parts));
-        }
+        harvest.absorb(Harvest::of(r));
     }
     drop(runs);
-    let hubs = shards
+    harvest.hubs = shards
         .into_iter()
         .filter_map(|(hub, probe)| {
             drop(probe);
@@ -1650,17 +1584,7 @@ fn run_group_thread(
             })
         })
         .collect();
-    (
-        GroupHarvest {
-            cubes,
-            engine,
-            last,
-            hubs,
-            window_events,
-            host,
-        },
-        tally,
-    )
+    (harvest, tally)
 }
 
 /// A complete simulated measurement system: FPGA host plus a network of
@@ -1693,7 +1617,10 @@ pub struct FabricSim {
     plan: BuildPlan,
     probe: Probe,
     domains: usize,
-    outcome: Option<RunOutcome>,
+    /// The run's merged engine counters (zero until it has run).
+    engine: EngineStats,
+    /// The run's scheduler counters (zero until it has run).
+    sched: SchedStats,
     started: bool,
 }
 
@@ -1806,7 +1733,8 @@ impl FabricSim {
             },
             probe,
             domains: 1,
-            outcome: None,
+            engine: EngineStats::default(),
+            sched: SchedStats::default(),
             started: false,
         }
     }
@@ -1898,13 +1826,10 @@ impl FabricSim {
         } else {
             self.domains.min(n)
         };
-        let outcome = self.run_domains(kind, d_count);
-        let report = outcome.report.clone();
-        self.outcome = Some(outcome);
-        report
+        self.run_domains(kind, d_count)
     }
 
-    fn run_domains(&mut self, kind: RunKind, want: usize) -> RunOutcome {
+    fn run_domains(&mut self, kind: RunKind, want: usize) -> RunReport {
         let plan = &self.plan;
         let probe = &self.probe;
         let n = plan.n;
@@ -1916,34 +1841,6 @@ impl FabricSim {
                 .collect()
         });
         let d_count = dplan.count;
-        let l = plan.cfg.lookahead().as_ps();
-        let shard_cfg = probe.hub_config();
-
-        // One unbounded channel per directed cross-domain edge, in
-        // ascending (cube, slot) order — the order build_domain creates
-        // the matching outboxes in, so sender k pairs with outbox k.
-        let mut senders: Vec<Vec<Sender<Envelope>>> = (0..d_count).map(|_| Vec::new()).collect();
-        let mut receivers: Vec<Inboxes> = (0..d_count).map(|_| Vec::new()).collect();
-        for c in 0..n {
-            for &peer in &plan.layouts[c].neighbors {
-                let (from, to) = (dplan.of_cube[c], dplan.of_cube[peer.index()]);
-                if from != to {
-                    let (tx, rx) = channel();
-                    senders[from].push(tx);
-                    receivers[to].push((peer.index(), rx));
-                }
-            }
-        }
-        let mut sender_slots: Vec<Option<Vec<Sender<Envelope>>>> =
-            senders.into_iter().map(Some).collect();
-        let mut receiver_slots: Vec<Option<Inboxes>> = receivers.into_iter().map(Some).collect();
-        let mut seat = |d: usize| {
-            (
-                d,
-                sender_slots[d].take().expect("each domain seats once"),
-                receiver_slots[d].take().expect("each domain seats once"),
-            )
-        };
 
         // Worker threads come from the shared core budget: one leased
         // core per domain, the caller's own seat included (the caller
@@ -1960,25 +1857,35 @@ impl FabricSim {
             .map(|w| (w * d_count / workers..(w + 1) * d_count / workers).collect())
             .collect();
 
-        let mins: Vec<AtomicU64> = (0..d_count).map(|_| AtomicU64::new(0)).collect();
-        let done: Vec<AtomicU64> = (0..d_count).map(|_| AtomicU64::new(0)).collect();
         let barrier = Arc::new(PhaseBarrier::new(workers));
         crate::watchdog::register_barrier(&barrier);
+        // One unbounded inbox per domain.
+        let (senders, inboxes) = (0..d_count)
+            .map(|_| {
+                let (tx, rx) = channel();
+                (tx, Mutex::new(rx))
+            })
+            .unzip();
+        let sh = Shared {
+            plan,
+            kind,
+            mins: (0..d_count).map(|_| AtomicU64::new(0)).collect(),
+            done: (0..d_count).map(|_| AtomicU64::new(0)).collect(),
+            dplan,
+            barrier,
+            l: plan.cfg.lookahead().as_ps(),
+            shard_cfg: probe.hub_config(),
+            senders,
+            inboxes,
+        };
 
         let (harvest, tally) = std::thread::scope(|s| {
             let handles: Vec<_> = groups[1..]
                 .iter()
                 .map(|group| {
-                    let seats: Vec<_> = group.iter().map(|&d| seat(d)).collect();
-                    let dplan = &dplan;
-                    let mins = &mins[..];
-                    let done = &done[..];
-                    let barrier = &barrier;
-                    let lease = &lease;
+                    let (sh, lease) = (&sh, &lease);
                     s.spawn(move || {
-                        let out = run_group_thread(
-                            plan, kind, seats, dplan, mins, done, barrier, l, shard_cfg, None,
-                        );
+                        let out = run_group_thread(sh, group, None);
                         // Hand the core back before the join: a sweep
                         // sibling (or a later run's domain lease) can
                         // claim it while the caller is still merging.
@@ -1993,26 +1900,10 @@ impl FabricSim {
             // run_group_thread installs the poison guard before building,
             // so a panic before the first rendezvous can't strand the
             // workers at barrier A.
-            let seats: Vec<_> = groups[0].iter().map(|&d| seat(d)).collect();
-            let (mut harvest, tally) = run_group_thread(
-                plan,
-                kind,
-                seats,
-                &dplan,
-                &mins,
-                &done,
-                &barrier,
-                l,
-                shard_cfg,
-                Some(probe),
-            );
+            let (mut harvest, tally) = run_group_thread(&sh, &groups[0], Some(probe));
             for h in handles {
                 let (g, _) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                harvest.cubes.extend(g.cubes);
-                harvest.engine = merge_stats(harvest.engine, g.engine);
-                harvest.last = harvest.last.max(g.last);
-                harvest.window_events += g.window_events;
-                harvest.hubs.extend(g.hubs);
+                harvest.absorb(g);
             }
             (harvest, tally)
         });
@@ -2022,7 +1913,7 @@ impl FabricSim {
             probe.absorb_shard(shard);
         }
         let pool_after = pool::stats();
-        let sched = if d_count > 1 {
+        self.sched = if d_count > 1 {
             SchedStats {
                 rounds: tally.rounds,
                 windows: tally.windows,
@@ -2034,8 +1925,8 @@ impl FabricSim {
         } else {
             SchedStats::default()
         };
-        let host = harvest.host.expect("domain 0 harvested the host");
-        assemble(host, harvest.cubes, harvest.engine, sched, harvest.last, n)
+        self.engine = harvest.engine;
+        harvest.report(n)
     }
 
     /// Event-engine counters for this system, merged across domains after
@@ -2046,7 +1937,7 @@ impl FabricSim {
     /// runs. Every counter is schedule-invariant, so the totals match the
     /// one-domain run whatever the domain count.
     pub fn engine_stats(&self) -> EngineStats {
-        self.outcome.as_ref().map(|o| o.engine).unwrap_or_default()
+        self.engine
     }
 
     /// Scheduler and worker-pool counters from the last run. One-domain
@@ -2054,7 +1945,7 @@ impl FabricSim {
     /// deterministic round/window tallies plus worker telemetry. See
     /// [`SchedStats`] for which fields are schedule-invariant.
     pub fn sched_stats(&self) -> SchedStats {
-        self.outcome.as_ref().map(|o| o.sched).unwrap_or_default()
+        self.sched
     }
 }
 
@@ -2483,29 +2374,44 @@ mod tests {
     /// Pins the event schedule itself, not only its results: a 1-cube
     /// system and a 4-cube chain, each with nine 128 B GUPS ports over 16
     /// vaults for 5 + 20 µs, must dispatch exactly these events, timer
-    /// fires and cancellations. A change that adds, drops or merges events
-    /// has to re-pin these counts on purpose.
+    /// fires and cancellations — the chain on one, two and four engine
+    /// domains, whose window schedule (rounds, windows, events inside
+    /// windows) is pinned too. A change that adds, drops or merges events,
+    /// or moves the lookahead windows, has to re-pin these counts on
+    /// purpose.
     #[test]
     fn event_schedule_is_pinned() {
-        let run = |cubes: u8| {
+        let run = |cubes: u8, domains: usize| {
             let cfg = FabricConfig::chain(2018, cubes);
             let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
             let op = hmc_host::GupsOp::Read(PayloadSize::B128);
             let specs = (0..9u8)
                 .map(|p| FabricPortSpec::gups(filter, op, CubeId(p % cubes)))
                 .collect();
-            let mut sim = FabricSim::new(cfg, specs);
+            let mut sim = FabricSim::new(cfg, specs).with_domains(domains);
             let report = sim.run_gups(Delay::from_us(5), Delay::from_us(20));
-            let s = sim.engine_stats();
+            let (s, w) = (sim.engine_stats(), sim.sched_stats());
             (
-                s.dispatched,
-                s.wake_fires,
-                s.wake_cancels,
-                report.total_accesses(),
+                (
+                    s.dispatched,
+                    s.wake_fires,
+                    s.wake_cancels,
+                    report.total_accesses(),
+                ),
+                (w.rounds, w.windows, w.window_events),
             )
         };
         // (dispatched, wake_fires, wake_cancels, total_accesses)
-        assert_eq!(run(1), (32_867, 15_194, 2_158, 2_852));
-        assert_eq!(run(4), (85_352, 21_739, 4_120, 2_847));
+        let chain = (85_352, 21_739, 4_120, 2_847);
+        assert_eq!(run(1, 1), ((32_867, 15_194, 2_158, 2_852), (0, 0, 0)));
+        assert_eq!(run(4, 1), (chain, (0, 0, 0)));
+        // (rounds, windows, window_events)
+        for domains in [2, 4] {
+            assert_eq!(
+                run(4, domains),
+                (chain, (15, 480, 85_352)),
+                "{domains} domains"
+            );
+        }
     }
 }
