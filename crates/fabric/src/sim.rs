@@ -42,8 +42,6 @@
 //! holding every cube: one engine, no envelopes, and a horizon of
 //! `u64::MAX`, so its single window is a run to quiescence.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -60,7 +58,7 @@ use hmc_link::{Deliveries, LinkConfig, LinkTx, LinkWidth, RetryTuning};
 use hmc_mapping::CubeTargeting;
 use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
 use hmc_packet::{LinkId, PortId, RequestPacket, ResponsePacket};
-use hmc_telemetry::{Hub, HubConfig, Probe, Stage};
+use hmc_telemetry::{Probe, Stage};
 use hmc_workloads::{
     source_factory, GlobalGupsSource, GupsSource, SourceFactory, TraceReplay, TrafficSource,
 };
@@ -255,9 +253,12 @@ enum Msg {
     AdapterCredits { output: usize, flits: u32 },
     /// Link tokens returned to the serializer behind `port`.
     AdapterLinkTokens { port: usize, flits: u32 },
-    /// Re-anchor this stage's telemetry window (end of GUPS warmup).
-    /// Scheduled for every pass-through stage so each engine domain's
-    /// telemetry shard resets even when the host lives elsewhere.
+    /// End of GUPS warmup at a fabric cube. It does nothing: the host
+    /// records all telemetry, and its `HostResetStats` has already reset
+    /// the hub at the same instant (both are pushed before the run starts
+    /// and ties dispatch FIFO). It stays scheduled only because its
+    /// engine events are counted in `EngineStats::dispatched`, which
+    /// perfbench's pinned digests fold in; dropping it moves those pins.
     AdapterResetWindow,
 }
 
@@ -538,7 +539,7 @@ impl Component<Msg> for CubeComp {
                 self.device.return_response_tokens(link, flits);
             }
             (msg, Some(pass)) => {
-                if pass.accept(msg, now) {
+                if pass.accept(msg) {
                     pass.pump(now, self.host, ctx);
                 }
                 return;
@@ -687,7 +688,7 @@ impl PassThrough {
     /// due. A credit or token return into a pool nobody starves on
     /// unblocks nothing — time-driven progress is covered by the armed
     /// wake — so it skips the pump entirely.
-    fn accept(&mut self, msg: Msg, now: Time) -> bool {
+    fn accept(&mut self, msg: Msg) -> bool {
         match msg {
             // The host's links in a fabric: cube 0's crossbar host ports.
             // The destination cube is read off each request's CUB field —
@@ -722,10 +723,7 @@ impl PassThrough {
                 unblocked
             }
             Msg::AdapterLinkTokens { port, flits } => self.link_tokens(port, flits),
-            Msg::AdapterResetWindow => {
-                self.probe.reset_window(now);
-                false
-            }
+            Msg::AdapterResetWindow => false,
             _ => unreachable!("message addressed elsewhere reached a pass-through stage"),
         }
     }
@@ -1147,9 +1145,8 @@ fn build_domain(
 }
 
 /// Seeds a freshly built domain with its initial events. The host's kick,
-/// warmup reset and stop exist only in domain 0; the per-stage telemetry
-/// window reset at warmup is scheduled in *every* domain so shard hubs
-/// re-anchor exactly like the serial hub.
+/// warmup reset and stop exist only in domain 0; every fabric cube also
+/// gets an inert [`Msg::AdapterResetWindow`] at warmup.
 fn schedule_initial(parts: &mut DomainParts, kind: RunKind, n: usize) {
     match kind {
         RunKind::Gups { warmup, measure } => {
@@ -1252,8 +1249,9 @@ struct HostHarvest {
 }
 
 /// What one or more domains hand back once they quiesce: their cubes'
-/// reports, summed engine counters, the latest dispatch, window tallies,
-/// telemetry shard hubs and — from domain 0 — the host. `Send`, unlike
+/// reports, summed engine counters, the latest dispatch, window tallies
+/// and — from domain 0 — the host. Telemetry needs no harvest: the host
+/// fed the caller's hub directly. `Send`, unlike
 /// the engines: each worker thread absorbs its own domains, and the
 /// caller absorbs every worker.
 #[derive(Default)]
@@ -1262,7 +1260,6 @@ struct Harvest {
     engine: EngineStats,
     last: Time,
     window_events: u64,
-    hubs: Vec<Hub>,
     host: Option<HostHarvest>,
 }
 
@@ -1291,7 +1288,6 @@ impl Harvest {
             engine: parts.engine.stats(),
             last: parts.engine.last_dispatched_at(),
             window_events: r.window_events,
-            hubs: Vec::new(),
             host: parts.host.map(|id| harvest_host(&parts.engine, id)),
         }
     }
@@ -1309,7 +1305,6 @@ impl Harvest {
         a.scratch_spills += b.scratch_spills;
         self.last = self.last.max(other.last);
         self.window_events += other.window_events;
-        self.hubs.extend(other.hubs);
         if other.host.is_some() {
             debug_assert!(self.host.is_none(), "one domain hosts the host");
             self.host = other.host;
@@ -1359,8 +1354,8 @@ fn harvest_host(engine: &Engine<Msg>, id: ComponentId) -> HostHarvest {
 
 /// The scheduler state every worker thread reads: what to build and run,
 /// the domain plan, the per-domain published bounds (`mins`) and window
-/// levels (`done`), the rendezvous barrier, the lookahead `l` in ps, the
-/// telemetry shard config, and one inbox per domain — the sending halves
+/// levels (`done`), the rendezvous barrier, the lookahead `l` in ps, and
+/// one inbox per domain — the sending halves
 /// cloned into every cross-domain edge, the receivers drained by the
 /// owning domain. The receivers live here, in `run_domains`' frame, so
 /// they outlive every sender and a send cannot fail.
@@ -1372,7 +1367,6 @@ struct Shared<'a> {
     done: Vec<AtomicU64>,
     barrier: Arc<PhaseBarrier>,
     l: u64,
-    shard_cfg: Option<HubConfig>,
     senders: Vec<Sender<Envelope>>,
     inboxes: Vec<Mutex<Receiver<Envelope>>>,
 }
@@ -1520,42 +1514,26 @@ fn run_group(
     }
 }
 
-/// One worker thread's whole life: build every domain of its group (each
-/// with a telemetry shard hub mirroring the caller's hub config, except
-/// domain 0 which — when `main_probe` is given — feeds the caller's hub
-/// directly), run the group scheduler, harvest. The poison guard is
-/// installed before the builds so a panic anywhere releases the other
-/// threads; a poisoned run still harvests what it has — the caller's
-/// join of the panicked thread re-raises. The caller runs its own group
-/// through this same function on the calling thread.
+/// One worker thread's whole life: build every domain of its group, run
+/// the group scheduler, harvest. Domain 0 holds the host, which records
+/// every completion, sketch and traced issue, so it alone gets the
+/// caller's probe (`main_probe`, passed only to the caller's own group);
+/// every other domain runs detached. The poison guard is installed
+/// before the builds so a panic anywhere releases the other threads; a
+/// poisoned run still harvests what it has — the caller's join of the
+/// panicked thread re-raises. The caller runs its own group through this
+/// same function on the calling thread.
 fn run_group_thread(
     sh: &Shared<'_>,
     domains: &[usize],
     main_probe: Option<&Probe>,
 ) -> (Harvest, SchedTally) {
     let _guard = sh.barrier.guard();
-    let shards: Vec<(Option<Rc<RefCell<Hub>>>, Probe)> = domains
-        .iter()
-        .map(|&d| {
-            if d == 0 {
-                if let Some(p) = main_probe {
-                    return (None, p.clone());
-                }
-            }
-            match sh.shard_cfg {
-                Some(cfg) => {
-                    let hub = Hub::shared(cfg);
-                    let probe = Probe::attached(&hub);
-                    (Some(hub), probe)
-                }
-                None => (None, Probe::off()),
-            }
-        })
-        .collect();
+    let off = Probe::off();
     let mut runs: Vec<DomainRun> = domains
         .iter()
-        .zip(&shards)
-        .map(|(&d, (_, probe))| {
+        .map(|&d| {
+            let probe = main_probe.filter(|_| d == 0).unwrap_or(&off);
             let mut parts = build_domain(sh.plan, probe, &sh.dplan.of_cube, d, &sh.senders);
             schedule_initial(&mut parts, sh.kind, sh.plan.n);
             DomainRun {
@@ -1572,18 +1550,6 @@ fn run_group_thread(
     for r in &runs {
         harvest.absorb(Harvest::of(r));
     }
-    drop(runs);
-    harvest.hubs = shards
-        .into_iter()
-        .filter_map(|(hub, probe)| {
-            drop(probe);
-            hub.map(|rc| {
-                Rc::try_unwrap(rc)
-                    .map(RefCell::into_inner)
-                    .unwrap_or_else(|rc| rc.borrow().clone())
-            })
-        })
-        .collect();
     (harvest, tally)
 }
 
@@ -1816,10 +1782,7 @@ impl FabricSim {
         let n = self.plan.n;
         // Packet-lifecycle tracing samples by issue order, which only a
         // one-domain schedule preserves; traced runs stay on one engine.
-        let traced = self
-            .probe
-            .hub_config()
-            .is_some_and(|c| c.trace_sample.is_some());
+        let traced = self.probe.tracing();
         let lookahead = self.plan.cfg.lookahead().as_ps();
         let d_count = if traced || n <= 1 || lookahead == 0 {
             1
@@ -1874,7 +1837,6 @@ impl FabricSim {
             dplan,
             barrier,
             l: plan.cfg.lookahead().as_ps(),
-            shard_cfg: probe.hub_config(),
             senders,
             inboxes,
         };
@@ -1909,9 +1871,6 @@ impl FabricSim {
         });
         drop(lease);
 
-        for shard in &harvest.hubs {
-            probe.absorb_shard(shard);
-        }
         let pool_after = pool::stats();
         self.sched = if d_count > 1 {
             SchedStats {
@@ -2327,7 +2286,7 @@ mod tests {
                 detached.link_fault_totals().retries > 0,
                 "the retry path must run"
             );
-            let hub = Hub::shared(HubConfig::default());
+            let hub = hmc_telemetry::Hub::shared(hmc_telemetry::HubConfig::default());
             let (attached, attached_stats) = faulty_gups_report(Some(plan()), domains, Some(&hub));
             assert!(
                 hub.borrow().aggregate_sketch().count() > 0,

@@ -75,18 +75,6 @@ impl EpochSeries {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Elementwise-adds `other` into `self`. Addition is commutative and
-    /// associative, so absorbing a set of shard timelines yields the same
-    /// series in any order — the property hub merging relies on.
-    pub fn absorb(&mut self, other: &EpochSeries) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-    }
 }
 
 /// The sink behind attached [`Probe`](crate::Probe)s: per-epoch
@@ -147,28 +135,6 @@ impl Hub {
         self.by_cube.clear();
     }
 
-    /// Merges another hub's instruments into this one. Every instrument
-    /// merge is order-independent (elementwise counter addition, sketch
-    /// bucket addition, slice concatenation per shard), so absorbing
-    /// per-domain hub shards produces the same aggregate regardless of
-    /// absorb order — a partitioned simulation's telemetry equals the
-    /// single-hub run's.
-    ///
-    /// Both hubs must cover the same measurement window (same epoch width
-    /// and origin); debug builds assert it.
-    pub fn absorb(&mut self, other: &Hub) {
-        debug_assert_eq!(self.cfg.epoch, other.cfg.epoch, "shard epoch widths match");
-        debug_assert_eq!(self.origin, other.origin, "shard window origins match");
-        self.completion_bytes.absorb(&other.completion_bytes);
-        self.completion_count.absorb(&other.completion_count);
-        self.completion_latency_ps
-            .absorb(&other.completion_latency_ps);
-        for (k, s) in &other.by_cube {
-            self.by_cube.entry(*k).or_default().merge(s);
-        }
-        self.tracer.absorb(&other.tracer);
-    }
-
     // --- event sinks (called via Probe) ---
 
     pub(crate) fn on_completion(&mut self, cube: u8, latency_ps: u64, bytes: u64, now: Time) {
@@ -192,13 +158,6 @@ impl Hub {
     }
 
     // --- accessors ---
-
-    /// The configuration this hub was created with — what a partitioned
-    /// simulation uses to create per-domain shard hubs that bucket into
-    /// the same epochs.
-    pub fn config(&self) -> HubConfig {
-        self.cfg
-    }
 
     /// The configured epoch width in picoseconds.
     pub fn epoch_ps(&self) -> u64 {
@@ -323,46 +282,6 @@ mod tests {
         let [p50, p99, p999] = h.cube_tail_ps(1).unwrap();
         assert!(p50 <= p99 && p99 <= p999);
         assert_eq!(h.completion_bytes().total(), 352);
-    }
-
-    #[test]
-    fn absorb_merges_shards_order_independently() {
-        let cfg = HubConfig {
-            epoch: Delay::from_us(1),
-            trace_sample: None,
-        };
-        let mut a = Hub::new(cfg);
-        a.on_completion(0, 500, 160, Time::from_ns(200));
-        let mut b = Hub::new(cfg);
-        b.on_completion(1, 900, 32, Time::from_us(1));
-        let mut ab = Hub::new(cfg);
-        ab.absorb(&a);
-        ab.absorb(&b);
-        let mut ba = Hub::new(cfg);
-        ba.absorb(&b);
-        ba.absorb(&a);
-        assert_eq!(
-            ab.completion_count().counts(),
-            ba.completion_count().counts()
-        );
-        assert_eq!(ab.completion_bytes().total(), 192);
-        assert_eq!(ab.aggregate_tail_ps(), ba.aggregate_tail_ps());
-        assert_eq!(ab.cube_sketches()[&1].count(), 1);
-    }
-
-    #[test]
-    fn absorb_into_a_fresh_hub_reproduces_the_shard() {
-        let cfg = HubConfig::default();
-        let mut shard = Hub::new(cfg);
-        shard.on_completion(5, 400, 32, Time::from_ns(40));
-        shard.on_completion(5, 600, 160, Time::from_ns(41));
-        let mut total = Hub::new(cfg);
-        total.absorb(&shard);
-        assert_eq!(total.completion_count(), shard.completion_count());
-        assert_eq!(total.completion_bytes(), shard.completion_bytes());
-        assert_eq!(total.completion_latency_ps(), shard.completion_latency_ps());
-        assert_eq!(total.cube_tail_ps(5), shard.cube_tail_ps(5));
-        assert_eq!(total.config(), cfg);
     }
 
     #[test]

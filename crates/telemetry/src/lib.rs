@@ -23,7 +23,11 @@
 //! Everything is deterministic: epoch indices derive from simulated time,
 //! sketches have a fixed bucket structure, and all maps iterate in key
 //! order, so telemetry output is byte-identical across runs and thread
-//! counts.
+//! counts. One hub serves a whole run: a fabric split over parallel
+//! engine domains attaches the caller's probe only to the domain that
+//! holds the host, which records every completion and traced issue, so
+//! an attached hub reads the same at every domain count — there are no
+//! per-domain shards to merge.
 //!
 //! ```
 //! use hmc_des::Time;

@@ -36,23 +36,12 @@ impl Probe {
         }
     }
 
-    /// The configuration of the hub this probe feeds, or `None` when
-    /// detached. A partitioned
-    /// simulation reads this to create per-domain shard hubs with the
-    /// same epoch layout, then merges them back via
-    /// [`Hub::absorb`](crate::Hub::absorb).
-    pub fn hub_config(&self) -> Option<crate::HubConfig> {
-        self.hub.as_ref().map(|h| h.borrow().config())
-    }
-
-    /// Folds a per-domain shard hub back into the hub this probe feeds.
-    /// The domain scheduler gives each worker domain its own shard (same
-    /// [`HubConfig`](crate::HubConfig) as the primary, read via
-    /// [`Probe::hub_config`]) and merges them all here after the join —
-    /// a no-op on a detached probe.
-    #[inline]
-    pub fn absorb_shard(&self, shard: &crate::Hub) {
-        self.with(|h| h.absorb(shard));
+    /// Whether events reach a hub whose packet tracer is sampling
+    /// ([`Hub::tracing`](crate::Hub::tracing)); `false` when detached. A
+    /// fabric simulation reads this to keep traced runs on one engine
+    /// domain, the only schedule that preserves issue order.
+    pub fn tracing(&self) -> bool {
+        self.hub.as_ref().is_some_and(|h| h.borrow().tracing())
     }
 
     /// Whether events reach a hub.

@@ -81,7 +81,11 @@ type LiveSlice = (u8, Vec<(Stage, Time)>);
 
 /// Sampled milestone recorder. Keyed by `(port, tag)` — a tag is unique
 /// among a port's in-flight requests and is released exactly when the
-/// response completes, so no packet field is needed.
+/// response completes, so no packet field is needed. The sampling cursor
+/// counts issues in the order one hub sees them, so a packet's
+/// milestones are only coherent when every component it crosses feeds
+/// the same hub in simulated-time order: a traced fabric run therefore
+/// stays on one engine domain.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tracer {
     /// Trace every `sample`-th issued request; `None` disables tracing.
@@ -140,16 +144,6 @@ impl Tracer {
     /// Completed packets traced so far.
     pub(crate) fn traced(&self) -> usize {
         self.slices.len()
-    }
-
-    /// Appends another tracer's completed slices (shard merge). Live
-    /// (incomplete) lifecycles and the sampling cursor stay local to each
-    /// shard: a packet's milestones are only coherent within the shard
-    /// that sampled its issue, which is why traced runs are executed on a
-    /// single engine (see the fabric's domain scheduler) — for those this
-    /// is exact, and for untraced shards it is a no-op.
-    pub(crate) fn absorb(&mut self, other: &Tracer) {
-        self.slices.extend(other.slices.iter().cloned());
     }
 
     /// Renders all completed slices as a Chrome `trace_event` document
