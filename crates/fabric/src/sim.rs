@@ -2184,35 +2184,71 @@ mod tests {
         assert_eq!(one, run(2));
     }
 
+    /// A 4-cube chain with one GUPS port per cube, telemetry attached to
+    /// `hub`, at `domains` engine domains; returns the scheduler counters.
+    fn chain4_with_hub(hub: &hmc_telemetry::SharedHub, domains: usize) -> SchedStats {
+        let cfg = FabricConfig::chain(13, 4);
+        let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+        let specs: Vec<FabricPortSpec> = (0..4)
+            .map(|c| {
+                FabricPortSpec::gups(filter, hmc_host::GupsOp::Read(PayloadSize::B64), CubeId(c))
+            })
+            .collect();
+        let mut sim =
+            FabricSim::with_telemetry(cfg, specs, Probe::attached(hub)).with_domains(domains);
+        sim.run_gups(Delay::from_us(2), Delay::from_us(6));
+        sim.sched_stats()
+    }
+
     #[test]
-    fn shard_hubs_merge_to_the_serial_hub() {
+    fn an_attached_hub_reads_the_same_at_every_domain_count() {
         use hmc_telemetry::{Hub, HubConfig};
 
         let run = |domains: usize| {
             let hub = Hub::shared(HubConfig::default());
-            let probe = Probe::attached(&hub);
-            let cfg = FabricConfig::chain(13, 4);
-            let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
-            let specs: Vec<FabricPortSpec> = (0..4)
-                .map(|c| {
-                    FabricPortSpec::gups(
-                        filter,
-                        hmc_host::GupsOp::Read(PayloadSize::B64),
-                        CubeId(c),
-                    )
-                })
-                .collect();
-            let mut sim = FabricSim::with_telemetry(cfg, specs, probe).with_domains(domains);
-            sim.run_gups(Delay::from_us(2), Delay::from_us(6));
+            chain4_with_hub(&hub, domains);
             let h = hub.borrow();
+            let cube_tails: Vec<_> = h
+                .cube_sketches()
+                .keys()
+                .map(|&c| (c, h.cube_tail_ps(c)))
+                .collect();
             (
-                h.aggregate_sketch().count(),
-                h.completion_bytes().total(),
-                h.completion_count().counts().to_vec(),
-                h.cube_sketches().keys().copied().collect::<Vec<_>>(),
+                h.completion_count().clone(),
+                h.completion_bytes().clone(),
+                h.completion_latency_ps().clone(),
+                h.origin(),
+                cube_tails,
+                h.aggregate_tail_ps(),
             )
         };
-        assert_eq!(run(1), run(4), "shard merge must reproduce the one-hub run");
+        let serial = run(1);
+        assert!(serial.0.total() > 0, "the hub saw the run");
+        assert_eq!(serial.4.len(), 4, "every cube completed requests");
+        for domains in [2, 4] {
+            assert_eq!(serial, run(domains), "{domains} domains moved the hub");
+        }
+    }
+
+    #[test]
+    fn traced_runs_stay_on_one_domain() {
+        use hmc_telemetry::{Hub, HubConfig};
+
+        let run = |domains: usize| {
+            let hub = Hub::shared(HubConfig {
+                trace_sample: Some(8),
+                ..HubConfig::default()
+            });
+            let sched = chain4_with_hub(&hub, domains);
+            let h = hub.borrow();
+            (sched, h.trace_json(), h.traced_slices())
+        };
+        let serial = run(1);
+        assert!(serial.2 > 0, "the tracer sampled the run");
+        let (sched, json, slices) = run(4);
+        assert_eq!(sched, SchedStats::default(), "a traced run left one domain");
+        assert_eq!(slices, serial.2);
+        assert!(json == serial.1, "the trace moved under --domains 4");
     }
 
     fn faulty_gups_report(

@@ -114,4 +114,16 @@ mod tests {
         assert!(p.is_on());
         assert_eq!(hub.borrow().cube_sketches()[&2].count(), 2);
     }
+
+    #[test]
+    fn tracing_reads_the_attached_hub() {
+        assert!(!Probe::off().tracing());
+        let untraced = Hub::shared(HubConfig::default());
+        assert!(!Probe::attached(&untraced).tracing());
+        let traced = Hub::shared(HubConfig {
+            trace_sample: Some(8),
+            ..HubConfig::default()
+        });
+        assert!(Probe::attached(&traced).tracing());
+    }
 }
