@@ -27,9 +27,8 @@ pub(super) struct HostHarvest {
 /// What one or more domains hand back once they quiesce: their cubes'
 /// reports, summed engine counters, the latest dispatch, window tallies
 /// and — from domain 0 — the host. Telemetry needs no harvest: the host
-/// fed the caller's hub directly. `Send`, unlike
-/// the engines: each worker thread absorbs its own domains, and the
-/// caller absorbs every worker.
+/// fed the caller's hub directly. `Send`, unlike the engines: each worker
+/// thread absorbs its own domains, and the caller absorbs every worker.
 #[derive(Default)]
 pub(super) struct Harvest {
     cubes: Vec<CubeReport>,

@@ -83,7 +83,7 @@ impl EpochSeries {
 /// `BTreeMap` so iteration (and therefore any report built from a hub) is
 /// deterministic. Per-port sketches live on the ports themselves
 /// (`PortReport::latency`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Hub {
     cfg: HubConfig,
     origin: Time,

@@ -26,8 +26,7 @@
 //! counts. One hub serves a whole run: a fabric split over parallel
 //! engine domains attaches the caller's probe only to the domain that
 //! holds the host, which records every completion and traced issue, so
-//! an attached hub reads the same at every domain count — there are no
-//! per-domain shards to merge.
+//! an attached hub reads the same at every domain count.
 //!
 //! ```
 //! use hmc_des::Time;

@@ -65,7 +65,7 @@ impl Stage {
 }
 
 /// One emitted slice: a packet's residence in one component.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 struct Slice {
     stage: Stage,
     start_ps: u64,
@@ -86,7 +86,7 @@ type LiveSlice = (u8, Vec<(Stage, Time)>);
 /// milestones are only coherent when every component it crosses feeds
 /// the same hub in simulated-time order: a traced fabric run therefore
 /// stays on one engine domain.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Tracer {
     /// Trace every `sample`-th issued request; `None` disables tracing.
     sample: Option<u64>,
