@@ -4,26 +4,33 @@
 //! perfgate [--smoke] [--reps N] [--baseline FILE] [--out FILE]
 //! ```
 //!
-//! Runs a fixed basket of nine full-system experiments, each `reps`
-//! times, and reports **events/sec** (engine events dispatched per
-//! wall-clock second) and wall time per experiment as one JSON document.
-//! The basket:
+//! Runs a fixed basket of nine experiment points, each `reps` times, and
+//! reports **events/sec** (engine events dispatched per wall-clock
+//! second) and wall time per point as one JSON document. Each point is
+//! built by the function its experiment's own sweep calls, at seed 2018,
+//! so the basket times exactly the runs `repro --seed 2018` makes:
 //!
-//! - `fig6-low` / `fig6-sat`: the unloaded and saturated Figure 6 points;
-//! - `ext-chain-4`: a 4-cube chain loading its far cube;
-//! - `probe-chase`: the pointer-chase probe;
-//! - `ext-offload`: the NOM-style offload stream;
-//! - `ext-intercube-8-sat` / `-d4`: a saturated, address-interleaved
-//!   8-cube chain, serial and split over 4 engine domains;
-//! - `ext-scale-64-mesh` / `-d8`: the same over a 64-cube mesh, serial
-//!   and split over 8 engine domains.
+//! - `fig13-1bank-16B-1port`: Figure 13's one-bank, 16 B, one-port point,
+//!   the idle-skip stress (few events over many simulated cycles);
+//! - `fig6-sat`: Figure 6's 16-vault 128 B point, the bandwidth ceiling;
+//! - `ext-chain-4`: ext-chain's loaded run on 4 cubes;
+//! - `probe-chase`: probe-chase's walker sweep at 8 walkers;
+//! - `ext-offload`: ext-offload's window sweep at window 8;
+//! - `ext-intercube-8-sat` / `-d4`: ext-intercube's interleaved 8-cube
+//!   chain, serial and split over 4 engine domains;
+//! - `ext-scale-64-mesh` / `-d8`: ext-scale's 64-cube mesh, serial and
+//!   split over 8 engine domains.
+//!
+//! The default runs the points at `Scale::Quick`, `repro`'s default;
+//! `--smoke` runs them at `Scale::Smoke` so CI finishes in seconds. The
+//! document's `mode` says which.
 //!
 //! Methodology:
 //!
-//! - Every experiment is a fixed workload with a fixed seed; the engine's
-//!   `dispatched` count is part of the simulator's deterministic output,
-//!   so events/sec ratios between two builds equal their wall-time ratios
-//!   and are comparable even though absolute wall times are machine-bound.
+//! - The engine's `dispatched` count is part of the simulator's
+//!   deterministic output, so events/sec ratios between two builds equal
+//!   their wall-time ratios and are comparable even though absolute wall
+//!   times are machine-bound.
 //! - The best (minimum) wall time across reps is reported — the
 //!   least-noise estimator of the code's intrinsic cost.
 //! - Deterministic fields (events, sim_ns, accesses, wake fires) must be
@@ -43,32 +50,26 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use hmc_sim::des::Delay;
+use hmc_experiments::{
+    ext_fabric, ext_intercube, ext_offload, ext_scale, fig13, fig6, probe_chase, ExpContext, Scale,
+};
 use hmc_sim::fabric::SchedStats;
 use hmc_sim::prelude::*;
 use hmc_sim::stats::{json_escape, json_f64};
-use hmc_sim::workloads::OffloadSource;
 
 /// What one basket run hands back: the report, the engine counters and
 /// the parallel-scheduler counters (all-zero default for one-domain
 /// runs).
 type CaseOutput = (RunReport, hmc_sim::des::EngineStats, SchedStats);
 
-/// How a basket workload runs: closed-loop GUPS over the scale's
-/// warm-up and measurement windows, or finite streams to completion.
-#[derive(Clone, Copy)]
-enum RunKind {
-    Gups,
-    Streams,
-}
-
-/// A built basket workload: the fabric, its ports and how it runs.
-type Workload = (FabricConfig, Vec<FabricPortSpec>, RunKind);
-
-/// One basket entry: a named, seeded, fixed-size workload.
+/// One basket entry: a named experiment point and how it runs.
 struct Case {
     name: &'static str,
-    build: fn(Scale2) -> Workload,
+    /// The point's builder, the one its experiment's sweep calls.
+    build: fn(&ExpContext) -> FabricSim,
+    /// Closed-loop GUPS over the context's warm-up and measurement
+    /// windows, or (`false`) finite streams run to completion.
+    gups: bool,
     /// Engine domains the case runs with (1 = one engine). Multi-domain
     /// entries exist to measure parallel speedup; on a 1-core box they
     /// time-slice one core and the ratio is meaningless, so the gate
@@ -77,205 +78,93 @@ struct Case {
 }
 
 impl Case {
-    /// Builds and runs the workload on the case's engine domains.
-    fn run(&self, scale: Scale2) -> CaseOutput {
-        let (cfg, ports, kind) = (self.build)(scale);
-        let mut sim = FabricSim::new(cfg, ports).with_domains(self.domains);
-        let report = match kind {
-            RunKind::Gups => {
-                let (warmup, measure) = scale.gups_windows();
-                sim.run_gups(warmup, measure)
-            }
-            RunKind::Streams => sim.run_streams(),
+    /// Builds and runs the point on the case's engine domains.
+    fn run(&self, ctx: &ExpContext) -> CaseOutput {
+        let mut sim = (self.build)(ctx).with_domains(self.domains);
+        let report = if self.gups {
+            sim.run_gups(ctx.gups_warmup(), ctx.gups_measure())
+        } else {
+            sim.run_streams()
         };
         (report, sim.engine_stats(), sim.sched_stats())
     }
 }
 
-/// Harness scale: `Smoke` shrinks measurement windows so CI finishes in
-/// seconds; `Full` is the scale recorded in `BENCH_*.json` snapshots.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Scale2 {
-    Smoke,
-    Full,
-}
-
-impl Scale2 {
-    fn gups_windows(self) -> (Delay, Delay) {
-        match self {
-            Scale2::Smoke => (Delay::from_us(10), Delay::from_us(40)),
-            Scale2::Full => (Delay::from_us(20), Delay::from_us(150)),
-        }
-    }
-
-    fn chase_hops(self) -> u64 {
-        match self {
-            Scale2::Smoke => 64,
-            Scale2::Full => 400,
-        }
-    }
-
-    fn offload_pairs(self) -> u64 {
-        match self {
-            Scale2::Smoke => 512,
-            Scale2::Full => 4_000,
-        }
-    }
-}
-
-/// The unloaded Figure 6 point: one 16 B read port, one tag, one bank —
-/// the idle-skip stress (few events over many simulated cycles).
-fn fig6_low(_: Scale2) -> Workload {
-    let cfg = FabricConfig::chain(2018, 1);
-    let filter = AccessPattern::Banks {
-        vault: VaultId(0),
-        count: 1,
-    }
-    .filter(&cfg.cube.map);
-    let ports = vec![
-        FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B16), CubeId::HOST).with_tags(1),
-    ];
-    (cfg, ports, RunKind::Gups)
-}
-
-/// The saturated Figure 6 point: nine 128 B read ports over all 16
-/// vaults — the bandwidth ceiling, the densest event traffic in the
-/// basket and the point the ≥1.3x events/sec gate is measured on.
-fn fig6_sat(_: Scale2) -> Workload {
-    let cfg = FabricConfig::chain(2018, 1);
-    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
-    let ports =
-        vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), CubeId::HOST); 9];
-    (cfg, ports, RunKind::Gups)
-}
-
-/// A 4-cube chain with four 64 B GUPS ports hammering the far cube:
-/// every request transits three pass-through crossbars each way.
-fn ext_chain4(_: Scale2) -> Workload {
-    let cfg = FabricConfig::chain(2018, 4);
-    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
-    let ports = vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B64), CubeId(3)); 4];
-    (cfg, ports, RunKind::Gups)
-}
-
-/// The pointer-chase probe: 8 dependent-read walkers on one cube.
-fn probe_chase(scale: Scale2) -> Workload {
-    let cfg = FabricConfig::chain(2018, 1);
-    let map = cfg.cube.map;
-    let vaults: Vec<VaultId> = (0..16).map(VaultId).collect();
-    let hops = scale.chase_hops();
-    let spec = FabricPortSpec::from_source(
-        move |seed| {
-            Box::new(PointerChase::new(
-                &map,
-                &vaults,
-                PayloadSize::B64,
-                8,
-                hops,
-                seed,
-            ))
-        },
-        CubeId::HOST,
-    )
-    .with_tags(8);
-    (cfg, vec![spec], RunKind::Streams)
-}
-
-/// The NOM-style offload stream: read→dependent-write vault copies.
-fn ext_offload(scale: Scale2) -> Workload {
-    let cfg = FabricConfig::chain(2018, 1);
-    let map = cfg.cube.map;
-    let pairs = scale.offload_pairs();
-    let spec = FabricPortSpec::from_source(
-        move |_| {
-            Box::new(OffloadSource::new(
-                &map,
-                VaultId(1),
-                VaultId(9),
-                PayloadSize::B128,
-                pairs,
-                8,
-            ))
-        },
-        CubeId::HOST,
-    );
-    (cfg, vec![spec], RunKind::Streams)
-}
-
-/// `ports` 128 B read ports over an address-interleaved global window
-/// spanning all `cubes` cubes of `topology`, so every port's stream
-/// spreads across the whole fabric and transit traffic loads every hop.
-fn global_gups(topology: Topology, cubes: u8, ports: usize) -> Workload {
-    let cfg = FabricConfig::ac510(topology, cubes, 2018);
-    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
-    let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
-    (cfg, vec![spec; ports], RunKind::Gups)
-}
-
-/// The saturated 8-cube chain with nine ports: the basket workload large
-/// enough for the conservative-parallel domain scheduler. The `-d4`
-/// entry runs the *identical* workload split over four engine domains,
-/// so their signatures must match and the events/sec ratio is the
-/// parallel speedup (≈1 on a single hardware thread, where the domains
-/// time-slice one core).
-fn ext_intercube8(_: Scale2) -> Workload {
-    global_gups(Topology::Chain, 8, 9)
-}
-
-/// The 64-cube 8×8 mesh at the widened CUB field's ceiling, with four
-/// ports: the largest fabric the gate tracks and the scale-out point for
-/// the domain scheduler (the `-d8` entry runs one domain per mesh row).
-fn ext_scale64(_: Scale2) -> Workload {
-    global_gups(Topology::Mesh2D, 64, 4)
-}
-
 const BASKET: &[Case] = &[
     Case {
-        name: "fig6-low",
-        build: fig6_low,
+        name: "fig13-1bank-16B-1port",
+        build: |ctx| {
+            let one_bank = AccessPattern::Banks {
+                vault: VaultId(0),
+                count: 1,
+            };
+            fig13::sim(ctx, one_bank, PayloadSize::B16, 1)
+        },
+        gups: true,
         domains: 1,
     },
     Case {
         name: "fig6-sat",
-        build: fig6_sat,
+        build: |ctx| fig6::sim(ctx, AccessPattern::Vaults { count: 16 }, PayloadSize::B128),
+        gups: true,
         domains: 1,
     },
     Case {
         name: "ext-chain-4",
-        build: ext_chain4,
+        build: |ctx| ext_fabric::chain_loaded_sim(ctx, 4),
+        gups: true,
         domains: 1,
     },
     Case {
         name: "probe-chase",
-        build: probe_chase,
+        build: |ctx| probe_chase::walkers_sim(ctx, 8),
+        gups: false,
         domains: 1,
     },
     Case {
         name: "ext-offload",
-        build: ext_offload,
+        build: |ctx| ext_offload::window_sim(ctx, 8),
+        gups: false,
         domains: 1,
     },
     Case {
         name: "ext-intercube-8-sat",
-        build: ext_intercube8,
+        build: intercube_8,
+        gups: true,
         domains: 1,
     },
     Case {
         name: "ext-intercube-8-sat-d4",
-        build: ext_intercube8,
+        build: intercube_8,
+        gups: true,
         domains: 4,
     },
     Case {
         name: "ext-scale-64-mesh",
-        build: ext_scale64,
+        build: mesh_64,
+        gups: true,
         domains: 1,
     },
     Case {
         name: "ext-scale-64-mesh-d8",
-        build: ext_scale64,
+        build: mesh_64,
+        gups: true,
         domains: 8,
     },
 ];
+
+/// ext-intercube's interleaved 8-cube chain. The `-d4` entry runs the
+/// identical point split over four engine domains, so their signatures
+/// must match and the events/sec ratio is the parallel speedup.
+fn intercube_8(ctx: &ExpContext) -> FabricSim {
+    ext_intercube::sim(ctx, Topology::Chain, 8, CubePolicy::Interleaved)
+}
+
+/// ext-scale's 64-cube 8×8 mesh; the `-d8` entry runs one domain per
+/// mesh row.
+fn mesh_64(ctx: &ExpContext) -> FabricSim {
+    ext_scale::sim(ctx, Topology::Mesh2D, 64)
+}
 
 /// The deterministic signature of one run; must not vary across reps.
 /// The scheduler tallies are included because the adaptive window plan
@@ -316,7 +205,7 @@ impl Measured {
 }
 
 struct Args {
-    scale: Scale2,
+    scale: Scale,
     reps: u32,
     out: Option<PathBuf>,
     baseline: Option<PathBuf>,
@@ -324,7 +213,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        scale: Scale2::Full,
+        scale: Scale::Quick,
         reps: 3,
         out: None,
         baseline: None,
@@ -336,7 +225,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => {
-                args.scale = Scale2::Smoke;
+                args.scale = Scale::Smoke;
                 if !reps_explicit {
                     args.reps = 2;
                 }
@@ -409,6 +298,10 @@ fn main() -> ExitCode {
         },
         None => Vec::new(),
     };
+    let ctx = ExpContext {
+        scale: args.scale,
+        ..ExpContext::quick(2018)
+    };
 
     let mut results: Vec<Measured> = Vec::new();
     for case in BASKET {
@@ -418,7 +311,7 @@ fn main() -> ExitCode {
         let mut tail_ps = None;
         for rep in 0..args.reps {
             let start = Instant::now();
-            let (report, stats, sched) = case.run(args.scale);
+            let (report, stats, sched) = case.run(&ctx);
             let wall = start.elapsed().as_secs_f64();
             best = best.min(wall);
             let this = Signature {
@@ -529,8 +422,8 @@ fn main() -> ExitCode {
     let doc = format!(
         "{{\"schema\":\"hmc-perfgate-v1\",\"mode\":\"{}\",\"cores\":{},\"experiments\":[{}]}}\n",
         match args.scale {
-            Scale2::Smoke => "smoke",
-            Scale2::Full => "full",
+            Scale::Smoke => "smoke",
+            _ => "quick",
         },
         hmc_sim::des::pool::budget_total(),
         entries.join(",")

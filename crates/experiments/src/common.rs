@@ -291,8 +291,17 @@ where
         .collect()
 }
 
-/// Runs one GUPS experiment: `ports` active ports, all generating `op`
-/// under `pattern`, for the context's warmup + measurement windows.
+/// Builds one single-cube GUPS system, unrun: `ports` active ports, all
+/// generating `op` under `pattern`.
+pub fn gups_sim(seed: u64, pattern: AccessPattern, op: GupsOp, ports: usize) -> FabricSim {
+    let cfg = FabricConfig::chain(seed, 1);
+    let filter = pattern.filter(&cfg.cube.map);
+    let specs = vec![FabricPortSpec::gups(filter, op, CubeId::HOST); ports];
+    FabricSim::new(cfg, specs)
+}
+
+/// Runs one GUPS experiment ([`gups_sim`]) for the context's warmup +
+/// measurement windows.
 pub fn gups_run(
     ctx: &ExpContext,
     seed: u64,
@@ -300,10 +309,7 @@ pub fn gups_run(
     op: GupsOp,
     ports: usize,
 ) -> RunReport {
-    let cfg = FabricConfig::chain(seed, 1);
-    let filter = pattern.filter(&cfg.cube.map);
-    let specs = vec![FabricPortSpec::gups(filter, op, CubeId::HOST); ports];
-    ctx.run_gups(FabricSim::new(cfg, specs))
+    ctx.run_gups(gups_sim(seed, pattern, op, ports))
 }
 
 /// Runs one multi-port stream experiment from explicit traces.

@@ -51,11 +51,8 @@ pub fn chain(ctx: &ExpContext) -> Vec<ChainPoint> {
 pub fn chain_for_lengths(ctx: &ExpContext, lengths: Vec<u8>) -> Vec<ChainPoint> {
     let ctx = ctx.clone();
     ctx.clone().par_map(lengths, move |&n| {
-        let far = CubeId(n - 1);
-        let mk = || FabricConfig::chain(ctx.seed_for("ext-chain", u64::from(n)), n);
-
         // Unloaded: one read in flight at a time, via a stream port.
-        let cfg = mk();
+        let cfg = FabricConfig::chain(ctx.seed_for("ext-chain", u64::from(n)), n);
         let trace = hmc_sim::workloads::random_reads_in_banks(
             &cfg.cube.map,
             VaultId(0),
@@ -64,14 +61,10 @@ pub fn chain_for_lengths(ctx: &ExpContext, lengths: Vec<u8>) -> Vec<ChainPoint> 
             1,
             ctx.seed_for("ext-chain-unloaded", u64::from(n)),
         );
-        let sim = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, far)]);
+        let sim = FabricSim::new(cfg, vec![FabricPortSpec::stream(trace, CubeId(n - 1))]);
         let unloaded = ctx.run_streams(sim).mean_latency_ns();
 
-        // Loaded: nine GUPS ports of 128 B reads over all vaults.
-        let cfg = mk();
-        let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
-        let specs = vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), far); 9];
-        let report = ctx.run_gups(FabricSim::new(cfg, specs));
+        let report = ctx.run_gups(chain_loaded_sim(&ctx, n));
 
         ChainPoint {
             cubes: n,
@@ -81,6 +74,16 @@ pub fn chain_for_lengths(ctx: &ExpContext, lengths: Vec<u8>) -> Vec<ChainPoint> 
             bandwidth_gbs: report.total_bandwidth_gbs(),
         }
     })
+}
+
+/// Builds the loaded run of an `n`-cube chain, unrun: nine GUPS ports of
+/// 128 B reads over all vaults of the far cube.
+pub fn chain_loaded_sim(ctx: &ExpContext, n: u8) -> FabricSim {
+    let cfg = FabricConfig::chain(ctx.seed_for("ext-chain", u64::from(n)), n);
+    let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
+    let far = CubeId(n - 1);
+    let specs = vec![FabricPortSpec::gups(filter, GupsOp::Read(PayloadSize::B128), far); 9];
+    FabricSim::new(cfg, specs)
 }
 
 /// Renders the chain sweep.

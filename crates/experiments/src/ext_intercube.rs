@@ -60,12 +60,9 @@ pub struct IntercubePoint {
     pub cube0_share: f64,
 }
 
-fn run_point(
-    ctx: &ExpContext,
-    topology: Topology,
-    cubes: u8,
-    policy: CubePolicy,
-) -> IntercubePoint {
+/// Builds one point of the sweep, unrun: [`port_count`] GUPS ports of
+/// 128 B reads over a `cubes`-cube `topology` under `policy`.
+pub fn sim(ctx: &ExpContext, topology: Topology, cubes: u8, policy: CubePolicy) -> FabricSim {
     let seed = ctx.seed_for(
         "ext-intercube",
         (u64::from(cubes) << 8)
@@ -78,8 +75,16 @@ fn run_point(
     // exactly cube 0's range; under the interleaved map the identical
     // window spreads across every cube.
     let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
-    let specs = vec![spec; port_count(ctx)];
-    let report = ctx.run_gups(FabricSim::new(cfg, specs));
+    FabricSim::new(cfg, vec![spec; port_count(ctx)])
+}
+
+fn run_point(
+    ctx: &ExpContext,
+    topology: Topology,
+    cubes: u8,
+    policy: CubePolicy,
+) -> IntercubePoint {
+    let report = ctx.run_gups(sim(ctx, topology, cubes, policy));
     let total: u64 = CubeId::all(cubes).map(|c| report.cube_completions(c)).sum();
     IntercubePoint {
         topology,

@@ -148,16 +148,21 @@ pub fn windows(ctx: &ExpContext) -> Vec<OffloadPoint> {
     let ctx = ctx.clone();
     let blocks = copy_blocks(&ctx);
     ctx.clone().par_map(window_values(&ctx), move |&w| {
-        let cfg = FabricConfig::single(
-            DeviceConfig::ac510_hmc(),
-            HostConfig::ac510_default(),
-            ctx.seed_for("ext-offload-window", u64::from(w)),
-        );
-        let map = cfg.cube.map;
-        let sim = FabricSim::new(cfg, vec![offload_spec(map, CubeId(0), blocks, w)]);
-        let report = ctx.run_streams(sim);
+        let report = ctx.run_streams(window_sim(&ctx, w));
         point_from(&report, 0, 0, w, blocks)
     })
+}
+
+/// Builds one point of the window sweep, unrun: [`copy_blocks`] blocks
+/// copied on a single cube with `w` pairs outstanding.
+pub fn window_sim(ctx: &ExpContext, w: u16) -> FabricSim {
+    let cfg = FabricConfig::single(
+        DeviceConfig::ac510_hmc(),
+        HostConfig::ac510_default(),
+        ctx.seed_for("ext-offload-window", u64::from(w)),
+    );
+    let map = cfg.cube.map;
+    FabricSim::new(cfg, vec![offload_spec(map, CubeId(0), copy_blocks(ctx), w)])
 }
 
 /// Renders offload points.

@@ -14,7 +14,7 @@
 //! shared links near the host, and the per-cube attribution confirms the
 //! interleaved map really reaches all 64 cubes.
 
-use hmc_sim::fabric::{FabricConfig, FabricPortSpec, FabricSim, Topology};
+use hmc_sim::fabric::{FabricConfig, FabricPortSpec, FabricSim, RouteTable, Topology};
 use hmc_sim::prelude::*;
 
 use crate::common::{ExpContext, Scale};
@@ -59,25 +59,30 @@ pub struct ScalePoint {
     pub cube0_share: f64,
 }
 
-fn run_point(ctx: &ExpContext, topology: Topology, cubes: u8) -> ScalePoint {
+/// Builds one point of the sweep, unrun: [`PORTS`] interleaved GUPS
+/// ports of 128 B reads over a `cubes`-cube `topology`.
+pub fn sim(ctx: &ExpContext, topology: Topology, cubes: u8) -> FabricSim {
     let topo_idx = topologies()
         .iter()
         .position(|&t| t == topology)
         .expect("sweep topology") as u64;
     let seed = ctx.seed_for("ext-scale", (u64::from(cubes) << 8) | topo_idx);
     let cfg = FabricConfig::ac510(topology, cubes, seed);
-    let routes = cfg.routes();
+    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
+    // One cube's worth of address space, interleaved: the identical
+    // footprint spreads across however many cubes the fabric has.
+    let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
+    FabricSim::new(cfg, vec![spec; PORTS])
+}
+
+fn run_point(ctx: &ExpContext, topology: Topology, cubes: u8) -> ScalePoint {
+    let routes = RouteTable::for_topology(topology, cubes);
     let diameter = CubeId::all(cubes)
         .flat_map(|a| CubeId::all(cubes).map(move |b| (a, b)))
         .map(|(a, b)| routes.hops(a, b))
         .max()
         .unwrap_or(0);
-    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
-    // One cube's worth of address space, interleaved: the identical
-    // footprint spreads across however many cubes the fabric has.
-    let spec = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
-    let specs = vec![spec; PORTS];
-    let report = ctx.run_gups(FabricSim::new(cfg, specs));
+    let report = ctx.run_gups(sim(ctx, topology, cubes));
     let total: u64 = CubeId::all(cubes).map(|c| report.cube_completions(c)).sum();
     ScalePoint {
         topology,

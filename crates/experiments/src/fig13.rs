@@ -5,7 +5,7 @@
 
 use hmc_sim::prelude::*;
 
-use crate::common::{gups_run, paper_sizes, ExpContext};
+use crate::common::{gups_sim, paper_sizes, ExpContext};
 
 /// One point of Figure 13.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,12 +34,7 @@ pub fn run(ctx: &ExpContext) -> Vec<Fig13Point> {
     }
     let ctx = ctx.clone();
     ctx.clone().par_map(jobs, move |&(pattern, size, ports)| {
-        let map = AddressMap::hmc_gen2_default();
-        let key = pattern.total_banks(&map) as u64 * 10_000
-            + u64::from(size.bytes()) * 16
-            + u64::from(ports);
-        let seed = ctx.seed_for("fig13", key);
-        let report = gups_run(&ctx, seed, pattern, GupsOp::Read(size), usize::from(ports));
+        let report = ctx.run_gups(sim(&ctx, pattern, size, ports));
         Fig13Point {
             size,
             pattern: pattern.label(),
@@ -48,6 +43,16 @@ pub fn run(ctx: &ExpContext) -> Vec<Fig13Point> {
             latency_us: report.mean_latency_us(),
         }
     })
+}
+
+/// Builds one point of the sweep, unrun: `ports` GUPS ports reading
+/// `size` blocks under `pattern`, on the point's derived seed.
+pub fn sim(ctx: &ExpContext, pattern: AccessPattern, size: PayloadSize, ports: u8) -> FabricSim {
+    let key = pattern.total_banks(&AddressMap::hmc_gen2_default()) as u64 * 10_000
+        + u64::from(size.bytes()) * 16
+        + u64::from(ports);
+    let seed = ctx.seed_for("fig13", key);
+    gups_sim(seed, pattern, GupsOp::Read(size), usize::from(ports))
 }
 
 /// Renders one size's panel: rows are port counts, columns are patterns.
@@ -76,7 +81,7 @@ pub fn render(points: &[Fig13Point], size: PayloadSize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::Scale;
+    use crate::common::{gups_run, Scale};
 
     /// A reduced Figure 13 (subset of the grid) asserting the paper's
     /// slope/flat structure.

@@ -3,7 +3,7 @@
 
 use hmc_sim::prelude::*;
 
-use crate::common::{gups_run, paper_sizes, ExpContext};
+use crate::common::{gups_sim, paper_sizes, ExpContext};
 
 /// One point of Figure 6.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,12 +28,7 @@ pub fn run(ctx: &ExpContext) -> Vec<Fig6Point> {
     }
     let ctx = ctx.clone();
     ctx.clone().par_map(jobs, move |&(pattern, size)| {
-        let seed = ctx.seed_for(
-            "fig6",
-            pattern.total_banks(&AddressMap::hmc_gen2_default()) as u64 * 1000
-                + u64::from(size.bytes()),
-        );
-        let report = gups_run(&ctx, seed, pattern, GupsOp::Read(size), 9);
+        let report = ctx.run_gups(sim(&ctx, pattern, size));
         Fig6Point {
             pattern: pattern.label(),
             size,
@@ -41,6 +36,17 @@ pub fn run(ctx: &ExpContext) -> Vec<Fig6Point> {
             latency_us: report.mean_latency_us(),
         }
     })
+}
+
+/// Builds one point of the sweep, unrun: nine GUPS ports reading `size`
+/// blocks under `pattern`, on the point's derived seed.
+pub fn sim(ctx: &ExpContext, pattern: AccessPattern, size: PayloadSize) -> FabricSim {
+    let seed = ctx.seed_for(
+        "fig6",
+        pattern.total_banks(&AddressMap::hmc_gen2_default()) as u64 * 1000
+            + u64::from(size.bytes()),
+    );
+    gups_sim(seed, pattern, GupsOp::Read(size), 9)
 }
 
 /// Renders the sweep as the paper's (bandwidth, latency) series.

@@ -118,26 +118,8 @@ pub fn walker_counts(ctx: &ExpContext) -> Vec<u16> {
 /// vaults, `chain_len` hops each.
 pub fn walkers(ctx: &ExpContext) -> Vec<WalkerPoint> {
     let ctx = ctx.clone();
-    let hops = chain_len(&ctx);
     parallel_map_with_threads(walker_counts(&ctx), ctx.threads, move |&w| {
-        let cfg = FabricConfig::chain(ctx.seed_for("probe-chase-mlp", u64::from(w)), 1);
-        let map = cfg.cube.map;
-        let vaults: Vec<VaultId> = (0..map.geometry().vaults).map(VaultId).collect();
-        let spec = FabricPortSpec::from_source(
-            move |seed| {
-                Box::new(PointerChase::new(
-                    &map,
-                    &vaults,
-                    PayloadSize::B64,
-                    w,
-                    hops,
-                    seed,
-                ))
-            },
-            CubeId::HOST,
-        )
-        .with_tags(w.max(1));
-        let report = ctx.run_streams(FabricSim::new(cfg, vec![spec]));
+        let report = ctx.run_streams(walkers_sim(&ctx, w));
         let reads = report.total_reads();
         let elapsed_ps = report.elapsed.as_ps() as f64;
         WalkerPoint {
@@ -150,6 +132,30 @@ pub fn walkers(ctx: &ExpContext) -> Vec<WalkerPoint> {
             },
         }
     })
+}
+
+/// Builds one point of the walker sweep, unrun: `w` walkers on one cube,
+/// each chasing all vaults for [`chain_len`] hops.
+pub fn walkers_sim(ctx: &ExpContext, w: u16) -> FabricSim {
+    let cfg = FabricConfig::chain(ctx.seed_for("probe-chase-mlp", u64::from(w)), 1);
+    let map = cfg.cube.map;
+    let vaults: Vec<VaultId> = (0..map.geometry().vaults).map(VaultId).collect();
+    let hops = chain_len(ctx);
+    let spec = FabricPortSpec::from_source(
+        move |seed| {
+            Box::new(PointerChase::new(
+                &map,
+                &vaults,
+                PayloadSize::B64,
+                w,
+                hops,
+                seed,
+            ))
+        },
+        CubeId::HOST,
+    )
+    .with_tags(w.max(1));
+    FabricSim::new(cfg, vec![spec])
 }
 
 /// Renders the walker sweep.
