@@ -125,6 +125,13 @@ fn deadline_flag_is_validated() {
         assert!(err.contains("error:"), "args {args:?}: {err}");
         assert!(!err.contains("panicked"), "args {args:?}: {err}");
     }
+    // A deadline past the clock's range never fires; arming it must not
+    // panic the timer thread. fig7 runs long enough for the timer thread
+    // to start (table1 exits first).
+    let out = repro(&["--deadline", "18446744073709551615", "fig7"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

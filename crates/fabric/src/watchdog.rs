@@ -126,10 +126,13 @@ impl Deadline {
         F: FnOnce() + Send + 'static,
     {
         let signal = Arc::new((Mutex::new(false), Condvar::new()));
+        // A deadline past `Instant`'s range never fires: no timer thread.
+        let Some(end) = Instant::now().checked_add(timeout) else {
+            return Deadline { signal };
+        };
         let timer = signal.clone();
         std::thread::spawn(move || {
             let (lock, cv) = &*timer;
-            let end = Instant::now() + timeout;
             let mut disarmed = lock.lock().unwrap_or_else(|e| e.into_inner());
             while !*disarmed {
                 let now = Instant::now();
