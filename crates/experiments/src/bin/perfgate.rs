@@ -31,16 +31,25 @@
 //!   deterministic output, so events/sec ratios between two builds equal
 //!   their wall-time ratios and are comparable even though absolute wall
 //!   times are machine-bound.
-//! - The best (minimum) wall time across reps is reported — the
-//!   least-noise estimator of the code's intrinsic cost.
-//! - Deterministic fields (events, sim_ns, accesses, wake fires) must be
-//!   identical across reps; any divergence is a determinism regression
-//!   and the gate **fails** (exit 1). Timing noise never fails the gate.
+//! - One untimed warm-up run sizes each point's reps: a rep runs the point
+//!   `iters` times, the smallest count that brings the warm-up run to at
+//!   least 50 ms, so no rep is timed near the clock's noise floor.
+//! - `wall_s_best`, `wall_s_median` and `wall_s_max` are wall seconds per
+//!   run over the reps. `events_per_sec` is events ÷ `wall_s_best`, the
+//!   least-noise estimator of the code's intrinsic cost; the spread says
+//!   how large a difference noise alone makes.
+//! - Deterministic fields (events, sim_ns, accesses, wake fires,
+//!   scheduler tallies) must be identical on every run; any divergence is
+//!   a determinism regression and the gate **fails** (exit 1). Timing
+//!   noise never fails the gate.
 //! - With `--baseline FILE` (a previous perfgate JSON, e.g. the
-//!   `BENCH_*.json` trajectory at the repo root), per-experiment speedups
-//!   are computed and embedded as `speedup_vs_baseline`.
+//!   `BENCH_*.json` trajectory at the repo root), a point whose baseline
+//!   entry ran the same number of events gets `baseline_events_per_sec`
+//!   and `speedup_vs_baseline`. An events/sec ratio between different
+//!   workloads means nothing, so a mismatch prints a one-line note and
+//!   omits both fields.
 //! - Each case also reports round-trip `latency_p50_ns`/`p99`/`p999`
-//!   from the last timed rep's report. These are recorded for trend
+//!   from the warm-up run's report. These are recorded for trend
 //!   inspection, never gated.
 //!
 //! Perf PRs append their snapshot as `BENCH_PR<n>.json` at the repo root;
@@ -56,6 +65,9 @@ use hmc_experiments::{
 use hmc_sim::fabric::SchedStats;
 use hmc_sim::prelude::*;
 use hmc_sim::stats::{json_escape, json_f64};
+
+/// A timed rep lasts at least this long (see the module doc).
+const MIN_REP_S: f64 = 0.05;
 
 /// What one basket run hands back: the report, the engine counters and
 /// the parallel-scheduler counters (all-zero default for one-domain
@@ -182,11 +194,26 @@ struct Signature {
     window_events: u64,
 }
 
+impl Signature {
+    fn of((report, stats, sched): &CaseOutput) -> Signature {
+        Signature {
+            events: stats.dispatched,
+            wake_fires: stats.wake_fires,
+            sim_ns: report.sim_end.as_ps() / 1000,
+            accesses: report.total_accesses(),
+            rounds: sched.rounds,
+            windows: sched.windows,
+            window_events: sched.window_events,
+        }
+    }
+}
+
 struct Measured {
     name: &'static str,
     sig: Signature,
-    wall_best_s: f64,
-    reps: u32,
+    iters: u32,
+    /// Wall seconds per run of each timed rep, ascending.
+    walls: Vec<f64>,
     /// Worker-pool telemetry from the last rep: threads used and pool
     /// steal/park counts. Machine-dependent, reported but never gated.
     workers: u64,
@@ -199,8 +226,37 @@ struct Measured {
 }
 
 impl Measured {
+    fn wall_best(&self) -> f64 {
+        self.walls[0]
+    }
+
+    fn wall_median(&self) -> f64 {
+        let n = self.walls.len();
+        (self.walls[(n - 1) / 2] + self.walls[n / 2]) / 2.0
+    }
+
+    fn wall_max(&self) -> f64 {
+        self.walls[self.walls.len() - 1]
+    }
+
     fn events_per_sec(&self) -> f64 {
-        self.sig.events as f64 / self.wall_best_s.max(1e-12)
+        self.sig.events as f64 / self.wall_best().max(1e-12)
+    }
+
+    /// This point's baseline events/sec, if `baseline` has an entry of
+    /// the same name that ran the same number of events; a mismatch is
+    /// noted on stderr.
+    fn comparable_baseline(&self, baseline: &[(String, u64, f64)]) -> Option<f64> {
+        let (_, events, events_per_sec) = baseline.iter().find(|(n, ..)| n == self.name)?;
+        if *events != self.sig.events {
+            eprintln!(
+                "note [{}]: baseline ran {events} events, this run {}; \
+                 events/s are not comparable, no speedup reported",
+                self.name, self.sig.events
+            );
+            return None;
+        }
+        Some(*events_per_sec)
     }
 }
 
@@ -253,28 +309,29 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Pulls `"name":"<x>"` … `"events_per_sec":<y>` pairs out of a previous
-/// perfgate JSON (our own fixed format; no general JSON parser needed).
-fn parse_baseline(doc: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in doc.split("{\"name\":\"").skip(1) {
-        let Some(name_end) = chunk.find('"') else {
-            continue;
-        };
-        let name = chunk[..name_end].to_owned();
-        let Some(pos) = chunk.find("\"events_per_sec\":") else {
-            continue;
-        };
-        let rest = &chunk[pos + "\"events_per_sec\":".len()..];
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v));
-        }
-    }
-    out
+/// The number right after `"<key>":` in `chunk`, if any.
+fn number_after(chunk: &str, key: &str) -> Option<f64> {
+    let key = format!("\"{key}\":");
+    let rest = &chunk[chunk.find(&key)? + key.len()..];
+    let num: String = rest
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
+        .collect();
+    num.parse().ok()
+}
+
+/// Pulls each entry's name, `events` and `events_per_sec` out of a
+/// previous perfgate JSON (our own fixed format; no general JSON parser
+/// needed).
+fn parse_baseline(doc: &str) -> Vec<(String, u64, f64)> {
+    doc.split("{\"name\":\"")
+        .skip(1)
+        .filter_map(|chunk| {
+            let name = chunk[..chunk.find('"')?].to_owned();
+            let events = number_after(chunk, "events")? as u64;
+            Some((name, events, number_after(chunk, "events_per_sec")?))
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -288,7 +345,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline: Vec<(String, f64)> = match &args.baseline {
+    let baseline: Vec<(String, u64, f64)> = match &args.baseline {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(doc) => parse_baseline(&doc),
             Err(e) => {
@@ -305,41 +362,41 @@ fn main() -> ExitCode {
 
     let mut results: Vec<Measured> = Vec::new();
     for case in BASKET {
-        let mut best = f64::INFINITY;
-        let mut sig: Option<Signature> = None;
-        let mut last_sched = SchedStats::default();
-        let mut tail_ps = None;
+        // One untimed warm-up run sizes the reps; its signature is the
+        // one every timed run must reproduce.
+        let start = Instant::now();
+        let warm_up = case.run(&ctx);
+        let iters = ((MIN_REP_S / start.elapsed().as_secs_f64().max(1e-6)).ceil() as u32).max(1);
+        let sig = Signature::of(&warm_up);
+        let tail_ps = warm_up.0.latency_tail_ps();
+        let mut last_sched = warm_up.2;
+        let mut walls = Vec::new();
         for rep in 0..args.reps {
             let start = Instant::now();
-            let (report, stats, sched) = case.run(&ctx);
-            let wall = start.elapsed().as_secs_f64();
-            best = best.min(wall);
-            let this = Signature {
-                events: stats.dispatched,
-                wake_fires: stats.wake_fires,
-                sim_ns: report.sim_end.as_ps() / 1000,
-                accesses: report.total_accesses(),
-                rounds: sched.rounds,
-                windows: sched.windows,
-                window_events: sched.window_events,
-            };
-            last_sched = sched;
-            tail_ps = report.latency_tail_ps();
-            match sig {
-                None => sig = Some(this),
-                Some(prev) if prev != this => {
+            for _ in 0..iters {
+                let out = case.run(&ctx);
+                let this = Signature::of(&out);
+                if this != sig {
                     eprintln!(
-                        "DETERMINISM REGRESSION in {}: rep {rep} produced {this:?}, \
-                         earlier reps produced {prev:?}",
-                        case.name
+                        "DETERMINISM REGRESSION in {}: rep {} produced {this:?}, \
+                         the warm-up run produced {sig:?}",
+                        case.name,
+                        rep + 1
                     );
                     return ExitCode::FAILURE;
                 }
-                Some(_) => {}
+                last_sched = out.2;
             }
-            eprintln!("[{}] rep {}: {:.3}s", case.name, rep + 1, wall);
+            let wall = start.elapsed().as_secs_f64() / f64::from(iters);
+            walls.push(wall);
+            eprintln!(
+                "[{}] rep {}: {:.6}s per run ({iters} runs)",
+                case.name,
+                rep + 1,
+                wall
+            );
         }
-        let sig = sig.expect("at least one rep ran");
+        walls.sort_by(f64::total_cmp);
         assert!(sig.accesses > 0, "{} moved no traffic", case.name);
         let cores_warning =
             (case.domains > 1 && hmc_sim::des::pool::budget_total() == 1).then(|| {
@@ -354,8 +411,8 @@ fn main() -> ExitCode {
         results.push(Measured {
             name: case.name,
             sig,
-            wall_best_s: best,
-            reps: args.reps,
+            iters,
+            walls,
             workers: last_sched.workers,
             pool_steals: last_sched.pool_steals,
             pool_parks: last_sched.pool_parks,
@@ -364,21 +421,29 @@ fn main() -> ExitCode {
         });
     }
 
+    let bases: Vec<Option<f64>> = results
+        .iter()
+        .map(|m| m.comparable_baseline(&baseline))
+        .collect();
     let mut entries: Vec<String> = Vec::new();
-    for m in &results {
+    for (m, base) in results.iter().zip(&bases) {
         // Float fields go through json_f64: a non-finite value (e.g. a
         // degenerate speedup ratio) must become null, not a bare NaN/inf
         // token that breaks the whole document.
         let mut fields = format!(
             "{{\"name\":\"{}\",\"events\":{},\"wake_fires\":{},\"sim_ns\":{},\
-             \"accesses\":{},\"reps\":{},\"wall_s_best\":{},\"events_per_sec\":{}",
+             \"accesses\":{},\"reps\":{},\"iters\":{},\"wall_s_best\":{},\
+             \"wall_s_median\":{},\"wall_s_max\":{},\"events_per_sec\":{}",
             json_escape(m.name),
             m.sig.events,
             m.sig.wake_fires,
             m.sig.sim_ns,
             m.sig.accesses,
-            m.reps,
-            json_f64(m.wall_best_s, 4),
+            m.walls.len(),
+            m.iters,
+            json_f64(m.wall_best(), 6),
+            json_f64(m.wall_median(), 6),
+            json_f64(m.wall_max(), 6),
             json_f64(m.events_per_sec(), 0),
         );
         if m.sig.rounds > 0 {
@@ -409,7 +474,7 @@ fn main() -> ExitCode {
         if let Some(w) = &m.cores_warning {
             fields.push_str(&format!(",\"cores_warning\":\"{}\"", json_escape(w)));
         }
-        if let Some((_, base)) = baseline.iter().find(|(n, _)| n == m.name) {
+        if let Some(base) = base {
             fields.push_str(&format!(
                 ",\"baseline_events_per_sec\":{},\"speedup_vs_baseline\":{}",
                 json_f64(*base, 0),
@@ -439,15 +504,16 @@ fn main() -> ExitCode {
         None => print!("{doc}"),
     }
     let width = results.iter().map(|m| m.name.len()).max().unwrap_or(0);
-    for m in &results {
-        let base = baseline.iter().find(|(n, _)| n == m.name);
+    for (m, base) in results.iter().zip(&bases) {
         eprintln!(
-            "{:<width$} {:>12} events  {:>8.3}s  {:>12.0} ev/s{}",
+            "{:<width$} {:>12} events  {:.6}s best  {:.6}s median  {:.6}s max  {:>12.0} ev/s{}",
             m.name,
             m.sig.events,
-            m.wall_best_s,
+            m.wall_best(),
+            m.wall_median(),
+            m.wall_max(),
             m.events_per_sec(),
-            base.map(|(_, b)| format!("  ({:.2}x vs baseline)", m.events_per_sec() / b))
+            base.map(|b| format!("  ({:.2}x vs baseline)", m.events_per_sec() / b))
                 .unwrap_or_default(),
         );
     }
