@@ -48,7 +48,7 @@
 //!   and `speedup_vs_baseline`. An events/sec ratio between different
 //!   workloads means nothing, so a mismatch prints a one-line note and
 //!   omits both fields.
-//! - Each case also reports round-trip `latency_p50_ns`/`p99`/`p999`
+//! - Each entry also reports round-trip `latency_p50_ns`/`p99`/`p999`
 //!   from the warm-up run's report. These are recorded for trend
 //!   inspection, never gated.
 //!
@@ -178,7 +178,7 @@ fn mesh_64(ctx: &ExpContext) -> FabricSim {
     ext_scale::sim(ctx, Topology::Mesh2D, 64)
 }
 
-/// The deterministic signature of one run; must not vary across reps.
+/// The deterministic signature of one run; must not vary across runs.
 /// The scheduler tallies are included because the adaptive window plan
 /// is a pure function of the workload and domain count — worker grants
 /// may vary with machine load, but never the rounds/windows/events
@@ -214,7 +214,7 @@ struct Measured {
     iters: u32,
     /// Wall seconds per run of each timed rep, ascending.
     walls: Vec<f64>,
-    /// Worker-pool telemetry from the last rep: threads used and pool
+    /// Worker-pool telemetry from the last run: threads used and pool
     /// steal/park counts. Machine-dependent, reported but never gated.
     workers: u64,
     pool_steals: u64,
