@@ -408,9 +408,9 @@ fn hot_path_allocations_are_bounded_not_per_event() {
 
 #[test]
 fn report_tails_equal_the_hub_tails_at_any_domain_count() {
-    // Every port records into its own sketch; the hub's per-cube sketches
-    // see the same samples. Merged, the two must agree exactly, and
-    // splitting the ring over engine domains must not move either.
+    // Every port records into its own sketch; the hub's one sketch sees
+    // the same samples. Merged, the two must agree exactly, and splitting
+    // the ring over engine domains must not move either.
     let run = |domains: usize| {
         let cubes = 4;
         let cfg = FabricConfig::ac510(Topology::Ring, cubes, 31);

@@ -5,9 +5,10 @@
 //! re-runs the knee's two endpoints — nine ports at low load (shallow
 //! tag pools, few outstanding requests) and at saturation (the full
 //! 64-tag pools) — with the telemetry hub attached and reports what the
-//! averages hide: per-epoch bandwidth and mean-latency timelines, and the
-//! full latency *distribution* (p50/p99/p999 per source port, from the
-//! run report, and per cube, from the hub's mergeable quantile sketches).
+//! averages hide: per-epoch bandwidth and mean-latency timelines, from
+//! the hub's epoch table, and the full latency *distribution*
+//! (p50/p99/p999 per source port and per cube, from the run report's
+//! mergeable quantile sketches).
 //!
 //! Everything here is derived from one deterministic simulation per
 //! point, so the rendered tables are byte-identical across runs and
@@ -79,22 +80,20 @@ fn run_point(ctx: &ExpContext, label: &'static str, tags: u16) -> TimelinePoint 
     let report = ctx.run_gups(FabricSim::with_telemetry(cfg, specs, Probe::attached(&hub)));
     let hub = hub.borrow();
     let epoch_ps = hub.epoch_ps() as f64;
-    let rows = (0..hub.epochs())
-        .map(|e| {
-            let completed = hub.completion_count().get(e);
-            let bytes = hub.completion_bytes().get(e);
-            let lat_ps = hub.completion_latency_ps().get(e);
-            EpochRow {
-                epoch: e,
-                completed,
-                // bytes per picosecond is terabytes per second.
-                bandwidth_gbs: bytes as f64 / epoch_ps * 1000.0,
-                mean_latency_ns: if completed == 0 {
-                    0.0
-                } else {
-                    lat_ps as f64 / completed as f64 / 1000.0
-                },
-            }
+    let rows = hub
+        .epochs()
+        .iter()
+        .enumerate()
+        .map(|(e, ep)| EpochRow {
+            epoch: e,
+            completed: ep.completed,
+            // bytes per picosecond is terabytes per second.
+            bandwidth_gbs: ep.bytes as f64 / epoch_ps * 1000.0,
+            mean_latency_ns: if ep.completed == 0 {
+                0.0
+            } else {
+                ep.latency_ps as f64 / ep.completed as f64 / 1000.0
+            },
         })
         .collect();
     let source_tails = report
@@ -102,10 +101,10 @@ fn run_point(ctx: &ExpContext, label: &'static str, tags: u16) -> TimelinePoint 
         .iter()
         .filter_map(|p| Some((u16::from(p.port.0), p.latency.tail_ps()?)))
         .collect();
-    let cube_tails = hub
-        .cube_sketches()
-        .keys()
-        .map(|&c| (c, hub.cube_tail_ps(c).expect("sketch has samples")))
+    let cube_tails = report
+        .cubes
+        .iter()
+        .filter_map(|c| Some((c.cube.0, report.cube_latency(c.cube).tail_ps()?)))
         .collect();
     TimelinePoint {
         label,

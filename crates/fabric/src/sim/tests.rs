@@ -264,16 +264,17 @@ fn zero_lookahead_fabrics_run_as_one_domain() {
 }
 
 /// A 4-cube chain with one GUPS port per cube, telemetry attached to
-/// `hub`, at `domains` engine domains; returns the scheduler counters.
-fn chain4_with_hub(hub: &hmc_telemetry::SharedHub, domains: usize) -> SchedStats {
+/// `hub`, at `domains` engine domains; returns the report and the
+/// scheduler counters.
+fn chain4_with_hub(hub: &hmc_telemetry::SharedHub, domains: usize) -> (RunReport, SchedStats) {
     let cfg = FabricConfig::chain(13, 4);
     let filter = AccessPattern::Vaults { count: 16 }.filter(&cfg.cube.map);
     let specs: Vec<FabricPortSpec> = (0..4)
         .map(|c| FabricPortSpec::gups(filter, hmc_host::GupsOp::Read(PayloadSize::B64), CubeId(c)))
         .collect();
     let mut sim = FabricSim::with_telemetry(cfg, specs, Probe::attached(hub)).with_domains(domains);
-    sim.run_gups(Delay::from_us(2), Delay::from_us(6));
-    sim.sched_stats()
+    let report = sim.run_gups(Delay::from_us(2), Delay::from_us(6));
+    (report, sim.sched_stats())
 }
 
 #[test]
@@ -282,27 +283,21 @@ fn an_attached_hub_reads_the_same_at_every_domain_count() {
 
     let run = |domains: usize| {
         let hub = Hub::shared(HubConfig::default());
-        chain4_with_hub(&hub, domains);
+        let (report, _) = chain4_with_hub(&hub, domains);
         let h = hub.borrow();
-        let cube_tails: Vec<_> = h
-            .cube_sketches()
-            .keys()
-            .map(|&c| (c, h.cube_tail_ps(c)))
-            .collect();
-        (
-            h.completion_count().clone(),
-            h.completion_bytes().clone(),
-            h.completion_latency_ps().clone(),
+        let read = (
+            h.epochs().to_vec(),
             h.origin(),
-            cube_tails,
+            h.aggregate_sketch().count(),
             h.aggregate_tail_ps(),
-        )
+        );
+        (read, report.cubes_hit())
     };
-    let serial = run(1);
-    assert!(serial.0.total() > 0, "the hub saw the run");
-    assert_eq!(serial.4.len(), 4, "every cube completed requests");
+    let (serial, cubes_hit) = run(1);
+    assert!(serial.2 > 0, "the hub saw the run");
+    assert_eq!(cubes_hit, 4, "every cube completed requests");
     for domains in [2, 4] {
-        assert_eq!(serial, run(domains), "{domains} domains moved the hub");
+        assert_eq!(serial, run(domains).0, "{domains} domains moved the hub");
     }
 }
 
@@ -315,7 +310,7 @@ fn traced_runs_stay_on_one_domain() {
             trace_sample: Some(8),
             ..HubConfig::default()
         });
-        let sched = chain4_with_hub(&hub, domains);
+        let (_, sched) = chain4_with_hub(&hub, domains);
         let h = hub.borrow();
         (sched, h.trace_json(), h.traced_slices())
     };

@@ -345,7 +345,7 @@ impl Port {
             }
             self.completed_by_cube[cube.index()] += 1;
             self.probe
-                .completion(cube.0, latency_ps, op.kind.round_trip_bytes(), now);
+                .completion(latency_ps, op.kind.round_trip_bytes(), now);
         }
         self.fresh.push(Completion {
             index,

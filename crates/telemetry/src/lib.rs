@@ -3,30 +3,32 @@
 //! Streaming observability for the `hmc-noc-sim` workspace. The paper's
 //! insights all come from *looking inside* the cube — per-vault bandwidth,
 //! link utilization, latency distributions under open- vs closed-loop load
-//! — but report-time aggregates can't show *when* bandwidth collapsed or
-//! *which* cube's tail grew. This crate adds three layers:
+//! — but report-time aggregates can't show *when* bandwidth collapsed.
+//! This crate adds what a run report lacks, in three layers:
 //!
 //! 1. [`Probe`] — a cheap, cloneable handle held by the components that
 //!    mark a request's lifecycle (`Port`, `HostModel`, `HmcDevice`, the
 //!    fabric's pass-through stages and their `LinkTx`s). When detached
 //!    ([`Probe::off`]) each event call is a single branch on a `None`.
-//! 2. [`Hub`] — the sink behind attached probes: per-epoch **completion
-//!    timelines** (requests, round-trip bytes, latency sums) and
-//!    per-cube [`hmc_stats::LatencySketch`] quantile sketches for
-//!    streaming p50/p99/p999. Per-port sketches need no hub: every port
-//!    records one into its run report.
+//! 2. [`Hub`] — the sink behind attached probes: one per-epoch
+//!    **completion timeline** ([`Epoch`]: requests, round-trip bytes,
+//!    latency sum) and one [`hmc_stats::LatencySketch`] over every
+//!    completion for streaming p50/p99/p999. Per-port and per-cube
+//!    sketches need no hub: every port records the same samples into
+//!    its run report, so the hub's sketch equals the report's merged
+//!    one.
 //! 3. a **packet-lifecycle tracer** that samples every Nth issued request
 //!    and emits Chrome `trace_event` JSON ([`Hub::trace_json`]), one track
-//!    per component the packet crosses — open it in `chrome://tracing` or
+//!    per stage the packet crosses — open it in `chrome://tracing` or
 //!    Perfetto.
 //!
-//! Everything is deterministic: epoch indices derive from simulated time,
-//! sketches have a fixed bucket structure, and all maps iterate in key
-//! order, so telemetry output is byte-identical across runs and thread
-//! counts. One hub serves a whole run: a fabric split over parallel
-//! engine domains attaches the caller's probe only to the domain that
-//! holds the host, which records every completion and traced issue, so
-//! an attached hub reads the same at every domain count.
+//! Everything is deterministic: epoch indices derive from simulated time
+//! and sketches have a fixed bucket structure, so telemetry output is
+//! byte-identical across runs and thread counts. One hub serves a whole
+//! run: a fabric split over parallel engine domains attaches the
+//! caller's probe only to the domain that holds the host, which records
+//! every completion and traced issue, so an attached hub reads the same
+//! at every domain count.
 //!
 //! ```
 //! use hmc_des::Time;
@@ -34,7 +36,7 @@
 //!
 //! let hub = Hub::shared(HubConfig::default());
 //! let probe = Probe::attached(&hub);
-//! probe.completion(0, 1_500_000, 160, Time::from_us(2));
+//! probe.completion(1_500_000, 160, Time::from_us(2));
 //! assert_eq!(hub.borrow().aggregate_sketch().count(), 1);
 //! ```
 
@@ -45,6 +47,6 @@ mod hub;
 mod probe;
 mod trace;
 
-pub use hub::{EpochSeries, Hub, HubConfig, SharedHub};
+pub use hub::{Epoch, Hub, HubConfig, SharedHub};
 pub use probe::Probe;
 pub use trace::Stage;

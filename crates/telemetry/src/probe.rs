@@ -57,15 +57,15 @@ impl Probe {
         }
     }
 
-    /// A request completed its round trip: target `cube`, measured
-    /// `latency_ps`, `bytes` moved on the links.
+    /// A request completed its round trip: measured `latency_ps`,
+    /// `bytes` moved on the links.
     #[inline]
-    pub fn completion(&self, cube: u8, latency_ps: u64, bytes: u64, now: Time) {
-        self.with(|h| h.on_completion(cube, latency_ps, bytes, now));
+    pub fn completion(&self, latency_ps: u64, bytes: u64, now: Time) {
+        self.with(|h| h.on_completion(latency_ps, bytes, now));
     }
 
-    /// Restart the measurement window (end of warmup): clears counters
-    /// and sketches, re-anchors epoch 0 at `now`.
+    /// Restart the measurement window (end of warmup): clears the
+    /// timeline and the sketch, re-anchors epoch 0 at `now`.
     #[inline]
     pub fn reset_window(&self, now: Time) {
         self.with(|h| h.reset_window(now));
@@ -100,7 +100,7 @@ mod tests {
     fn detached_probe_is_inert() {
         let p = Probe::off();
         assert!(!p.is_on());
-        p.completion(0, 100, 160, Time::ZERO);
+        p.completion(100, 160, Time::ZERO);
         p.reset_window(Time::ZERO);
     }
 
@@ -109,10 +109,10 @@ mod tests {
         let hub = Hub::shared(HubConfig::default());
         let p = Probe::attached(&hub);
         let q = p.clone(); // clones share the hub
-        p.completion(2, 1_000, 160, Time::from_ns(1));
-        q.completion(2, 3_000, 160, Time::from_ns(2));
+        p.completion(1_000, 160, Time::from_ns(1));
+        q.completion(3_000, 160, Time::from_ns(2));
         assert!(p.is_on());
-        assert_eq!(hub.borrow().cube_sketches()[&2].count(), 2);
+        assert_eq!(hub.borrow().aggregate_sketch().count(), 2);
     }
 
     #[test]
