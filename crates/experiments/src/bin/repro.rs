@@ -36,8 +36,8 @@ struct Args {
     trace_sample: u64,
     /// Validate a JSON file (e.g. an exported trace) and exit.
     validate_json: Option<PathBuf>,
-    /// Wall-clock watchdog: if the run outlives this many seconds, trip
-    /// the scheduler watchdog and exit 3 with a progress diagnostic.
+    /// Wall-clock watchdog: if the run outlives this many seconds, exit 3
+    /// with a progress diagnostic.
     deadline: Option<u64>,
 }
 
@@ -145,7 +145,7 @@ fn usage() {
     eprintln!("--validate-json PATH: check that PATH holds one well-formed JSON value and exit");
     eprintln!(
         "--deadline SECS: wall-clock watchdog; a run that outlives it is tripped \
-         (domain barriers poisoned) and exits 3 with a progress diagnostic"
+         and exits 3 with a progress diagnostic"
     );
 }
 

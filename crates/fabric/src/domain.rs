@@ -259,7 +259,7 @@ impl PhaseBarrier {
     }
 
     /// Marks the barrier poisoned and releases every waiter with an error.
-    pub fn poison(&self) {
+    fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
     }
 

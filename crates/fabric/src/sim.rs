@@ -511,8 +511,6 @@ impl FabricSim {
             .map(|w| (w * d_count / workers..(w + 1) * d_count / workers).collect())
             .collect();
 
-        let barrier = Arc::new(PhaseBarrier::new(workers));
-        crate::watchdog::register_barrier(&barrier);
         // One unbounded inbox per domain.
         let (senders, inboxes) = (0..d_count)
             .map(|_| {
@@ -526,7 +524,7 @@ impl FabricSim {
             mins: (0..d_count).map(|_| AtomicU64::new(0)).collect(),
             done: (0..d_count).map(|_| AtomicU64::new(0)).collect(),
             dplan,
-            barrier,
+            barrier: PhaseBarrier::new(workers),
             l: plan.cfg.lookahead().as_ps(),
             senders,
             inboxes,

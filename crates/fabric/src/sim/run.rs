@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use hmc_des::{ComponentId, Engine, EngineStats, Time};
 use hmc_telemetry::Probe;
@@ -140,7 +140,7 @@ pub(super) struct Shared<'a> {
     pub(super) dplan: DomainPlan,
     pub(super) mins: Vec<AtomicU64>,
     pub(super) done: Vec<AtomicU64>,
-    pub(super) barrier: Arc<PhaseBarrier>,
+    pub(super) barrier: PhaseBarrier,
     pub(super) l: u64,
     pub(super) senders: Vec<Sender<Envelope>>,
     pub(super) inboxes: Vec<Mutex<Receiver<Envelope>>>,
@@ -294,10 +294,12 @@ pub(super) fn run_group(
 /// every completion, sketch and traced issue, so it alone gets the
 /// caller's probe (`main_probe`, passed only to the caller's own group);
 /// every other domain runs detached. The poison guard is installed
-/// before the builds so a panic anywhere releases the other threads; a
-/// poisoned run still harvests what it has — the caller's join of the
-/// panicked thread re-raises. The caller runs its own group through this
-/// same function on the calling thread.
+/// before the builds so a panic anywhere releases the other threads.
+/// Only a panicking worker poisons the barrier, so a scheduler error
+/// here always has a panic behind it, and the caller's join of the
+/// panicked thread re-raises it: no cut-short harvest is ever returned.
+/// The caller runs its own group through this same function on the
+/// calling thread.
 pub(super) fn run_group_thread(
     sh: &Shared<'_>,
     domains: &[usize],
