@@ -42,18 +42,23 @@
 //!   scheduler tallies) must be identical on every run; any divergence is
 //!   a determinism regression and the gate **fails** (exit 1). Timing
 //!   noise never fails the gate.
-//! - With `--baseline FILE` (a previous perfgate JSON, e.g. the
-//!   `BENCH_*.json` trajectory at the repo root), a point whose baseline
-//!   entry ran the same number of events gets `baseline_events_per_sec`
-//!   and `speedup_vs_baseline`. An events/sec ratio between different
-//!   workloads means nothing, so a mismatch prints a one-line note and
-//!   omits both fields.
+//! - With `--baseline FILE` (a previous perfgate JSON), a point whose
+//!   baseline entry ran the same number of events gets
+//!   `baseline_events_per_sec` and `speedup_vs_baseline`. An events/sec
+//!   ratio between different workloads means nothing, so a mismatch
+//!   prints a one-line note and omits both fields.
+//! - A `speedup_vs_baseline` taken across two sittings cannot be read
+//!   against one run's spread: on a shared machine, back-to-back runs of
+//!   the same build differ by more than any one run's
+//!   `wall_s_max / wall_s_best`. Perf claims rest on perfbench's
+//!   alternating parent/change pairs; perfgate documents, the
+//!   `BENCH_*.json` snapshots among them, are trend records.
 //! - Each entry also reports round-trip `latency_p50_ns`/`p99`/`p999`
 //!   from the warm-up run's report. These are recorded for trend
 //!   inspection, never gated.
 //!
-//! Perf PRs append their snapshot as `BENCH_PR<n>.json` at the repo root;
-//! see README "Performance".
+//! Perf PRs may append their snapshot as `BENCH_PR<n>.json` at the repo
+//! root as a trend record; see README "Reading `BENCH_*.json`".
 
 use std::path::PathBuf;
 use std::process::ExitCode;
