@@ -50,7 +50,7 @@ pub struct DdrConfig {
 
 impl DdrConfig {
     /// A single-channel DDR4-2400 DIMM.
-    pub fn ddr4_2400() -> DdrConfig {
+    pub(crate) fn ddr4_2400() -> DdrConfig {
         DdrConfig {
             banks: 16,
             timing: DramTiming::ddr4_2400(),
@@ -58,11 +58,6 @@ impl DdrConfig {
             ctrl_latency_req: Delay::from_ps(12_000),
             ctrl_latency_resp: Delay::from_ps(12_000),
         }
-    }
-
-    /// Peak data bandwidth of the bus, GB/s.
-    pub fn peak_gb_per_s(&self) -> f64 {
-        f64::from(self.burst_bytes) / self.timing.t_ccd.as_ns_f64()
     }
 }
 
@@ -99,7 +94,7 @@ impl DdrChannel {
     /// # Panics
     ///
     /// Panics if the configuration has zero banks or invalid timing.
-    pub fn new(cfg: DdrConfig) -> DdrChannel {
+    pub(crate) fn new(cfg: DdrConfig) -> DdrChannel {
         DdrChannel {
             cfg,
             memory: VaultMemory::new(cfg.banks, cfg.timing),
@@ -109,11 +104,6 @@ impl DdrChannel {
     /// A DDR4-2400 channel.
     pub fn ddr4_2400() -> DdrChannel {
         DdrChannel::new(DdrConfig::ddr4_2400())
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &DdrConfig {
-        &self.cfg
     }
 
     /// The unloaded random-read latency: controller in + closed-page
@@ -188,6 +178,11 @@ impl DdrChannel {
 mod tests {
     use super::*;
 
+    /// Peak data bandwidth of the bus, GB/s: one burst per tCCD.
+    fn bus_peak_gbs(c: &DdrConfig) -> f64 {
+        f64::from(c.burst_bytes) / c.timing.t_ccd.as_ns_f64()
+    }
+
     #[test]
     fn no_load_latency_is_ddr_class() {
         let ddr = DdrChannel::ddr4_2400();
@@ -215,7 +210,7 @@ mod tests {
     fn bandwidth_saturates_below_bus_peak() {
         let mut ddr = DdrChannel::ddr4_2400();
         let report = ddr.run_closed_loop(64, 20_000, 64, 2);
-        let peak = ddr.config().peak_gb_per_s();
+        let peak = bus_peak_gbs(&DdrConfig::ddr4_2400());
         assert!(
             report.data_gb_per_s > peak * 0.5,
             "got {}",
@@ -255,7 +250,7 @@ mod tests {
 
     #[test]
     fn peak_bandwidth_is_19_2() {
-        assert!((DdrConfig::ddr4_2400().peak_gb_per_s() - 19.2).abs() < 0.3);
+        assert!((bus_peak_gbs(&DdrConfig::ddr4_2400()) - 19.2).abs() < 0.3);
     }
 
     #[test]

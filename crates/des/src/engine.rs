@@ -33,7 +33,7 @@ pub struct ComponentId(u32);
 impl ComponentId {
     /// The dense index of this component.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -253,13 +253,6 @@ impl<'a, M> Ctx<'a, M> {
         self.core.push(at, to, EventKind::Msg(msg));
     }
 
-    /// Schedules `msg` for delivery to the current component after `delay`.
-    #[inline]
-    pub fn send_self(&mut self, delay: Delay, msg: M) {
-        let id = self.self_id;
-        self.send(delay, id, msg);
-    }
-
     /// Schedules `msg` for delivery to `to` at the absolute instant `at`.
     ///
     /// # Panics
@@ -300,14 +293,6 @@ impl<'a, M> Ctx<'a, M> {
     /// Panics in debug builds if `at` is in the past.
     #[inline]
     pub fn wake_at(&mut self, at: Time) -> WakeToken {
-        let id = self.self_id;
-        self.core.arm_wake(at, id)
-    }
-
-    /// Arms a timer `delay` from now; see [`Ctx::wake_at`].
-    #[inline]
-    pub fn wake_after(&mut self, delay: Delay) -> WakeToken {
-        let at = self.core.time + delay;
         let id = self.self_id;
         self.core.arm_wake(at, id)
     }
@@ -373,7 +358,7 @@ pub struct EngineStats {
 ///     fn on_message(&mut self, msg: u32, ctx: &mut Ctx<'_, u32>) {
 ///         self.seen += msg;
 ///         if msg > 0 {
-///             ctx.send_self(Delay::from_ns(1), msg - 1);
+///             ctx.send(Delay::from_ns(1), ctx.self_id(), msg - 1);
 ///         }
 ///     }
 /// }
@@ -381,7 +366,7 @@ pub struct EngineStats {
 /// let mut engine = Engine::new();
 /// let id = engine.add_component(Box::new(Echo { seen: 0 }));
 /// engine.schedule(Time::ZERO, id, 3);
-/// engine.run_to_quiescence();
+/// engine.run_until(Time::MAX);
 /// assert_eq!(engine.component::<Echo>(id).unwrap().seen, 3 + 2 + 1);
 /// ```
 pub struct Engine<M> {
@@ -485,13 +470,6 @@ impl<M> Engine<M> {
     #[inline]
     pub fn last_dispatched_at(&self) -> Time {
         self.last_dispatched
-    }
-
-    /// Runs until the queue is empty. Returns the number of events
-    /// dispatched by this call. The clock is left at the last dispatched
-    /// event's timestamp (see [`Engine::run_until`]).
-    pub fn run_to_quiescence(&mut self) -> u64 {
-        self.run_until(Time::MAX)
     }
 
     /// Runs until the queue is empty or the next event is strictly after
@@ -643,7 +621,7 @@ mod tests {
         e.schedule(Time::from_ps(30), id, 3);
         e.schedule(Time::from_ps(10), id, 1);
         e.schedule(Time::from_ps(20), id, 2);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         let c = e.component::<Counter>(id).unwrap();
         assert_eq!(c.hits, vec![(10, 1), (20, 2), (30, 3)]);
     }
@@ -655,7 +633,7 @@ mod tests {
         for i in 0..100 {
             e.schedule(Time::from_ps(5), id, i);
         }
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         let c = e.component::<Counter>(id).unwrap();
         let payloads: Vec<u32> = c.hits.iter().map(|&(_, m)| m).collect();
         assert_eq!(payloads, (0..100).collect::<Vec<_>>());
@@ -671,8 +649,8 @@ mod tests {
         e.schedule(Time::from_ns(1), id, 1);
         e.schedule(Time::from_us(2), id, 3);
         e.schedule(Time::from_ns(500), id, 2);
-        e.schedule(Time::from_ms(5), id, 5);
-        e.run_to_quiescence();
+        e.schedule(Time::from_us(5_000), id, 5);
+        e.run_until(Time::MAX);
         let c = e.component::<Counter>(id).unwrap();
         let payloads: Vec<u32> = c.hits.iter().map(|&(_, m)| m).collect();
         assert_eq!(payloads, vec![1, 2, 3, 4, 5]);
@@ -688,7 +666,7 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(e.now(), Time::from_ps(15));
         assert_eq!(e.stats().pending, 1);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert_eq!(e.component::<Counter>(id).unwrap().hits.len(), 2);
     }
 
@@ -729,7 +707,7 @@ mod tests {
         e.schedule_keyed(t, id, KEYED_EVENT_BIT | 10, 101);
         e.schedule(t, id, 2);
         e.schedule_keyed(t, id, KEYED_EVENT_BIT | 20, 102);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         let c = e.component::<Counter>(id).unwrap();
         let payloads: Vec<u32> = c.hits.iter().map(|&(_, m)| m).collect();
         assert_eq!(payloads, vec![1, 2, 101, 102, 103]);
@@ -751,7 +729,7 @@ mod tests {
             for k in order {
                 e.schedule_keyed(Time::from_ns(1), id, KEYED_EVENT_BIT | k, k as u32);
             }
-            e.run_to_quiescence();
+            e.run_until(Time::MAX);
             e.component::<Counter>(id).unwrap().hits.clone()
         };
         assert_eq!(run(false), run(true));
@@ -766,7 +744,7 @@ mod tests {
         e.schedule(Time::from_ps(5), id, 1);
         e.schedule_keyed(Time::from_ps(5), id, KEYED_EVENT_BIT | 1, 99);
         e.schedule(Time::from_ps(5), id, 2);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         let c = e.component::<Counter>(id).unwrap();
         let payloads: Vec<u32> = c.hits.iter().map(|&(_, m)| m).collect();
         assert_eq!(payloads, vec![1, 2, 99]);
@@ -782,7 +760,7 @@ mod tests {
         assert_eq!(e.next_event_time(), Some(Time::from_ns(2)));
         e.run_until(Time::from_ns(3));
         assert_eq!(e.next_event_time(), Some(Time::from_ns(4)));
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert_eq!(e.next_event_time(), None);
     }
 
@@ -834,7 +812,7 @@ mod tests {
     fn interleaved_engines_count_only_their_own_spills() {
         let alone = |burst| {
             let mut e = spiller(burst);
-            e.run_to_quiescence();
+            e.run_until(Time::MAX);
             e.stats().scratch_spills
         };
         let (small, large) = (alone(3), alone(9));
@@ -885,7 +863,7 @@ mod tests {
             cancel_on_message: false,
         }));
         e.schedule(Time::ZERO, id, 0);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert_eq!(e.component::<Sleeper>(id).unwrap().fires, vec![9_000]);
         assert_eq!(e.stats().wake_fires, 1);
         assert_eq!(e.now(), Time::from_ns(9));
@@ -902,7 +880,7 @@ mod tests {
         }));
         e.schedule(Time::ZERO, id, 0);
         e.schedule(Time::from_ns(1), id, 0);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert!(e.component::<Sleeper>(id).unwrap().fires.is_empty());
         assert_eq!(e.stats().wake_fires, 0);
         assert_eq!(e.stats().wake_cancels, 1);
@@ -918,7 +896,7 @@ mod tests {
         impl Component<u32> for LateCancel {
             fn on_message(&mut self, _msg: u32, ctx: &mut Ctx<'_, u32>) {
                 match self.token {
-                    None => self.token = Some(ctx.wake_after(Delay::from_ns(1))),
+                    None => self.token = Some(ctx.wake_at(ctx.now() + Delay::from_ns(1))),
                     Some(t) => assert!(!ctx.cancel_wake(t), "token already fired"),
                 }
             }
@@ -927,7 +905,7 @@ mod tests {
         let id = e.add_component(Box::new(LateCancel { token: None }));
         e.schedule(Time::ZERO, id, 0);
         e.schedule(Time::from_ns(5), id, 0);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert_eq!(e.stats().wake_fires, 1);
         assert_eq!(e.stats().wake_cancels, 0);
     }
@@ -956,7 +934,7 @@ mod tests {
         let id = e.add_component(Box::new(Interleave { log: vec![] }));
         e.schedule(Time::ZERO, id, 1);
         e.schedule(Time::from_ns(1), id, 0);
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert_eq!(
             e.component::<Interleave>(id).unwrap().log,
             vec!["msg", "msg", "wake"]

@@ -36,7 +36,7 @@ thread_local! {
 /// Total `InlineVec` heap allocations on this thread so far; engines
 /// read it around each dispatch loop and report the summed deltas (see
 /// [`EngineStats::scratch_spills`](crate::EngineStats::scratch_spills)).
-pub fn spill_allocs() -> u64 {
+pub(crate) fn spill_allocs() -> u64 {
     SPILL_ALLOCS.with(|c| c.get())
 }
 
@@ -94,12 +94,6 @@ impl<T, const N: usize> InlineVec<T, N> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// `true` if elements live on the heap (the buffer spilled).
-    #[inline]
-    pub fn spilled(&self) -> bool {
-        self.len > N
     }
 
     /// Appends an element.

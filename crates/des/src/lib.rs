@@ -54,7 +54,7 @@
 //! engine.component_mut::<Ponger>(a).unwrap().peer = Some(b);
 //! engine.component_mut::<Ponger>(b).unwrap().peer = Some(a);
 //! engine.schedule(Time::ZERO, a, 5);
-//! engine.run_to_quiescence();
+//! engine.run_until(Time::MAX);
 //! assert_eq!(engine.now(), Time::from_ns(50));
 //! ```
 

@@ -78,6 +78,8 @@ fn budget() -> &'static CoreBudget {
 ///
 /// Returns `false` if the budget was already initialized (the setting
 /// did not take).
+///
+/// Kept public as the hook of `hmc-experiments`' `tests/pool_budget.rs`.
 #[doc(hidden)]
 pub fn pin_budget_for_tests(cores: usize) -> bool {
     BUDGET

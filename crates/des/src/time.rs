@@ -68,12 +68,6 @@ impl Time {
         Time(us * 1_000_000)
     }
 
-    /// Creates an instant at `ms` milliseconds after the epoch.
-    #[inline]
-    pub const fn from_ms(ms: u64) -> Time {
-        Time(ms * 1_000_000_000)
-    }
-
     /// This instant as picoseconds since the epoch.
     #[inline]
     pub const fn as_ps(self) -> u64 {
@@ -87,15 +81,12 @@ impl Time {
     }
 
     /// This instant as (possibly fractional) seconds since the epoch.
+    ///
+    /// Kept public with the unit test that checks it; only that test
+    /// calls it (see ROADMAP).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
-    }
-
-    /// Saturating addition; sticks at [`Time::MAX`] instead of wrapping.
-    #[inline]
-    pub fn saturating_add(self, d: Delay) -> Time {
-        Time(self.0.saturating_add(d.0))
     }
 
     /// The span from `earlier` to `self`, or [`Delay::ZERO`] if `earlier`
@@ -103,18 +94,6 @@ impl Time {
     #[inline]
     pub fn saturating_since(self, earlier: Time) -> Delay {
         Delay(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: Time) -> Time {
-        Time(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: Time) -> Time {
-        Time(self.0.min(other.0))
     }
 }
 
@@ -157,21 +136,6 @@ impl Delay {
         Delay((ns * 1e3).round() as u64)
     }
 
-    /// Creates a span from fractional microseconds, rounding to the nearest
-    /// picosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative or not finite.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Delay {
-        assert!(
-            us.is_finite() && us >= 0.0,
-            "delay must be finite and non-negative"
-        );
-        Delay((us * 1e6).round() as u64)
-    }
-
     /// This span in picoseconds.
     #[inline]
     pub const fn as_ps(self) -> u64 {
@@ -185,6 +149,9 @@ impl Delay {
     }
 
     /// This span in (possibly fractional) seconds.
+    ///
+    /// Kept public with the unit test that checks it; only that test
+    /// calls it (see ROADMAP).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
@@ -194,24 +161,6 @@ impl Delay {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating addition; sticks at [`Delay::MAX`] instead of wrapping.
-    #[inline]
-    pub fn saturating_add(self, other: Delay) -> Delay {
-        Delay(self.0.saturating_add(other.0))
-    }
-
-    /// The longer of two spans.
-    #[inline]
-    pub fn max(self, other: Delay) -> Delay {
-        Delay(self.0.max(other.0))
-    }
-
-    /// The shorter of two spans.
-    #[inline]
-    pub fn min(self, other: Delay) -> Delay {
-        Delay(self.0.min(other.0))
     }
 }
 
@@ -323,7 +272,6 @@ mod tests {
     fn constructors_scale_correctly() {
         assert_eq!(Time::from_ns(1).as_ps(), 1_000);
         assert_eq!(Time::from_us(1).as_ps(), 1_000_000);
-        assert_eq!(Time::from_ms(1).as_ps(), 1_000_000_000);
         assert_eq!(Delay::from_ns(7).as_ps(), 7_000);
         assert_eq!(Delay::from_us(3).as_ps(), 3_000_000);
     }
@@ -332,7 +280,6 @@ mod tests {
     fn fractional_constructors_round() {
         assert_eq!(Delay::from_ns_f64(3.2).as_ps(), 3_200);
         assert_eq!(Delay::from_ns_f64(1.0666666).as_ps(), 1_067);
-        assert_eq!(Delay::from_us_f64(0.5).as_ps(), 500_000);
     }
 
     #[test]
@@ -360,9 +307,7 @@ mod tests {
 
     #[test]
     fn saturating_ops_do_not_wrap() {
-        assert_eq!(Time::MAX.saturating_add(Delay::from_ns(1)), Time::MAX);
         assert_eq!(Time::ZERO.saturating_since(Time::from_ns(5)), Delay::ZERO);
-        assert_eq!(Delay::MAX.saturating_add(Delay::from_ns(1)), Delay::MAX);
     }
 
     #[test]
@@ -376,6 +321,12 @@ mod tests {
     }
 
     #[test]
+    fn seconds_conversion() {
+        assert_eq!(Time::from_us(1_000_000).as_secs_f64(), 1.0);
+        assert_eq!(Delay::from_us(1_000_000).as_secs_f64(), 1.0);
+    }
+
+    #[test]
     fn sum_of_delays() {
         let total: Delay = [1u64, 2, 3].iter().map(|&n| Delay::from_ns(n)).sum();
         assert_eq!(total, Delay::from_ns(6));
@@ -385,11 +336,5 @@ mod tests {
     fn display_is_nonempty() {
         assert!(!format!("{}", Time::from_ns(3)).is_empty());
         assert!(!format!("{}", Delay::from_ps(1)).is_empty());
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        assert_eq!(Time::from_ms(1_000).as_secs_f64(), 1.0);
-        assert_eq!(Delay::from_us(1_000_000).as_secs_f64(), 1.0);
     }
 }

@@ -84,7 +84,7 @@
 //!     wake: AutoWake::new(),
 //! }));
 //! engine.schedule(Time::ZERO, id, ());
-//! engine.run_to_quiescence();
+//! engine.run_until(Time::MAX);
 //! // Exactly one kick + 4 timer fires; the idle core consumes nothing more.
 //! assert_eq!(engine.now(), Time::from_ns(40));
 //! assert_eq!(engine.component::<CoreComp>(id).unwrap().core.done, 5);
@@ -187,7 +187,7 @@ mod tests {
             fires: Vec::new(),
         }));
         e.schedule(Time::ZERO, id, ());
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         let fires = e.component::<Scripted>(id).unwrap().fires.clone();
         (fires, e.stats())
     }
@@ -209,7 +209,7 @@ mod tests {
         }));
         e.schedule(Time::ZERO, id, ());
         e.schedule(Time::from_ns(1), id, ());
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert_eq!(e.component::<Scripted>(id).unwrap().fires, vec![5_000]);
         assert_eq!(e.stats().wake_cancels, 0);
     }
@@ -226,7 +226,7 @@ mod tests {
         }));
         e.schedule(Time::ZERO, id, ());
         e.schedule(Time::from_ns(1), id, ());
-        e.run_to_quiescence();
+        e.run_until(Time::MAX);
         assert_eq!(e.component::<Scripted>(id).unwrap().fires, vec![5_000]);
         assert_eq!(e.stats().wake_cancels, 1);
         assert_eq!(e.now(), Time::from_ns(5), "cancelled timer moves no clock");

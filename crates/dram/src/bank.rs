@@ -1,6 +1,6 @@
 //! A closed-page DRAM bank state machine.
 
-use hmc_des::{Delay, Time};
+use hmc_des::Time;
 
 use crate::timing::DramTiming;
 
@@ -41,7 +41,6 @@ pub struct AccessTiming {
 pub struct Bank {
     free_at: Time,
     accesses: u64,
-    busy_ps: u64,
 }
 
 impl Bank {
@@ -51,15 +50,12 @@ impl Bank {
     }
 
     /// Total accesses serviced.
+    ///
+    /// Kept public with the unit test that checks it; only that test
+    /// calls it (see ROADMAP).
     #[inline]
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Total picoseconds the bank has spent busy.
-    #[inline]
-    pub fn busy_ps(&self) -> u64 {
-        self.busy_ps
     }
 
     /// Schedules a closed-page read of `bursts` 32 B beats.
@@ -76,7 +72,7 @@ impl Bank {
         let last_col_done = start + t.t_rcd + t.t_ccd * bursts;
         let pre_start = last_col_done.max(start + t.t_ras);
         let bank_free = pre_start + t.t_rp;
-        self.complete(start, bank_free);
+        self.complete(bank_free);
         AccessTiming {
             start,
             data_ready,
@@ -89,14 +85,19 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if `bursts` is zero.
-    pub fn schedule_write(&mut self, now: Time, bursts: u32, t: &DramTiming) -> AccessTiming {
+    pub(crate) fn schedule_write(
+        &mut self,
+        now: Time,
+        bursts: u32,
+        t: &DramTiming,
+    ) -> AccessTiming {
         assert!(bursts > 0, "a write moves at least one burst");
         let start = now.max(self.free_at);
         let last_data = start + t.t_rcd + t.t_ccd * bursts;
         let data_ready = last_data;
         let pre_start = (last_data + t.t_wr).max(start + t.t_ras);
         let bank_free = pre_start + t.t_rp;
-        self.complete(start, bank_free);
+        self.complete(bank_free);
         AccessTiming {
             start,
             data_ready,
@@ -104,20 +105,9 @@ impl Bank {
         }
     }
 
-    fn complete(&mut self, start: Time, bank_free: Time) {
+    fn complete(&mut self, bank_free: Time) {
         self.accesses += 1;
-        self.busy_ps += (bank_free - start).as_ps();
         self.free_at = bank_free;
-    }
-
-    /// Bank utilization over a window of `elapsed` — busy time divided by
-    /// wall time (may exceed 1.0 only if the window is shorter than the
-    /// simulated activity).
-    pub fn utilization(&self, elapsed: Delay) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.busy_ps as f64 / elapsed.as_ps() as f64
     }
 }
 
@@ -192,9 +182,6 @@ mod tests {
         b.schedule_read(Time::ZERO, 1, &t);
         b.schedule_read(Time::ZERO, 1, &t);
         assert_eq!(b.accesses(), 2);
-        assert_eq!(b.busy_ps(), 2 * 41_250);
-        assert!(b.utilization(Delay::from_ns(100)) > 0.8);
-        assert_eq!(Bank::new().utilization(Delay::ZERO), 0.0);
     }
 
     #[test]

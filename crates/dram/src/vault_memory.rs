@@ -1,6 +1,6 @@
 //! The DRAM side of one vault: banks sharing a TSV data bus.
 
-use hmc_des::{Delay, Time};
+use hmc_des::Time;
 
 use crate::bank::Bank;
 use crate::bus::DataBus;
@@ -50,13 +50,10 @@ impl VaultMemory {
         }
     }
 
-    /// The timing parameters in effect.
-    #[inline]
-    pub fn timing(&self) -> &DramTiming {
-        &self.timing
-    }
-
     /// Immutable view of a bank (for statistics).
+    ///
+    /// Kept public with the unit test that checks it; only that test
+    /// calls it (see ROADMAP).
     ///
     /// # Panics
     ///
@@ -66,6 +63,9 @@ impl VaultMemory {
     }
 
     /// The shared data bus (for statistics).
+    ///
+    /// Kept public with the unit test that checks it; only that test
+    /// calls it (see ROADMAP).
     #[inline]
     pub fn bus(&self) -> &DataBus {
         &self.bus
@@ -97,23 +97,12 @@ impl VaultMemory {
         let access = self.banks[bank].schedule_write(bus_done, bursts, &self.timing);
         access.data_ready
     }
-
-    /// Aggregate bank utilization over `elapsed` (mean across banks).
-    pub fn mean_bank_utilization(&self, elapsed: Delay) -> f64 {
-        if self.banks.is_empty() {
-            return 0.0;
-        }
-        self.banks
-            .iter()
-            .map(|b| b.utilization(elapsed))
-            .sum::<f64>()
-            / self.banks.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmc_des::Delay;
 
     fn vault() -> VaultMemory {
         VaultMemory::new(16, DramTiming::hmc_gen2())
@@ -191,7 +180,6 @@ mod tests {
     fn utilization_reporting() {
         let mut v = vault();
         v.read(Time::ZERO, 0, 4);
-        assert!(v.mean_bank_utilization(Delay::from_ns(100)) > 0.0);
         assert!(v.bus().utilization(Delay::from_ns(100)) > 0.0);
         assert_eq!(v.bank(0).accesses(), 1);
         assert_eq!(v.bank(1).accesses(), 0);

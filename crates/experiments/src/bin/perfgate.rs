@@ -45,8 +45,10 @@
 //! - With `--baseline FILE` (a previous perfgate JSON), a point whose
 //!   baseline entry ran the same number of events gets
 //!   `baseline_events_per_sec` and `speedup_vs_baseline`. An events/sec
-//!   ratio between different workloads means nothing, so a mismatch
-//!   prints a one-line note and omits both fields.
+//!   ratio between different workloads means nothing, so a mismatch, or
+//!   a point the baseline lacks, prints a one-line note and omits both
+//!   fields. A baseline that is not a JSON perfgate document (no
+//!   `"schema":"hmc-perfgate-v1"`) fails before the basket runs.
 //! - A `speedup_vs_baseline` taken across two sittings cannot be read
 //!   against one run's spread: on a shared machine, back-to-back runs of
 //!   the same build differ by more than any one run's
@@ -69,10 +71,14 @@ use hmc_experiments::{
 };
 use hmc_sim::fabric::SchedStats;
 use hmc_sim::prelude::*;
-use hmc_sim::stats::{json_escape, json_f64};
+use hmc_sim::stats::{json_escape, json_f64, validate_json};
 
 /// A timed rep lasts at least this long (see the module doc).
 const MIN_REP_S: f64 = 0.05;
+
+/// The schema field every perfgate document opens with; `--baseline`
+/// accepts only documents that carry it.
+const SCHEMA: &str = "\"schema\":\"hmc-perfgate-v1\"";
 
 /// What one basket run hands back: the report, the engine counters and
 /// the parallel-scheduler counters (all-zero default for one-domain
@@ -249,10 +255,17 @@ impl Measured {
     }
 
     /// This point's baseline events/sec, if `baseline` has an entry of
-    /// the same name that ran the same number of events; a mismatch is
-    /// noted on stderr.
+    /// the same name that ran the same number of events; a missing entry
+    /// or a mismatch is noted on stderr.
     fn comparable_baseline(&self, baseline: &[(String, u64, f64)]) -> Option<f64> {
-        let (_, events, events_per_sec) = baseline.iter().find(|(n, ..)| n == self.name)?;
+        let Some((_, events, events_per_sec)) = baseline.iter().find(|(n, ..)| n == self.name)
+        else {
+            eprintln!(
+                "note [{}]: baseline has no entry for this point, no speedup reported",
+                self.name
+            );
+            return None;
+        };
         if *events != self.sig.events {
             eprintln!(
                 "note [{}]: baseline ran {events} events, this run {}; \
@@ -350,15 +363,25 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline: Vec<(String, u64, f64)> = match &args.baseline {
+    let baseline: Option<Vec<(String, u64, f64)>> = match &args.baseline {
         Some(path) => match std::fs::read_to_string(path) {
-            Ok(doc) => parse_baseline(&doc),
+            Ok(doc) => match validate_json(&doc) {
+                Ok(()) if doc.contains(SCHEMA) => Some(parse_baseline(&doc)),
+                Ok(()) => {
+                    eprintln!("error: baseline {} lacks {SCHEMA}", path.display());
+                    return ExitCode::FAILURE;
+                }
+                Err(e) => {
+                    eprintln!("error: baseline {} is not JSON: {e}", path.display());
+                    return ExitCode::FAILURE;
+                }
+            },
             Err(e) => {
                 eprintln!("error: cannot read baseline {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
         },
-        None => Vec::new(),
+        None => None,
     };
     let ctx = ExpContext {
         scale: args.scale,
@@ -428,7 +451,7 @@ fn main() -> ExitCode {
 
     let bases: Vec<Option<f64>> = results
         .iter()
-        .map(|m| m.comparable_baseline(&baseline))
+        .map(|m| m.comparable_baseline(baseline.as_deref()?))
         .collect();
     let mut entries: Vec<String> = Vec::new();
     for (m, base) in results.iter().zip(&bases) {
@@ -490,7 +513,7 @@ fn main() -> ExitCode {
         entries.push(fields);
     }
     let doc = format!(
-        "{{\"schema\":\"hmc-perfgate-v1\",\"mode\":\"{}\",\"cores\":{},\"experiments\":[{}]}}\n",
+        "{{{SCHEMA},\"mode\":\"{}\",\"cores\":{},\"experiments\":[{}]}}\n",
         match args.scale {
             Scale::Smoke => "smoke",
             _ => "quick",

@@ -37,7 +37,7 @@ pub struct EngineTally {
 
 impl EngineTally {
     /// Adds one finished simulation's counters.
-    pub fn record(&self, stats: &EngineStats) {
+    pub(crate) fn record(&self, stats: &EngineStats) {
         self.runs.fetch_add(1, Ordering::Relaxed);
         self.dispatched
             .fetch_add(stats.dispatched, Ordering::Relaxed);
@@ -50,7 +50,7 @@ impl EngineTally {
     }
 
     /// Clears the tally (the `repro` driver resets it per experiment).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.runs.store(0, Ordering::Relaxed);
         self.dispatched.store(0, Ordering::Relaxed);
         self.wake_fires.store(0, Ordering::Relaxed);
@@ -59,7 +59,7 @@ impl EngineTally {
     }
 
     /// `(runs, dispatched, wake_fires, wake_cancels, scratch_spills)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
+    pub(crate) fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.runs.load(Ordering::Relaxed),
             self.dispatched.load(Ordering::Relaxed),
@@ -106,20 +106,9 @@ impl ExpContext {
         }
     }
 
-    /// A full-scale context.
-    pub fn full(seed: u64) -> ExpContext {
-        ExpContext {
-            scale: Scale::Full,
-            seed,
-            threads: 0,
-            domains: 1,
-            stats: Arc::default(),
-        }
-    }
-
     /// Runs `f` over `items` on this context's worker-thread budget,
     /// preserving order (see [`parallel_map_with_threads`]).
-    pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    pub(crate) fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + Sync,
         R: Send,
@@ -131,7 +120,7 @@ impl ExpContext {
     /// Runs `sim`'s GUPS firmware for this context's warmup and
     /// measurement windows on this context's domain budget, recording
     /// its engine counters.
-    pub fn run_gups(&self, sim: FabricSim) -> RunReport {
+    pub(crate) fn run_gups(&self, sim: FabricSim) -> RunReport {
         let mut sim = sim.with_domains(self.domains);
         let report = sim.run_gups(self.gups_warmup(), self.gups_measure());
         self.stats.record(&sim.engine_stats());
@@ -140,7 +129,7 @@ impl ExpContext {
 
     /// Runs `sim`'s stream firmware to completion on this context's
     /// domain budget, recording its engine counters.
-    pub fn run_streams(&self, sim: FabricSim) -> RunReport {
+    pub(crate) fn run_streams(&self, sim: FabricSim) -> RunReport {
         let mut sim = sim.with_domains(self.domains);
         let report = sim.run_streams();
         self.stats.record(&sim.engine_stats());
@@ -169,7 +158,7 @@ impl ExpContext {
 
     /// Requests per stream port in the high-contention stream experiments
     /// (Figures 9–12).
-    pub fn stream_reads(&self) -> usize {
+    pub(crate) fn stream_reads(&self) -> usize {
         match self.scale {
             Scale::Smoke => 120,
             Scale::Quick => 400,
@@ -178,7 +167,7 @@ impl ExpContext {
     }
 
     /// Stride through the C(16,4) combination list (1 = all 1820).
-    pub fn combo_stride(&self) -> usize {
+    pub(crate) fn combo_stride(&self) -> usize {
         match self.scale {
             Scale::Smoke => 40,
             Scale::Quick => 7,
@@ -188,7 +177,7 @@ impl ExpContext {
 
     /// Stride through vault ids when averaging "across all vaults"
     /// (Figures 7/8).
-    pub fn vault_stride(&self) -> usize {
+    pub(crate) fn vault_stride(&self) -> usize {
         match self.scale {
             Scale::Smoke => 8,
             Scale::Quick => 4,
@@ -197,7 +186,7 @@ impl ExpContext {
     }
 
     /// Step through request counts for Figures 7/8.
-    pub fn request_count_step(&self, max_n: usize) -> usize {
+    pub(crate) fn request_count_step(&self, max_n: usize) -> usize {
         match self.scale {
             Scale::Smoke => (max_n / 8).max(1),
             Scale::Quick => (max_n / 12).max(1),
@@ -206,7 +195,7 @@ impl ExpContext {
     }
 
     /// A derived seed for job `index` of a named experiment.
-    pub fn seed_for(&self, experiment: &str, index: u64) -> u64 {
+    pub(crate) fn seed_for(&self, experiment: &str, index: u64) -> u64 {
         let mut h = self.seed ^ 0x517C_C1B7_2722_0A95;
         for b in experiment.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
@@ -215,21 +204,10 @@ impl ExpContext {
     }
 }
 
-/// Runs `f` over `items` on all available cores, preserving order.
-///
-/// Each job builds its own `FabricSim`, so jobs share nothing but the
-/// read-only closure environment.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with_threads(items, 0, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (`0` = all available
-/// cores). Results must not depend on the choice — the determinism
+/// Runs `f` over `items` on `threads` workers (`0` = all available
+/// cores), preserving order. Each job builds its own `FabricSim`, so jobs
+/// share nothing but the read-only closure environment. Results must not
+/// depend on the worker count — the determinism
 /// regressions run the same sweep at different widths and diff the output.
 ///
 /// Worker cores are debited from the shared [`hmc_des::pool`] budget, so
@@ -293,7 +271,7 @@ where
 
 /// Builds one single-cube GUPS system, unrun: `ports` active ports, all
 /// generating `op` under `pattern`.
-pub fn gups_sim(seed: u64, pattern: AccessPattern, op: GupsOp, ports: usize) -> FabricSim {
+pub(crate) fn gups_sim(seed: u64, pattern: AccessPattern, op: GupsOp, ports: usize) -> FabricSim {
     let cfg = FabricConfig::chain(seed, 1);
     let filter = pattern.filter(&cfg.cube.map);
     let specs = vec![FabricPortSpec::gups(filter, op, CubeId::HOST); ports];
@@ -302,7 +280,7 @@ pub fn gups_sim(seed: u64, pattern: AccessPattern, op: GupsOp, ports: usize) -> 
 
 /// Runs one GUPS experiment ([`gups_sim`]) for the context's warmup +
 /// measurement windows.
-pub fn gups_run(
+pub(crate) fn gups_run(
     ctx: &ExpContext,
     seed: u64,
     pattern: AccessPattern,
@@ -313,7 +291,7 @@ pub fn gups_run(
 }
 
 /// Runs one multi-port stream experiment from explicit traces.
-pub fn stream_run(ctx: &ExpContext, seed: u64, traces: Vec<Trace>) -> RunReport {
+pub(crate) fn stream_run(ctx: &ExpContext, seed: u64, traces: Vec<Trace>) -> RunReport {
     let cfg = FabricConfig::chain(seed, 1);
     let specs = traces
         .into_iter()
@@ -323,7 +301,7 @@ pub fn stream_run(ctx: &ExpContext, seed: u64, traces: Vec<Trace>) -> RunReport 
 }
 
 /// The four request sizes every figure sweeps.
-pub fn paper_sizes() -> [PayloadSize; 4] {
+pub(crate) fn paper_sizes() -> [PayloadSize; 4] {
     PayloadSize::PAPER_SWEEP
 }
 
@@ -334,13 +312,13 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order_and_values() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, |&x| x * 2);
+        let out = parallel_map_with_threads(items, 0, |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_map_empty_is_empty() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), |&x| x);
+        let out: Vec<u32> = parallel_map_with_threads(Vec::<u32>::new(), 0, |&x| x);
         assert!(out.is_empty());
     }
 
@@ -356,7 +334,10 @@ mod tests {
     #[test]
     fn scales_differ() {
         let q = ExpContext::quick(0);
-        let f = ExpContext::full(0);
+        let f = ExpContext {
+            scale: Scale::Full,
+            ..ExpContext::quick(0)
+        };
         assert!(q.gups_measure() < f.gups_measure());
         assert!(q.combo_stride() > f.combo_stride());
         assert_eq!(f.combo_stride(), 1);

@@ -13,7 +13,7 @@ use hmc_sim::prelude::*;
 use crate::common::{gups_run, stream_run, ExpContext};
 
 /// Ext-A: DDR4 channel vs the simulated HMC stack.
-pub fn ddr_comparison(ctx: &ExpContext) -> Table {
+pub(crate) fn ddr_comparison(ctx: &ExpContext) -> Table {
     // HMC no-load: a single in-flight request through the whole stack.
     let map = AddressMap::hmc_gen2_default();
     let seed = ctx.seed_for("ext-ddr", 0);
@@ -72,7 +72,7 @@ pub struct RwMixPoint {
 }
 
 /// Ext-B: sweep the write percentage at 128 B over all vaults.
-pub fn rw_mix(ctx: &ExpContext) -> Vec<RwMixPoint> {
+pub(crate) fn rw_mix(ctx: &ExpContext) -> Vec<RwMixPoint> {
     let mixes: Vec<u8> = vec![0, 25, 50, 75, 100];
     let ctx = ctx.clone();
     ctx.clone().par_map(mixes, move |&write_percent| {
@@ -104,7 +104,7 @@ pub fn rw_mix(ctx: &ExpContext) -> Vec<RwMixPoint> {
 }
 
 /// Renders the mix sweep.
-pub fn rw_mix_table(points: &[RwMixPoint]) -> Table {
+pub(crate) fn rw_mix_table(points: &[RwMixPoint]) -> Table {
     let mut t = Table::new([
         "writes (%)",
         "request dir (GB/s)",

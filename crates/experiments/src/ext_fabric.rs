@@ -33,7 +33,7 @@ pub struct ChainPoint {
 }
 
 /// The cube counts a context sweeps.
-pub fn chain_lengths(ctx: &ExpContext) -> Vec<u8> {
+pub(crate) fn chain_lengths(ctx: &ExpContext) -> Vec<u8> {
     match ctx.scale {
         Scale::Smoke => vec![1, 2, 4],
         Scale::Quick | Scale::Full => (1..=8).collect(),
@@ -41,14 +41,14 @@ pub fn chain_lengths(ctx: &ExpContext) -> Vec<u8> {
 }
 
 /// Runs the chain sweep: all traffic targets the cube at the far end.
-pub fn chain(ctx: &ExpContext) -> Vec<ChainPoint> {
+pub(crate) fn chain(ctx: &ExpContext) -> Vec<ChainPoint> {
     chain_for_lengths(ctx, chain_lengths(ctx))
 }
 
 /// Runs the chain experiment for an explicit list of chain lengths — the
 /// scale-driven sweep restricted to chosen points (used by the scheduler
 /// determinism regression, which replays the 4-cube chain alone).
-pub fn chain_for_lengths(ctx: &ExpContext, lengths: Vec<u8>) -> Vec<ChainPoint> {
+pub(crate) fn chain_for_lengths(ctx: &ExpContext, lengths: Vec<u8>) -> Vec<ChainPoint> {
     let ctx = ctx.clone();
     ctx.clone().par_map(lengths, move |&n| {
         // Unloaded: one read in flight at a time, via a stream port.
@@ -87,7 +87,7 @@ pub fn chain_loaded_sim(ctx: &ExpContext, n: u8) -> FabricSim {
 }
 
 /// Renders the chain sweep.
-pub fn chain_table(points: &[ChainPoint]) -> Table {
+pub(crate) fn chain_table(points: &[ChainPoint]) -> Table {
     let mut t = Table::new([
         "cubes",
         "hops",
@@ -128,7 +128,7 @@ pub const STAR_CUBES: u8 = 4;
 /// Runs the star experiment: per-cube unloaded probes, then one loaded
 /// run with two GUPS ports per cube so near (hub) and far (leaf) traffic
 /// contend in the hub's pass-through crossbar.
-pub fn star(ctx: &ExpContext) -> Vec<StarPoint> {
+pub(crate) fn star(ctx: &ExpContext) -> Vec<StarPoint> {
     let seed = ctx.seed_for("ext-star", 0);
     let routes = FabricConfig::ac510(Topology::Star, STAR_CUBES, seed).routes();
 
@@ -170,7 +170,7 @@ pub fn star(ctx: &ExpContext) -> Vec<StarPoint> {
 }
 
 /// Renders the star experiment.
-pub fn star_table(points: &[StarPoint]) -> Table {
+pub(crate) fn star_table(points: &[StarPoint]) -> Table {
     let mut t = Table::new([
         "cube",
         "hops",

@@ -31,7 +31,7 @@ use hmc_sim::prelude::*;
 use crate::common::{ExpContext, Scale};
 
 /// GUPS ports driving each scenario.
-pub fn port_count(ctx: &ExpContext) -> usize {
+pub(crate) fn port_count(ctx: &ExpContext) -> usize {
     match ctx.scale {
         Scale::Smoke => 4,
         Scale::Quick | Scale::Full => 9,
@@ -39,7 +39,7 @@ pub fn port_count(ctx: &ExpContext) -> usize {
 }
 
 /// Ring size. Power of two: the interleaved cube field must be dense.
-pub fn cube_count(ctx: &ExpContext) -> u8 {
+pub(crate) fn cube_count(ctx: &ExpContext) -> u8 {
     match ctx.scale {
         Scale::Smoke => 4,
         Scale::Quick | Scale::Full => 8,
@@ -49,7 +49,7 @@ pub fn cube_count(ctx: &ExpContext) -> u8 {
 /// The fault scenarios, as `(label, fault-spec)` pairs in the textual
 /// syntax of [`FaultPlan::parse`]. The empty spec is the fault-free
 /// baseline; it must stay first (tests and the CI gate key on it).
-pub fn scenarios(ctx: &ExpContext) -> Vec<(&'static str, &'static str)> {
+pub(crate) fn scenarios(ctx: &ExpContext) -> Vec<(&'static str, &'static str)> {
     let mut v = vec![
         ("none", ""),
         ("ber=1e-7", "all ber=1e-7"),
@@ -116,7 +116,7 @@ fn run_point(ctx: &ExpContext, idx: usize, label: &'static str, spec: &str) -> F
 }
 
 /// Runs every scenario.
-pub fn run(ctx: &ExpContext) -> Vec<FaultPoint> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<FaultPoint> {
     let ctx2 = ctx.clone();
     let jobs: Vec<(usize, &'static str, &'static str)> = scenarios(ctx)
         .into_iter()
@@ -129,7 +129,7 @@ pub fn run(ctx: &ExpContext) -> Vec<FaultPoint> {
 }
 
 /// Renders the sweep.
-pub fn table(points: &[FaultPoint]) -> Table {
+pub(crate) fn table(points: &[FaultPoint]) -> Table {
     let mut t = Table::new([
         "faults",
         "bandwidth (GB/s)",

@@ -25,7 +25,7 @@ use hmc_sim::prelude::*;
 use crate::common::{ExpContext, Scale};
 
 /// GUPS ports driving each run.
-pub fn port_count(ctx: &ExpContext) -> usize {
+pub(crate) fn port_count(ctx: &ExpContext) -> usize {
     match ctx.scale {
         Scale::Smoke => 4,
         Scale::Quick | Scale::Full => 9,
@@ -34,7 +34,7 @@ pub fn port_count(ctx: &ExpContext) -> usize {
 
 /// Cube counts the sweep probes. Powers of two only: the interleaved
 /// cube field must be dense for a uniform draw to stay in range.
-pub fn cube_counts(ctx: &ExpContext) -> Vec<u8> {
+pub(crate) fn cube_counts(ctx: &ExpContext) -> Vec<u8> {
     match ctx.scale {
         Scale::Smoke => vec![2, 4],
         Scale::Quick | Scale::Full => vec![2, 4, 8],
@@ -60,7 +60,7 @@ pub struct IntercubePoint {
     pub cube0_share: f64,
 }
 
-/// Builds one point of the sweep, unrun: [`port_count`] GUPS ports of
+/// Builds one point of the sweep, unrun: `port_count` GUPS ports of
 /// 128 B reads over a `cubes`-cube `topology` under `policy`.
 pub fn sim(ctx: &ExpContext, topology: Topology, cubes: u8, policy: CubePolicy) -> FabricSim {
     let seed = ctx.seed_for(
@@ -102,7 +102,7 @@ fn run_point(
 }
 
 /// Runs the sweep: chain and star, each cube count, both policies.
-pub fn run(ctx: &ExpContext) -> Vec<IntercubePoint> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<IntercubePoint> {
     let ctx2 = ctx.clone();
     let mut jobs: Vec<(Topology, u8, CubePolicy)> = Vec::new();
     for topology in [Topology::Chain, Topology::Star] {
@@ -118,7 +118,7 @@ pub fn run(ctx: &ExpContext) -> Vec<IntercubePoint> {
 }
 
 /// Renders the sweep.
-pub fn table(points: &[IntercubePoint]) -> Table {
+pub(crate) fn table(points: &[IntercubePoint]) -> Table {
     let mut t = Table::new([
         "topology",
         "cubes",

@@ -18,7 +18,7 @@ use crate::common::{ExpContext, Scale};
 
 /// Cubes in the chain (the chase and the background load both target the
 /// far cube).
-pub fn chain_cubes(ctx: &ExpContext) -> u8 {
+pub(crate) fn chain_cubes(ctx: &ExpContext) -> u8 {
     match ctx.scale {
         Scale::Smoke => 2,
         Scale::Quick | Scale::Full => 4,
@@ -26,7 +26,7 @@ pub fn chain_cubes(ctx: &ExpContext) -> u8 {
 }
 
 /// Background GUPS port counts the sweep probes.
-pub fn background_ports(ctx: &ExpContext) -> Vec<usize> {
+pub(crate) fn background_ports(ctx: &ExpContext) -> Vec<usize> {
     match ctx.scale {
         Scale::Smoke => vec![0, 4],
         Scale::Quick | Scale::Full => vec![0, 2, 4, 8],
@@ -54,7 +54,7 @@ pub struct MixedPoint {
 
 /// Runs the sweep: one chase port plus 0..N background GUPS ports, all
 /// targeting the far cube of the chain.
-pub fn run(ctx: &ExpContext) -> Vec<MixedPoint> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<MixedPoint> {
     let ctx2 = ctx.clone();
     let cubes = chain_cubes(ctx);
     ctx.clone().par_map(background_ports(ctx), move |&bg| {
@@ -115,7 +115,7 @@ pub fn run(ctx: &ExpContext) -> Vec<MixedPoint> {
 }
 
 /// Renders the sweep.
-pub fn table(points: &[MixedPoint]) -> Table {
+pub(crate) fn table(points: &[MixedPoint]) -> Table {
     let mut t = Table::new([
         "background ports",
         "chase reads",

@@ -25,7 +25,7 @@ use crate::common::{ExpContext, Scale};
 use crate::ext_fabric::STAR_CUBES;
 
 /// Blocks copied per offload run.
-pub fn copy_blocks(ctx: &ExpContext) -> u64 {
+pub(crate) fn copy_blocks(ctx: &ExpContext) -> u64 {
     match ctx.scale {
         Scale::Smoke => 150,
         Scale::Quick => 500,
@@ -93,7 +93,7 @@ fn offload_spec(map: AddressMap, cube: CubeId, blocks: u64, window: u16) -> Fabr
 }
 
 /// Chain lengths the offload sweep probes.
-pub fn offload_chain_lengths(ctx: &ExpContext) -> Vec<u8> {
+pub(crate) fn offload_chain_lengths(ctx: &ExpContext) -> Vec<u8> {
     match ctx.scale {
         Scale::Smoke => vec![1, 2, 4],
         Scale::Quick | Scale::Full => (1..=4).collect(),
@@ -101,7 +101,7 @@ pub fn offload_chain_lengths(ctx: &ExpContext) -> Vec<u8> {
 }
 
 /// Runs the chain sweep: the copy lives in the far cube.
-pub fn chain(ctx: &ExpContext) -> Vec<OffloadPoint> {
+pub(crate) fn chain(ctx: &ExpContext) -> Vec<OffloadPoint> {
     let ctx = ctx.clone();
     let blocks = copy_blocks(&ctx);
     ctx.clone().par_map(offload_chain_lengths(&ctx), move |&n| {
@@ -115,7 +115,7 @@ pub fn chain(ctx: &ExpContext) -> Vec<OffloadPoint> {
 }
 
 /// Runs the star sweep: the copy on the hub, then on each leaf.
-pub fn star(ctx: &ExpContext) -> Vec<OffloadPoint> {
+pub(crate) fn star(ctx: &ExpContext) -> Vec<OffloadPoint> {
     let ctx = ctx.clone();
     let blocks = copy_blocks(&ctx);
     ctx.clone().par_map((0..STAR_CUBES).collect(), move |&c| {
@@ -136,7 +136,7 @@ pub fn star(ctx: &ExpContext) -> Vec<OffloadPoint> {
 }
 
 /// Window values the pipelining sweep probes.
-pub fn window_values(ctx: &ExpContext) -> Vec<u16> {
+pub(crate) fn window_values(ctx: &ExpContext) -> Vec<u16> {
     match ctx.scale {
         Scale::Smoke => vec![1, 4, 16],
         Scale::Quick | Scale::Full => vec![1, 2, 4, 8, 16, 32],
@@ -144,7 +144,7 @@ pub fn window_values(ctx: &ExpContext) -> Vec<u16> {
 }
 
 /// Runs the window sweep on a single cube.
-pub fn windows(ctx: &ExpContext) -> Vec<OffloadPoint> {
+pub(crate) fn windows(ctx: &ExpContext) -> Vec<OffloadPoint> {
     let ctx = ctx.clone();
     let blocks = copy_blocks(&ctx);
     ctx.clone().par_map(window_values(&ctx), move |&w| {
@@ -153,7 +153,7 @@ pub fn windows(ctx: &ExpContext) -> Vec<OffloadPoint> {
     })
 }
 
-/// Builds one point of the window sweep, unrun: [`copy_blocks`] blocks
+/// Builds one point of the window sweep, unrun: `copy_blocks` blocks
 /// copied on a single cube with `w` pairs outstanding.
 pub fn window_sim(ctx: &ExpContext, w: u16) -> FabricSim {
     let cfg = FabricConfig::single(
@@ -166,7 +166,7 @@ pub fn window_sim(ctx: &ExpContext, w: u16) -> FabricSim {
 }
 
 /// Renders offload points.
-pub fn table(points: &[OffloadPoint], star_labels: bool) -> Table {
+pub(crate) fn table(points: &[OffloadPoint], star_labels: bool) -> Table {
     let mut t = Table::new([
         "cube",
         "hops",

@@ -27,13 +27,13 @@ pub const PORTS: usize = 4;
 /// The topologies the sweep compares. Star is excluded by construction:
 /// a 64-cube hub exceeds the 64-port crossbar ceiling
 /// ([`FabricConfig::validate`]).
-pub fn topologies() -> [Topology; 3] {
+pub(crate) fn topologies() -> [Topology; 3] {
     [Topology::Chain, Topology::Ring, Topology::Mesh2D]
 }
 
 /// Cube counts the sweep probes — powers of two up to the widened CUB
 /// field's 64.
-pub fn cube_counts(ctx: &ExpContext) -> Vec<u8> {
+pub(crate) fn cube_counts(ctx: &ExpContext) -> Vec<u8> {
     match ctx.scale {
         Scale::Smoke => vec![8, 64],
         Scale::Quick | Scale::Full => vec![8, 16, 32, 64],
@@ -100,7 +100,7 @@ fn run_point(ctx: &ExpContext, topology: Topology, cubes: u8) -> ScalePoint {
 }
 
 /// Runs the sweep: every topology at every cube count.
-pub fn run(ctx: &ExpContext) -> Vec<ScalePoint> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<ScalePoint> {
     let ctx2 = ctx.clone();
     let mut jobs: Vec<(Topology, u8)> = Vec::new();
     for topology in topologies() {
@@ -113,7 +113,7 @@ pub fn run(ctx: &ExpContext) -> Vec<ScalePoint> {
 }
 
 /// Renders the sweep.
-pub fn table(points: &[ScalePoint]) -> Table {
+pub(crate) fn table(points: &[ScalePoint]) -> Table {
     let mut t = Table::new([
         "topology",
         "cubes",

@@ -118,7 +118,7 @@ fn run_point(ctx: &ExpContext, label: &'static str, tags: u16) -> TimelinePoint 
 
 /// Runs the two knee endpoints. Serial on purpose: each point owns a
 /// single-threaded telemetry hub, and two runs don't need a sweep.
-pub fn run(ctx: &ExpContext) -> Vec<TimelinePoint> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<TimelinePoint> {
     vec![
         run_point(ctx, "low", 2),
         run_point(ctx, "saturated", hmc_sim::GUPS_TAGS),
@@ -126,7 +126,7 @@ pub fn run(ctx: &ExpContext) -> Vec<TimelinePoint> {
 }
 
 /// The per-epoch bandwidth/latency timeline table.
-pub fn timeline_table(points: &[TimelinePoint]) -> Table {
+pub(crate) fn timeline_table(points: &[TimelinePoint]) -> Table {
     let mut t = Table::new([
         "point",
         "epoch",
@@ -151,7 +151,7 @@ pub fn timeline_table(points: &[TimelinePoint]) -> Table {
 }
 
 /// The latency-percentile table: one row per source port and per cube.
-pub fn percentile_table(points: &[TimelinePoint]) -> Table {
+pub(crate) fn percentile_table(points: &[TimelinePoint]) -> Table {
     let mut t = Table::new(["point", "group", "id", "p50 (ns)", "p99 (ns)", "p999 (ns)"]);
     let ns = |ps: u64| format!("{:.3}", ps as f64 / 1000.0);
     for p in points {

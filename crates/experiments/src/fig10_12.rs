@@ -27,7 +27,7 @@ pub struct CombosData {
 }
 
 /// Runs the combination sweep for one request size.
-pub fn run(ctx: &ExpContext, size: PayloadSize) -> CombosData {
+pub(crate) fn run(ctx: &ExpContext, size: PayloadSize) -> CombosData {
     let combos: Vec<Vec<VaultId>> = vault_combinations(16, 4)
         .step_by(ctx.combo_stride())
         .collect();
@@ -76,7 +76,7 @@ fn shared_range(data: &CombosData) -> hmc_sim::stats::SharedRange {
 
 /// Figure 10: one row per vault, nine bins, each cell the fraction of the
 /// vault's samples falling in that latency interval.
-pub fn fig10_table(data: &CombosData) -> Table {
+pub(crate) fn fig10_table(data: &CombosData) -> Table {
     let range = shared_range(data);
     let template = range.histogram(BINS).expect("sweep produced samples");
     let mut headers = vec!["vault".to_owned()];
@@ -104,7 +104,7 @@ pub fn fig10_table(data: &CombosData) -> Table {
 
 /// Figure 11 rows: `(size, mean µs, σ ns)` across all samples of each
 /// size's sweep.
-pub fn fig11_summary(data_per_size: &[CombosData]) -> Table {
+pub(crate) fn fig11_summary(data_per_size: &[CombosData]) -> Table {
     let mut t = Table::new(["size", "avg latency (us)", "std dev (ns)"]);
     for data in data_per_size {
         let mut s = Summary::new();
@@ -122,20 +122,9 @@ pub fn fig11_summary(data_per_size: &[CombosData]) -> Table {
     t
 }
 
-/// The `(mean_ns, std_dev_ns)` of one size's sweep (Figure 11's series).
-pub fn latency_moments(data: &CombosData) -> (f64, f64) {
-    let mut s = Summary::new();
-    for samples in &data.per_vault_ns {
-        for &x in samples {
-            s.record(x);
-        }
-    }
-    (s.mean(), s.population_std_dev())
-}
-
 /// Figure 12: transpose of Figure 10 — one row per latency interval, one
 /// column per vault, normalized by the row maximum.
-pub fn fig12_table(data: &CombosData) -> Table {
+pub(crate) fn fig12_table(data: &CombosData) -> Table {
     let range = shared_range(data);
     let template = range.histogram(BINS).expect("sweep produced samples");
     // counts[bin][vault]
@@ -168,6 +157,17 @@ pub fn fig12_table(data: &CombosData) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `(mean_ns, std_dev_ns)` of one size's sweep (Figure 11's series).
+    fn latency_moments(data: &CombosData) -> (f64, f64) {
+        let mut s = Summary::new();
+        for samples in &data.per_vault_ns {
+            for &x in samples {
+                s.record(x);
+            }
+        }
+        (s.mean(), s.population_std_dev())
+    }
     use crate::common::{ExpContext, Scale};
 
     fn tiny_ctx() -> ExpContext {

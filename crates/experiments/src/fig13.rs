@@ -23,7 +23,7 @@ pub struct Fig13Point {
 }
 
 /// Runs the port sweep: 9 patterns × 4 sizes × 1–9 active ports.
-pub fn run(ctx: &ExpContext) -> Vec<Fig13Point> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Fig13Point> {
     let mut jobs = Vec::new();
     for pattern in AccessPattern::paper_sweep() {
         for size in paper_sizes() {
@@ -56,7 +56,7 @@ pub fn sim(ctx: &ExpContext, pattern: AccessPattern, size: PayloadSize, ports: u
 }
 
 /// Renders one size's panel: rows are port counts, columns are patterns.
-pub fn render(points: &[Fig13Point], size: PayloadSize) -> Table {
+pub(crate) fn render(points: &[Fig13Point], size: PayloadSize) -> Table {
     let patterns: Vec<String> = AccessPattern::paper_sweep()
         .iter()
         .map(|p| p.label())

@@ -24,7 +24,7 @@ pub struct Fig14Point {
 }
 
 /// Runs the saturated (9-port) runs for the 2- and 4-bank patterns.
-pub fn run(ctx: &ExpContext) -> Vec<Fig14Point> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Fig14Point> {
     let mut jobs = Vec::new();
     for &banks in &[2u8, 4u8] {
         for size in paper_sizes() {
@@ -49,7 +49,7 @@ pub fn run(ctx: &ExpContext) -> Vec<Fig14Point> {
 }
 
 /// Mean outstanding across sizes for the given bank count.
-pub fn average_outstanding(points: &[Fig14Point], banks: u8) -> f64 {
+pub(crate) fn average_outstanding(points: &[Fig14Point], banks: u8) -> f64 {
     let vals: Vec<f64> = points
         .iter()
         .filter(|p| p.banks == banks)
@@ -62,7 +62,7 @@ pub fn average_outstanding(points: &[Fig14Point], banks: u8) -> f64 {
 /// two value columns are the paper's black-box Little's-law estimates;
 /// the last two are the simulator's white-box vault-resident peaks, which
 /// exhibit the per-bank linearity the paper infers.
-pub fn render(points: &[Fig14Point]) -> Table {
+pub(crate) fn render(points: &[Fig14Point]) -> Table {
     let mut t = Table::new([
         "request size",
         "2 banks (Little)",
@@ -96,7 +96,7 @@ pub fn render(points: &[Fig14Point]) -> Table {
 }
 
 /// Mean vault-resident peak across sizes for the given bank count.
-pub fn average_vault_peak(points: &[Fig14Point], banks: u8) -> f64 {
+pub(crate) fn average_vault_peak(points: &[Fig14Point], banks: u8) -> f64 {
     let vals: Vec<f64> = points
         .iter()
         .filter(|p| p.banks == banks)

@@ -19,7 +19,7 @@ pub struct Fig6Point {
 }
 
 /// Runs the 9 patterns × 4 sizes sweep with all nine ports active.
-pub fn run(ctx: &ExpContext) -> Vec<Fig6Point> {
+pub(crate) fn run(ctx: &ExpContext) -> Vec<Fig6Point> {
     let mut jobs = Vec::new();
     for pattern in AccessPattern::paper_sweep() {
         for size in paper_sizes() {
@@ -50,7 +50,7 @@ pub fn sim(ctx: &ExpContext, pattern: AccessPattern, size: PayloadSize) -> Fabri
 }
 
 /// Renders the sweep as the paper's (bandwidth, latency) series.
-pub fn render(points: &[Fig6Point]) -> Table {
+pub(crate) fn render(points: &[Fig6Point]) -> Table {
     let mut t = Table::new(["pattern", "size", "bandwidth (GB/s)", "latency (us)"]);
     for p in points {
         t.row([

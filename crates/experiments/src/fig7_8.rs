@@ -22,7 +22,7 @@ pub struct LowLoadPoint {
 
 /// Runs the sweep for `n ∈ {1, 1+step, …, max_n}` (1 is always included).
 /// Figure 7 is `run(ctx, 55)`; Figure 8 is `run(ctx, 350)`.
-pub fn run(ctx: &ExpContext, max_n: usize) -> Vec<LowLoadPoint> {
+pub(crate) fn run(ctx: &ExpContext, max_n: usize) -> Vec<LowLoadPoint> {
     let step = ctx.request_count_step(max_n);
     let mut counts = vec![1usize];
     let mut n = step;
@@ -61,7 +61,7 @@ pub fn run(ctx: &ExpContext, max_n: usize) -> Vec<LowLoadPoint> {
 }
 
 /// Renders one latency column per size, one row per request count.
-pub fn render(points: &[LowLoadPoint]) -> Table {
+pub(crate) fn render(points: &[LowLoadPoint]) -> Table {
     let sizes = paper_sizes();
     let mut headers = vec!["requests".to_owned()];
     headers.extend(sizes.iter().map(|s| format!("{s} latency (us)")));

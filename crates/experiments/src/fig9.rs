@@ -21,7 +21,7 @@ pub struct Fig9Point {
 
 /// Runs the sweep with three ports pinned to `pinned_vault` (the paper
 /// shows vault 1 and vault 5).
-pub fn run(ctx: &ExpContext, pinned_vault: u8) -> Vec<Fig9Point> {
+pub(crate) fn run(ctx: &ExpContext, pinned_vault: u8) -> Vec<Fig9Point> {
     assert!(pinned_vault < 16, "vault out of range");
     let mut jobs = Vec::new();
     for sweep in 0..16u8 {
@@ -58,7 +58,7 @@ pub fn run(ctx: &ExpContext, pinned_vault: u8) -> Vec<Fig9Point> {
 }
 
 /// Renders one max-latency column per size, one row per swept vault.
-pub fn render(points: &[Fig9Point]) -> Table {
+pub(crate) fn render(points: &[Fig9Point]) -> Table {
     let sizes = paper_sizes();
     let mut headers = vec!["4th port vault".to_owned()];
     headers.extend(sizes.iter().map(|s| format!("{s} max latency (us)")));
@@ -77,27 +77,27 @@ pub fn render(points: &[Fig9Point]) -> Table {
     t
 }
 
-/// The paper's headline number: how much higher the maximum latency is
-/// when the fourth port collides with the pinned vault, relative to the
-/// mean of the non-colliding positions.
-pub fn collision_penalty(points: &[Fig9Point], pinned_vault: u8, size: PayloadSize) -> f64 {
-    let colliding = points
-        .iter()
-        .find(|p| p.sweep_vault == pinned_vault && p.size == size)
-        .expect("collision point")
-        .max_latency_us;
-    let others: Vec<f64> = points
-        .iter()
-        .filter(|p| p.sweep_vault != pinned_vault && p.size == size)
-        .map(|p| p.max_latency_us)
-        .collect();
-    let baseline = others.iter().sum::<f64>() / others.len() as f64;
-    colliding / baseline
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's headline number: how much higher the maximum latency is
+    /// when the fourth port collides with the pinned vault, relative to the
+    /// mean of the non-colliding positions.
+    fn collision_penalty(points: &[Fig9Point], pinned_vault: u8, size: PayloadSize) -> f64 {
+        let colliding = points
+            .iter()
+            .find(|p| p.sweep_vault == pinned_vault && p.size == size)
+            .expect("collision point")
+            .max_latency_us;
+        let others: Vec<f64> = points
+            .iter()
+            .filter(|p| p.sweep_vault != pinned_vault && p.size == size)
+            .map(|p| p.max_latency_us)
+            .collect();
+        let baseline = others.iter().sum::<f64>() / others.len() as f64;
+        colliding / baseline
+    }
     use crate::common::Scale;
 
     #[test]

@@ -21,7 +21,7 @@ use crate::common::{parallel_map_with_threads, ExpContext, Scale};
 use crate::ext_fabric::chain_lengths;
 
 /// Dependent reads per walker in a chase run.
-pub fn chain_len(ctx: &ExpContext) -> u64 {
+pub(crate) fn chain_len(ctx: &ExpContext) -> u64 {
     match ctx.scale {
         Scale::Smoke => 24,
         Scale::Quick => 64,
@@ -43,13 +43,13 @@ pub struct ChainChasePoint {
 }
 
 /// Runs the chain sweep: one walker chasing through the far cube.
-pub fn chain(ctx: &ExpContext) -> Vec<ChainChasePoint> {
+pub(crate) fn chain(ctx: &ExpContext) -> Vec<ChainChasePoint> {
     chain_with_threads(ctx, ctx.threads)
 }
 
 /// The chain sweep with an explicit worker-thread count (`0` = all
 /// cores) — exercised by the cross-thread determinism regression.
-pub fn chain_with_threads(ctx: &ExpContext, threads: usize) -> Vec<ChainChasePoint> {
+pub(crate) fn chain_with_threads(ctx: &ExpContext, threads: usize) -> Vec<ChainChasePoint> {
     let ctx = ctx.clone();
     let hops = chain_len(&ctx);
     parallel_map_with_threads(chain_lengths(&ctx), threads, move |&n| {
@@ -82,7 +82,7 @@ pub fn chain_with_threads(ctx: &ExpContext, threads: usize) -> Vec<ChainChasePoi
 }
 
 /// Renders the chain sweep.
-pub fn chain_table(points: &[ChainChasePoint]) -> Table {
+pub(crate) fn chain_table(points: &[ChainChasePoint]) -> Table {
     let mut t = Table::new(["cubes", "hops", "chase latency (ns)", "reads"]);
     for p in points {
         t.row([
@@ -107,7 +107,7 @@ pub struct WalkerPoint {
 }
 
 /// Walker counts the context sweeps.
-pub fn walker_counts(ctx: &ExpContext) -> Vec<u16> {
+pub(crate) fn walker_counts(ctx: &ExpContext) -> Vec<u16> {
     match ctx.scale {
         Scale::Smoke => vec![1, 4, 16],
         Scale::Quick | Scale::Full => vec![1, 2, 4, 8, 16, 32, 64],
@@ -116,7 +116,7 @@ pub fn walker_counts(ctx: &ExpContext) -> Vec<u16> {
 
 /// Runs the walker sweep on a single cube: every walker chases all
 /// vaults, `chain_len` hops each.
-pub fn walkers(ctx: &ExpContext) -> Vec<WalkerPoint> {
+pub(crate) fn walkers(ctx: &ExpContext) -> Vec<WalkerPoint> {
     let ctx = ctx.clone();
     parallel_map_with_threads(walker_counts(&ctx), ctx.threads, move |&w| {
         let report = ctx.run_streams(walkers_sim(&ctx, w));
@@ -135,7 +135,7 @@ pub fn walkers(ctx: &ExpContext) -> Vec<WalkerPoint> {
 }
 
 /// Builds one point of the walker sweep, unrun: `w` walkers on one cube,
-/// each chasing all vaults for [`chain_len`] hops.
+/// each chasing all vaults for `chain_len` hops.
 pub fn walkers_sim(ctx: &ExpContext, w: u16) -> FabricSim {
     let cfg = FabricConfig::chain(ctx.seed_for("probe-chase-mlp", u64::from(w)), 1);
     let map = cfg.cube.map;
@@ -159,7 +159,7 @@ pub fn walkers_sim(ctx: &ExpContext, w: u16) -> FabricSim {
 }
 
 /// Renders the walker sweep.
-pub fn walker_table(points: &[WalkerPoint]) -> Table {
+pub(crate) fn walker_table(points: &[WalkerPoint]) -> Table {
     let mut t = Table::new(["walkers", "chase latency (ns)", "throughput (M deps/s)"]);
     for p in points {
         t.row([

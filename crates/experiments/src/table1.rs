@@ -5,7 +5,7 @@
 use hmc_sim::prelude::*;
 
 /// Renders Table I from the packet-layer encoding.
-pub fn render() -> Table {
+pub(crate) fn render() -> Table {
     let mut t = Table::new(["type", "read", "write"]);
     let sizes: Vec<PayloadSize> = (1..=8)
         .map(|n| PayloadSize::new(n * 16).expect("legal size"))

@@ -85,6 +85,33 @@ fn missing_baseline_file_exits_nonzero_with_one_line_error() {
     );
 }
 
+/// A truncated, empty or foreign baseline is refused before the basket
+/// runs, with one `error:` line, instead of silently yielding no speedups.
+#[test]
+fn malformed_baseline_exits_nonzero_with_one_line_error() {
+    for (tag, contents) in [
+        ("truncated", "[1,2"),
+        ("empty", ""),
+        ("foreign", "{\"name\":\"fig6-sat\",\"events\":1}"),
+    ] {
+        let path = scratch(tag);
+        std::fs::write(&path, contents).unwrap();
+        let out = perfgate(&[
+            "--smoke",
+            "--reps",
+            "1",
+            "--baseline",
+            path.to_str().unwrap(),
+        ]);
+        std::fs::remove_file(&path).ok();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{tag} baseline must fail: {err}");
+        assert_eq!(err.lines().count(), 1, "{tag}: {err}");
+        assert!(err.starts_with("error: baseline"), "{tag}: {err}");
+        assert!(out.stdout.is_empty(), "{tag}: measured before refusing");
+    }
+}
+
 #[test]
 fn bad_flags_exit_nonzero_without_panicking() {
     for args in [
@@ -157,7 +184,8 @@ fn smoke_documents_carry_what_the_ci_gates_read() {
 }
 
 /// A baseline entry that ran a different number of events is not
-/// compared: no ratio between two different workloads.
+/// compared: no ratio between two different workloads. The points the
+/// baseline lacks get the same note.
 #[test]
 fn baseline_with_other_events_yields_no_speedup() {
     let base_path = scratch("other-events");
@@ -180,4 +208,9 @@ fn baseline_with_other_events_yields_no_speedup() {
             .any(|l| l.starts_with("note [fig6-sat]: baseline ran 1 events")),
         "{err}"
     );
+    for (name, entry) in entries(&doc).into_iter().filter(|(n, _)| *n != "fig6-sat") {
+        assert!(field(entry, "speedup_vs_baseline").is_none(), "{entry}");
+        let note = format!("note [{name}]: baseline has no entry");
+        assert!(err.lines().any(|l| l.starts_with(&note)), "{name}: {err}");
+    }
 }

@@ -178,7 +178,7 @@ impl HopTuning {
     /// inputs are link-RX-buffer sized — they *are* link RX buffers, and
     /// the token loop closes over a 55 ns SerDes flight, so shallow
     /// (switch-sized) buffers would cap a hop at a fraction of wire rate.
-    pub fn derive(cube: &DeviceConfig) -> HopTuning {
+    pub(crate) fn derive(cube: &DeviceConfig) -> HopTuning {
         HopTuning {
             link: LinkConfig {
                 width: LinkWidth::Full,
@@ -197,7 +197,7 @@ impl HopTuning {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.link.validate()?;
         if self.flit_time.is_zero() {
             return Err("pass-through flit time must be positive".to_owned());
@@ -295,7 +295,7 @@ impl FabricConfig {
     /// lets a domain run this far past its neighbors' earliest pending
     /// events per fabric hop of separation; a zero lookahead (degenerate
     /// tunings only) runs the fabric as one domain.
-    pub fn lookahead(&self) -> Delay {
+    pub(crate) fn lookahead(&self) -> Delay {
         self.hop.link.serdes_latency
     }
 
@@ -346,6 +346,9 @@ impl FabricConfig {
     /// The extra unloaded round-trip latency one additional fabric hop
     /// adds to a request of the given kind: one pass-through crossbar
     /// traversal and one cube-to-cube link flight in each direction.
+    ///
+    /// Kept public as the analytic reference `tests/chain_latency.rs`
+    /// compares measured chain latencies against.
     pub fn unloaded_hop_delay(&self, kind: RequestKind) -> Delay {
         let req = kind.request_flits();
         let resp = kind.response_flits();

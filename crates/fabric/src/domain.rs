@@ -38,7 +38,11 @@ impl DomainPlan {
     /// Partitions `n` cubes into `min(domains, n)` contiguous blocks and
     /// derives the domain-distance matrix from the cube adjacency given
     /// by `neighbors`.
-    pub fn new(n: usize, domains: usize, neighbors: impl Fn(usize) -> Vec<usize>) -> DomainPlan {
+    pub(crate) fn new(
+        n: usize,
+        domains: usize,
+        neighbors: impl Fn(usize) -> Vec<usize>,
+    ) -> DomainPlan {
         let count = domains.clamp(1, n.max(1));
         let of_cube: Vec<usize> = (0..n).map(|c| c * count / n).collect();
         // Domain-level adjacency, then all-pairs BFS (at most 64 domains).
@@ -214,7 +218,7 @@ pub(crate) struct PhaseBarrier {
 }
 
 impl PhaseBarrier {
-    pub fn new(parties: usize) -> PhaseBarrier {
+    pub(crate) fn new(parties: usize) -> PhaseBarrier {
         assert!(parties > 0, "a barrier needs at least one party");
         let cores = hmc_des::pool::budget_total();
         let spin_limit = if cores >= parties { 1 << 14 } else { 0 };
@@ -228,7 +232,7 @@ impl PhaseBarrier {
     }
 
     /// Blocks until all parties arrive (or the barrier is poisoned).
-    pub fn wait(&self) -> Result<(), BarrierPoisoned> {
+    pub(crate) fn wait(&self) -> Result<(), BarrierPoisoned> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(BarrierPoisoned);
         }
@@ -267,14 +271,14 @@ impl PhaseBarrier {
     /// handshake loops (which wait on per-domain progress counters, not
     /// on the barrier itself) poll this so a dead neighbor can't strand
     /// them spinning.
-    pub fn is_poisoned(&self) -> bool {
+    pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
 
     /// A drop guard that poisons the barrier iff its thread is unwinding.
     /// Every domain loop holds one so a panic anywhere releases all
     /// rendezvous instead of deadlocking them.
-    pub fn guard(&self) -> PoisonGuard<'_> {
+    pub(crate) fn guard(&self) -> PoisonGuard<'_> {
         PoisonGuard { barrier: self }
     }
 }

@@ -61,14 +61,6 @@ pub struct TransitStats {
     pub link_stats: Vec<LinkStats>,
 }
 
-impl TransitStats {
-    /// Token stalls summed over this cube's outbound serializers — direct
-    /// evidence of fabric backpressure.
-    pub fn token_stalls(&self) -> u64 {
-        self.link_stats.iter().map(|l| l.token_stalls).sum()
-    }
-}
-
 /// One cube's share of a run.
 #[derive(Debug, Clone)]
 pub struct CubeReport {
@@ -179,11 +171,6 @@ impl RunReport {
             .count()
     }
 
-    /// One cube's report.
-    pub fn cube(&self, cube: CubeId) -> Option<&CubeReport> {
-        self.cubes.get(cube.index())
-    }
-
     /// Mean read latency in nanoseconds across all ports.
     pub fn mean_latency_ns(&self) -> f64 {
         self.aggregate_latency().mean_ns()
@@ -224,7 +211,7 @@ impl RunReport {
     }
 
     /// Access throughput in accesses per second.
-    pub fn accesses_per_second(&self) -> f64 {
+    pub(crate) fn accesses_per_second(&self) -> f64 {
         if self.elapsed.is_zero() {
             return 0.0;
         }
@@ -408,7 +395,5 @@ mod tests {
         });
         assert_eq!(r.total_switch_conflicts(), 8);
         assert_eq!(r.transit_forwarded(), 12);
-        let t = r.cube(CubeId(1)).unwrap().transit.as_ref().unwrap();
-        assert_eq!(t.token_stalls(), 2);
     }
 }

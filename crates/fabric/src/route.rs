@@ -117,7 +117,11 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if `n` is zero or above [`crate::FabricConfig::MAX_CUBES`].
-    pub fn avoiding(topology: Topology, n: u8, dead: &[(u8, u8)]) -> Result<RouteTable, String> {
+    pub(crate) fn avoiding(
+        topology: Topology,
+        n: u8,
+        dead: &[(u8, u8)],
+    ) -> Result<RouteTable, String> {
         assert!(n >= 1, "a fabric needs at least one cube");
         assert!(
             n <= crate::FabricConfig::MAX_CUBES,
@@ -176,12 +180,6 @@ impl RouteTable {
             }
         }
         Ok(RouteTable { n, next })
-    }
-
-    /// Number of cubes covered by the table.
-    #[inline]
-    pub fn cube_count(&self) -> u8 {
-        self.n
     }
 
     /// The next cube on the route from `from` to `to` (`from` itself when

@@ -355,7 +355,11 @@ fn empty_fault_plan_changes_nothing() {
 
 #[test]
 fn faulty_runs_complete_and_count_retries() {
-    let plan = FaultPlan::new(7).with_all_links(hmc_faults::LinkFaultSpec::ber(1e-5).with_burst(2));
+    let spec = hmc_faults::LinkFaultSpec {
+        burst: 2,
+        ..hmc_faults::LinkFaultSpec::ber(1e-5)
+    };
+    let plan = FaultPlan::new(7).with_all_links(spec);
     let (report, _) = faulty_gups_report(Some(plan), 1, None);
     let totals = report.link_fault_totals();
     assert!(totals.crc_errors > 0, "a 1e-5 BER must corrupt something");

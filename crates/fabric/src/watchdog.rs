@@ -41,7 +41,7 @@ pub fn progress() -> (u64, u64) {
     )
 }
 
-/// An armed watchdog deadline. Dropping (or [`Deadline::disarm`]ing) it
+/// An armed watchdog deadline. Dropping (or `Deadline::disarm`ing) it
 /// cancels the timer; if the timeout elapses first, the `on_fire`
 /// callback runs on the timer thread.
 pub struct Deadline {
@@ -81,7 +81,7 @@ impl Deadline {
     }
 
     /// Cancels the deadline; the callback will not run.
-    pub fn disarm(&self) {
+    pub(crate) fn disarm(&self) {
         let (lock, cv) = &*self.signal;
         *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
         cv.notify_all();

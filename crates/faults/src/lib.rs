@@ -23,7 +23,7 @@
 //! use hmc_faults::{FaultPlan, LinkFaultSpec, LinkKey};
 //!
 //! let plan = FaultPlan::new(7)
-//!     .with_link(LinkKey::edge(0, 1), LinkFaultSpec::ber(1e-6))
+//!     .with_all_links(LinkFaultSpec::ber(1e-6))
 //!     .degrade_after(100);
 //! plan.validate().expect("plan is sane");
 //! let mut inj = plan.injector(LinkKey::edge(0, 1)).expect("spec present");
@@ -126,26 +126,8 @@ impl LinkFaultSpec {
         }
     }
 
-    /// Adds a burst length.
-    pub fn with_burst(mut self, burst: u32) -> LinkFaultSpec {
-        self.burst = burst;
-        self
-    }
-
-    /// Adds a transient link-down window.
-    pub fn with_down(mut self, from: Time, until: Time) -> LinkFaultSpec {
-        self.down.push((from, until));
-        self
-    }
-
-    /// Marks the link as permanently half-width.
-    pub fn with_half_width(mut self) -> LinkFaultSpec {
-        self.half_width = true;
-        self
-    }
-
     /// `true` if this spec injects nothing at all.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.ber == 0.0 && self.down.is_empty() && !self.half_width
     }
 
@@ -154,7 +136,7 @@ impl LinkFaultSpec {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.ber) {
             return Err(format!("flit error rate {} outside [0, 1)", self.ber));
         }
@@ -203,13 +185,10 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a per-link spec.
-    pub fn with_link(mut self, key: LinkKey, spec: LinkFaultSpec) -> FaultPlan {
-        self.links.insert(key, spec);
-        self
-    }
-
     /// Applies `spec` to every link without an explicit entry.
+    ///
+    /// Kept public: the blanket spec is private, and fabric tests set it
+    /// with this.
     pub fn with_all_links(mut self, spec: LinkFaultSpec) -> FaultPlan {
         self.blanket = Some(spec);
         self
@@ -229,17 +208,8 @@ impl FaultPlan {
     }
 
     /// The spec governing `key`, if any (explicit entry, else blanket).
-    pub fn spec_for(&self, key: LinkKey) -> Option<&LinkFaultSpec> {
+    pub(crate) fn spec_for(&self, key: LinkKey) -> Option<&LinkFaultSpec> {
         self.links.get(&key).or(self.blanket.as_ref())
-    }
-
-    /// `true` if no link gets a live injector and no edge is dead — the
-    /// plan changes nothing.
-    pub fn is_noop(&self) -> bool {
-        self.dead_edges.is_empty()
-            && self.degrade.is_none()
-            && self.links.values().all(LinkFaultSpec::is_noop)
-            && self.blanket.as_ref().is_none_or(LinkFaultSpec::is_noop)
     }
 
     /// Validates every spec and the dead-edge list.
@@ -501,7 +471,6 @@ mod tests {
     fn ber_zero_never_fires_and_injector_elides() {
         let plan = FaultPlan::new(1).with_all_links(LinkFaultSpec::ber(0.0));
         assert!(plan.injector(LinkKey::edge(0, 1)).is_none());
-        assert!(plan.is_noop());
         // With a degrade policy the injector must exist (it carries the
         // link's error counter context) even at ber 0.
         let plan = plan.degrade_after(10);
@@ -520,7 +489,10 @@ mod tests {
 
     #[test]
     fn bursts_extend_hits() {
-        let spec = LinkFaultSpec::ber(0.05).with_burst(64);
+        let spec = LinkFaultSpec {
+            burst: 64,
+            ..LinkFaultSpec::ber(0.05)
+        };
         let solo = LinkFaultSpec::ber(0.05);
         let plan_b = FaultPlan::new(9).with_all_links(spec);
         let plan_s = FaultPlan::new(9).with_all_links(solo);
@@ -536,7 +508,10 @@ mod tests {
 
     #[test]
     fn down_windows_skip_and_cut() {
-        let spec = LinkFaultSpec::default().with_down(Time::from_ns(100), Time::from_ns(200));
+        let spec = LinkFaultSpec {
+            down: vec![(Time::from_ns(100), Time::from_ns(200))],
+            ..LinkFaultSpec::default()
+        };
         let inj = LinkFaults::new(0, LinkKey::edge(0, 1), spec);
         assert_eq!(inj.wire_up_at(Time::from_ns(50)), Time::from_ns(50));
         assert_eq!(inj.wire_up_at(Time::from_ns(100)), Time::from_ns(200));
@@ -555,7 +530,10 @@ mod tests {
     fn validation_rejects_bad_specs() {
         assert!(LinkFaultSpec::ber(1.0).validate().is_err());
         assert!(LinkFaultSpec::ber(-0.1).validate().is_err());
-        let empty = LinkFaultSpec::default().with_down(Time::from_ns(5), Time::from_ns(5));
+        let empty = LinkFaultSpec {
+            down: vec![(Time::from_ns(5), Time::from_ns(5))],
+            ..LinkFaultSpec::default()
+        };
         assert!(empty.validate().is_err());
         assert!(FaultPlan::new(0).with_dead_edge(2, 2).validate().is_err());
         let mut zero = FaultPlan::new(0);
@@ -589,6 +567,6 @@ mod tests {
         assert!(overflow.expect_err("ps overflow").contains("down time"));
         assert!(FaultPlan::parse(0, "all down=0us..18446744073709552us").is_err());
         assert!(FaultPlan::parse(0, "bogus").is_err());
-        assert!(FaultPlan::parse(0, "").expect("empty is empty").is_noop());
+        assert_eq!(FaultPlan::parse(0, "").expect("empty"), FaultPlan::new(0));
     }
 }

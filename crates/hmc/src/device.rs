@@ -4,7 +4,6 @@
 use hmc_des::wheel::{Entry, EventQueue};
 use hmc_des::{InlineVec, Time};
 use hmc_link::{Deliveries, LinkTx};
-use hmc_mapping::VaultId;
 use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
 use hmc_packet::{LinkId, RequestPacket, ResponsePacket};
 use hmc_telemetry::{Probe, Stage};
@@ -393,11 +392,6 @@ impl HmcDevice {
         self.probe = probe.clone();
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
     /// Size of the request input buffer behind each link, in flits: the
     /// token pool the host's request transmitter must be configured with.
     pub fn request_tokens_per_link(&self) -> u32 {
@@ -720,11 +714,6 @@ impl HmcDevice {
                 .chain(self.resp_sw.iter().map(|sw| sw.arbitration_conflicts()))
                 .sum(),
         }
-    }
-
-    /// Immutable view of a vault controller (for experiment statistics).
-    pub fn vault(&self, v: VaultId) -> &VaultCtrl {
-        &self.vaults[v.index()]
     }
 
     // -- internals ---------------------------------------------------------

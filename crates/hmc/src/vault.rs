@@ -56,7 +56,7 @@ pub struct VaultCtrl {
 
 impl VaultCtrl {
     /// Creates an idle vault controller with `banks` banks.
-    pub fn new(banks: usize, timing: DramTiming, tuning: &VaultTuning) -> VaultCtrl {
+    pub(crate) fn new(banks: usize, timing: DramTiming, tuning: &VaultTuning) -> VaultCtrl {
         VaultCtrl {
             ingress: FlitQueue::new(tuning.ingress_capacity_flits),
             bank_queues: (0..banks)
@@ -71,18 +71,13 @@ impl VaultCtrl {
         }
     }
 
-    /// `true` if the ingress buffer can take `flits` more flits.
-    pub fn can_accept(&self, flits: u32) -> bool {
-        self.ingress.can_accept(flits)
-    }
-
     /// Pushes an arriving request into the ingress buffer.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is full — callers must hold NoC credits for the
     /// space, so overflow is a flow-control protocol bug.
-    pub fn push_ingress(&mut self, req: DeviceRequest) {
+    pub(crate) fn push_ingress(&mut self, req: DeviceRequest) {
         let flits = req.pkt.flits();
         self.ingress
             .push(flits, req)
@@ -93,7 +88,7 @@ impl VaultCtrl {
     /// Moves ingress requests into their bank queues until the head blocks
     /// (head-of-line) or the ingress empties. Returns the flits freed from
     /// the ingress buffer, which the caller must return as NoC credits.
-    pub fn pump_ingress(&mut self) -> u32 {
+    pub(crate) fn pump_ingress(&mut self) -> u32 {
         let mut freed = 0;
         while let Some((flits, head)) = self.ingress.peek() {
             let bank = head.bank.index();
@@ -112,7 +107,7 @@ impl VaultCtrl {
     /// `(bank, completion_time)` for each started request to `started`
     /// (a caller-owned scratch buffer, so steady-state pumps allocate
     /// nothing); the caller schedules the completions.
-    pub fn start_services(&mut self, now: Time, started: &mut Vec<(usize, Time)>) {
+    pub(crate) fn start_services(&mut self, now: Time, started: &mut Vec<(usize, Time)>) {
         while let Some(bank) = self.startable.pop_front() {
             self.startable_flag[bank] = false;
             if self.engines[bank] != BankEngine::Idle {
@@ -142,7 +137,7 @@ impl VaultCtrl {
     /// # Panics
     ///
     /// Panics if the bank has no request in service.
-    pub fn complete(&mut self, bank: usize) {
+    pub(crate) fn complete(&mut self, bank: usize) {
         match self.engines[bank] {
             BankEngine::InService(req) => {
                 self.engines[bank] = BankEngine::Completed(req);
@@ -152,17 +147,9 @@ impl VaultCtrl {
         }
     }
 
-    /// The completed request waiting at `bank`, if any.
-    pub fn completed(&self, bank: usize) -> Option<&DeviceRequest> {
-        match &self.engines[bank] {
-            BankEngine::Completed(req) => Some(req),
-            _ => None,
-        }
-    }
-
     /// The oldest bank holding a response that still needs NoC egress,
     /// with its request. Responses egress in completion order.
-    pub fn ready_response(&self) -> Option<(usize, &DeviceRequest)> {
+    pub(crate) fn ready_response(&self) -> Option<(usize, &DeviceRequest)> {
         let bank = *self.ready.front()?;
         match &self.engines[bank] {
             BankEngine::Completed(req) => Some((bank, req)),
@@ -177,7 +164,7 @@ impl VaultCtrl {
     ///
     /// Panics if the bank has no completed request or is not the oldest
     /// ready response.
-    pub fn take_completed(&mut self, bank: usize) -> DeviceRequest {
+    pub(crate) fn take_completed(&mut self, bank: usize) -> DeviceRequest {
         assert_eq!(
             self.ready.front(),
             Some(&bank),
@@ -209,7 +196,7 @@ impl VaultCtrl {
 
     /// Requests currently resident in this vault (ingress + bank queues +
     /// in service or blocked).
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         let queued: usize = self.bank_queues.iter().map(|q| q.len()).sum();
         let busy = self
             .engines
@@ -220,13 +207,8 @@ impl VaultCtrl {
     }
 
     /// Counters for this vault.
-    pub fn stats(&self) -> VaultStats {
+    pub(crate) fn stats(&self) -> VaultStats {
         self.stats
-    }
-
-    /// The DRAM model behind this controller (for utilization statistics).
-    pub fn memory(&self) -> &VaultMemory {
-        &self.memory
     }
 
     fn note_outstanding(&mut self) {
@@ -283,7 +265,7 @@ mod tests {
         assert_eq!(bank, 3);
         assert!(completion > Time::ZERO);
         v.complete(bank);
-        assert!(v.completed(bank).is_some());
+        assert_eq!(v.ready_response().map(|(b, _)| b), Some(bank));
         let done = v.take_completed(bank);
         assert_eq!(done.pkt.tag, Tag(1));
         assert_eq!(v.stats().serviced, 1);
@@ -340,8 +322,8 @@ mod tests {
             ..VaultTuning::default()
         };
         let v = VaultCtrl::new(16, DramTiming::hmc_gen2(), &tuning);
-        assert!(v.can_accept(9));
-        assert!(!v.can_accept(10));
+        assert!(v.ingress.can_accept(9));
+        assert!(!v.ingress.can_accept(10));
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl HostModel {
     /// Moves FIFO heads through the controller pipeline to the links and
     /// serializes; called on ticks and on token returns. Returns a view
     /// of the reused event buffer (see [`HostModel::tick`]).
-    pub fn pump_links(&mut self, now: Time) -> &HostEvents {
+    pub(crate) fn pump_links(&mut self, now: Time) -> &HostEvents {
         self.events.clear();
         // Packets whose pipeline latency elapsed reach their serializer —
         // if its FIFO has room; a full serializer stalls the pipeline
@@ -332,7 +332,7 @@ impl HostModel {
     /// [`Time::ZERO`]); the reported instant is the first grid point not
     /// before `now` at which something can actually move:
     ///
-    /// - a port whose source could issue ([`Port::next_wake`]) needs the
+    /// - a port whose source could issue (`Port::wake_hint`) needs the
     ///   first grid point at or after that instant — provided its FIFO has
     ///   room (a full FIFO drains by admission, covered below);
     /// - a FIFO head needs the earliest grid point at which *some* link
@@ -429,20 +429,6 @@ impl HostModel {
     /// The ports, in id order.
     pub fn ports(&self) -> &[Port] {
         &self.ports
-    }
-
-    /// One port by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn port(&self, id: PortId) -> &Port {
-        &self.ports[id.index()]
-    }
-
-    /// Total outstanding requests across ports.
-    pub fn outstanding(&self) -> u32 {
-        self.ports.iter().map(|p| u32::from(p.outstanding())).sum()
     }
 }
 
@@ -749,12 +735,12 @@ mod tests {
         let reqs = arrivals(&drive(&mut h, 80));
         assert!(reqs.len() >= 2);
         h.deliver_response(Time::from_us(1), &ResponsePacket::for_request(&reqs[0]));
-        assert_eq!(h.port(reqs[0].port).latency().count(), 1);
+        assert_eq!(h.ports()[reqs[0].port.index()].latency().count(), 1);
         h.reset_stats();
-        assert_eq!(h.port(reqs[0].port).latency().count(), 0);
+        assert_eq!(h.ports()[reqs[0].port.index()].latency().count(), 0);
         h.freeze_stats();
         h.deliver_response(Time::from_us(2), &ResponsePacket::for_request(&reqs[1]));
-        assert_eq!(h.port(reqs[1].port).latency().count(), 0);
+        assert_eq!(h.ports()[reqs[1].port.index()].latency().count(), 0);
     }
 
     /// Property: after every step of a randomized drive — ticks, request

@@ -28,7 +28,7 @@ impl TagPool {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: u16) -> TagPool {
+    pub(crate) fn new(capacity: u16) -> TagPool {
         assert!(capacity > 0, "tag pool needs at least one tag");
         TagPool {
             free: (0..capacity).rev().collect(),
@@ -37,22 +37,22 @@ impl TagPool {
     }
 
     /// Total tags.
-    pub fn capacity(&self) -> u16 {
+    pub(crate) fn capacity(&self) -> u16 {
         self.issue_time.len() as u16
     }
 
     /// Tags currently outstanding.
-    pub fn in_flight(&self) -> u16 {
+    pub(crate) fn in_flight(&self) -> u16 {
         self.capacity() - self.free.len() as u16
     }
 
     /// `true` if a tag is available.
-    pub fn has_free(&self) -> bool {
+    pub(crate) fn has_free(&self) -> bool {
         !self.free.is_empty()
     }
 
     /// Allocates a tag, recording the issue time.
-    pub fn allocate(&mut self, now: Time) -> Option<Tag> {
+    pub(crate) fn allocate(&mut self, now: Time) -> Option<Tag> {
         let tag = self.free.pop()?;
         self.issue_time[usize::from(tag)] = Some(now);
         Some(Tag(tag))
@@ -64,7 +64,7 @@ impl TagPool {
     ///
     /// Panics if the tag was not outstanding (a duplicate or spurious
     /// response — always a protocol bug).
-    pub fn release(&mut self, tag: Tag) -> Time {
+    pub(crate) fn release(&mut self, tag: Tag) -> Time {
         let slot = usize::from(tag.0);
         let issued = self.issue_time[slot]
             .take()
@@ -75,7 +75,7 @@ impl TagPool {
 }
 
 /// The port's cached view of its source's last non-`Op` answer, so the
-/// side-effect-free queries ([`Port::next_wake`], [`Port::is_done`]) never
+/// side-effect-free queries ([`Port::wake_hint`], [`Port::is_done`]) never
 /// have to poll the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SourceState {
@@ -190,7 +190,7 @@ impl Port {
     /// Attaches a telemetry probe (default [`Probe::off`]): issues feed
     /// the sampled packet tracer, completions feed the epoch timelines
     /// and the per-cube latency sketches.
-    pub fn set_probe(&mut self, probe: Probe) {
+    pub(crate) fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
 
@@ -218,21 +218,16 @@ impl Port {
     /// The earliest instant at which polling this port could issue a
     /// request, or `None` while only an external event (a response freeing
     /// a tag, a completion unblocking the source, activation) can help.
+    /// `Time::ZERO` stands for "pollable right now": deliberately
+    /// conservative, since the poll may still answer `Blocked`/`Done`,
+    /// costing one no-op tick, never a missed issue.
     ///
-    /// `Some(now)` for a source that must be polled is deliberately
-    /// conservative: the poll may still answer `Blocked`/`Done`, costing
-    /// one no-op tick, never a missed issue.
-    pub fn next_wake(&self, now: Time) -> Option<Time> {
-        self.wake_hint().map(|t| t.max(now))
-    }
-
-    /// The time-independent part of [`Port::next_wake`]: `Time::ZERO`
-    /// stands for "pollable right now". It changes only when the port
+    /// The hint is time-independent. It changes only when the port
     /// mutates (an issue, a response, activation), never with the mere
     /// passage of time — so the host model caches it per port and
     /// refreshes it at those mutation points instead of re-deriving every
     /// port's state on every wake query.
-    pub fn wake_hint(&self) -> Option<Time> {
+    pub(crate) fn wake_hint(&self) -> Option<Time> {
         if !self.tags.has_free() {
             return None;
         }
@@ -363,7 +358,7 @@ impl Port {
 
     /// `true` once the source is exhausted and every response is home.
     /// Duration-gated ports are done when deactivated and drained.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         let drained = self.tags.in_flight() == 0;
         if self.gated {
             !self.active && drained
@@ -372,17 +367,12 @@ impl Port {
         }
     }
 
-    /// Requests currently outstanding.
-    pub fn outstanding(&self) -> u16 {
-        self.tags.in_flight()
-    }
-
     /// Extra flits this port's RX path moves per response (the source's
     /// [`TrafficSource::rx_extra_flits`]): stream-style firmware ships
     /// each response's address back to the host alongside the data
     /// (Figure 5b's "Rd. Addr. FIFO"), costing one flit; GUPS ports only
     /// update local counters.
-    pub fn rx_extra_flits(&self) -> u32 {
+    pub(crate) fn rx_extra_flits(&self) -> u32 {
         self.rx_extra
     }
 
@@ -427,7 +417,7 @@ impl Port {
     }
 
     /// Clears the monitors (end of warmup).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.latency.reset();
         self.bytes.reset();
         self.reads_recorded = 0;
@@ -437,7 +427,7 @@ impl Port {
 
     /// Stops recording (end of the measurement window); responses still
     /// drain and free tags but no longer affect the monitors.
-    pub fn freeze_stats(&mut self) {
+    pub(crate) fn freeze_stats(&mut self) {
         self.recording = false;
     }
 }
@@ -467,7 +457,7 @@ mod tests {
         let b = p.try_issue(Time::ZERO).unwrap();
         assert_ne!(a.tag, b.tag);
         assert!(p.try_issue(Time::ZERO).is_none(), "tags exhausted");
-        assert_eq!(p.outstanding(), 2);
+        assert_eq!(p.tags.in_flight(), 2);
         p.on_response(Time::from_ns(100), &ResponsePacket::for_request(&a));
         assert!(p.try_issue(Time::ZERO).is_some());
     }
@@ -488,7 +478,7 @@ mod tests {
     fn inactive_gups_port_stays_silent() {
         let mut p = gups_port(4);
         assert!(p.try_issue(Time::ZERO).is_none());
-        assert_eq!(p.next_wake(Time::ZERO), None, "inactive port sleeps");
+        assert_eq!(p.wake_hint(), None, "inactive port sleeps");
         p.set_active(true);
         assert!(p.try_issue(Time::ZERO).is_some());
         p.set_active(false);
@@ -524,7 +514,7 @@ mod tests {
         p.on_response(Time::from_ns(500), &ResponsePacket::for_request(&req));
         assert_eq!(p.latency().count(), 0);
         assert_eq!(p.completed(), 1);
-        assert_eq!(p.outstanding(), 0);
+        assert_eq!(p.tags.in_flight(), 0);
     }
 
     #[test]
@@ -587,11 +577,11 @@ mod tests {
             p.try_issue(Time::ZERO).is_none(),
             "a 1-walker chase is strictly serial"
         );
-        assert_eq!(p.next_wake(Time::ZERO), None, "blocked source sleeps");
+        assert_eq!(p.wake_hint(), None, "blocked source sleeps");
         p.on_response(Time::from_ns(700), &ResponsePacket::for_request(&first));
         assert_eq!(
-            p.next_wake(Time::from_ns(700)),
-            Some(Time::from_ns(700)),
+            p.wake_hint(),
+            Some(Time::ZERO),
             "a completion re-arms the poll"
         );
         let second = p.try_issue(Time::from_ns(700)).unwrap();

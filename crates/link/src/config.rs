@@ -16,7 +16,7 @@ pub enum LinkWidth {
 impl LinkWidth {
     /// Lanes per direction.
     #[inline]
-    pub const fn lanes(self) -> u32 {
+    pub(crate) const fn lanes(self) -> u32 {
         match self {
             LinkWidth::Half => 8,
             LinkWidth::Full => 16,
@@ -106,13 +106,16 @@ impl LinkConfig {
 
     /// Time to serialize one flit including protocol overhead — the
     /// effective per-flit cost the transaction layer experiences.
-    pub fn effective_flit_time(&self) -> Delay {
+    pub(crate) fn effective_flit_time(&self) -> Delay {
         let ns =
             FLIT_BYTES as f64 / self.raw_gb_per_s_per_direction() * (1.0 + self.protocol_overhead);
         Delay::from_ns_f64(ns)
     }
 
     /// Effective bandwidth per direction after protocol overhead, GB/s.
+    ///
+    /// Kept public as the reference value this crate's serializer tests
+    /// assert against.
     pub fn effective_gb_per_s_per_direction(&self) -> f64 {
         self.raw_gb_per_s_per_direction() / (1.0 + self.protocol_overhead)
     }

@@ -156,12 +156,6 @@ impl<P> LinkTx<P> {
         self.trace_id = Some(f);
     }
 
-    /// Packets currently retained in the retry buffer (transmitted but
-    /// not yet acked by the return retry pointer). Zero without faults.
-    pub fn retained_packets(&self) -> usize {
-        self.faults.as_ref().map_or(0, |l| l.retained.len())
-    }
-
     /// Attaches a telemetry probe; a CRC-failed transmission of a packet
     /// with a registered [trace identity](LinkTx::set_trace_identity)
     /// emits a `Retry` lifecycle mark. Detached by default
@@ -203,7 +197,7 @@ impl<P> LinkTx<P> {
     }
 
     /// Time to serialize one flit including protocol overhead — the
-    /// configuration's [`LinkConfig::effective_flit_time`], derived once
+    /// configuration's `LinkConfig::effective_flit_time`, derived once
     /// at construction.
     #[inline]
     pub fn effective_flit_time(&self) -> Delay {
@@ -539,7 +533,11 @@ mod tests {
         #[test]
         fn retries_delay_but_never_drop_duplicate_or_reorder() {
             let mut clean: LinkTx<u32> = LinkTx::new(&deep_cfg());
-            let mut faulty = armed(LinkFaultSpec::ber(0.2).with_burst(3), None);
+            let spec = LinkFaultSpec {
+                burst: 3,
+                ..LinkFaultSpec::ber(0.2)
+            };
+            let mut faulty = armed(spec, None);
             for i in 0..200 {
                 clean.enqueue(i, 1 + (i % 9));
                 faulty.enqueue(i, 1 + (i % 9));
@@ -588,7 +586,10 @@ mod tests {
             // Window opens mid-first-packet and lasts 1 us.
             let open = Time::ZERO + Delay::from_ps(pkt.as_ps() / 2);
             let close = open + Delay::from_us(1);
-            let spec = LinkFaultSpec::default().with_down(open, close);
+            let spec = LinkFaultSpec {
+                down: vec![(open, close)],
+                ..LinkFaultSpec::default()
+            };
             let mut faulty = armed(spec, None);
             faulty.enqueue(1, 9);
             let out = faulty.service(Time::ZERO);
@@ -627,7 +628,11 @@ mod tests {
         #[test]
         fn permanent_lane_failure_starts_at_half_width() {
             let link_cfg = deep_cfg();
-            let mut faulty = armed(LinkFaultSpec::default().with_half_width(), None);
+            let spec = LinkFaultSpec {
+                half_width: true,
+                ..LinkFaultSpec::default()
+            };
+            let mut faulty = armed(spec, None);
             faulty.enqueue(0, 9);
             let out = faulty.service(Time::ZERO);
             assert!(faulty.stats().degraded);
@@ -651,7 +656,8 @@ mod tests {
             tx.enqueue(1, 9);
             let out = tx.service(Time::ZERO);
             assert_eq!(out.len(), 2);
-            assert_eq!(tx.retained_packets(), 1, "first slot freed by its ack");
+            let lane = tx.faults.as_ref().expect("faults armed");
+            assert_eq!(lane.retained.len(), 1, "first slot freed by its ack");
             let pkt = link_cfg.packet_time(9);
             let first_end = Time::ZERO + pkt;
             assert_eq!(out[0].at, first_end + link_cfg.serdes_latency);

@@ -51,7 +51,7 @@ proptest! {
         // The shim draws integers; derive the float/Option knobs here.
         let ber = ber_milli as f64 / 1000.0;
         let degrade = (degrade_raw > 0).then_some(degrade_raw);
-        let spec = LinkFaultSpec::ber(ber).with_burst(burst);
+        let spec = LinkFaultSpec { burst, ..LinkFaultSpec::ber(ber) };
         let mut oracle: LinkTx<u32> = LinkTx::new(&deep_cfg());
         let mut faulty = armed(seed, spec, degrade);
         let clean = drain(&mut oracle, &mix);
@@ -85,7 +85,10 @@ proptest! {
         burst in 0u32..4,
         mix in prop::collection::vec(1u32..10, 1..120),
     ) {
-        let spec = LinkFaultSpec::ber(ber_milli as f64 / 1000.0).with_burst(burst);
+        let spec = LinkFaultSpec {
+            burst,
+            ..LinkFaultSpec::ber(ber_milli as f64 / 1000.0)
+        };
         let mut faulty = armed(seed, spec.clone(), None);
         drain(&mut faulty, &mix);
 
@@ -115,8 +118,10 @@ proptest! {
         mix in prop::collection::vec(1u32..10, 1..80),
     ) {
         let open = Time::from_ns(open_ns);
-        let spec = LinkFaultSpec::ber(ber_milli as f64 / 1000.0)
-            .with_down(open, open + hmc_des::Delay::from_ns(len_ns));
+        let spec = LinkFaultSpec {
+            down: vec![(open, open + hmc_des::Delay::from_ns(len_ns))],
+            ..LinkFaultSpec::ber(ber_milli as f64 / 1000.0)
+        };
         let mut oracle: LinkTx<u32> = LinkTx::new(&deep_cfg());
         let mut faulty = armed(seed, spec, None);
         let clean = drain(&mut oracle, &mix);

@@ -182,12 +182,6 @@ impl FabricAddressMap {
         }
     }
 
-    /// The policy in effect.
-    #[inline]
-    pub fn policy(&self) -> CubePolicy {
-        self.policy
-    }
-
     /// Number of cubes this map addresses.
     #[inline]
     pub fn cube_count(&self) -> u8 {
@@ -335,14 +329,6 @@ pub enum CubeTargeting {
 }
 
 impl CubeTargeting {
-    /// The number of cubes this targeting can reach (1 for fixed).
-    pub fn cube_span(&self) -> u8 {
-        match self {
-            CubeTargeting::Fixed(_) => 1,
-            CubeTargeting::Addressed(map) => map.cube_count(),
-        }
-    }
-
     /// The statically targeted cube, if this targeting is fixed.
     pub fn fixed_cube(&self) -> Option<CubeId> {
         match *self {
@@ -516,7 +502,6 @@ mod tests {
     #[test]
     fn targeting_resolution() {
         let fixed = CubeTargeting::Fixed(CubeId(3));
-        assert_eq!(fixed.cube_span(), 1);
         assert_eq!(fixed.fixed_cube(), Some(CubeId(3)));
         // Fixed targeting keeps the HMC header mask semantics.
         let (c, a) = fixed.resolve(GlobalAddress::new(1 << 34 | 0x40)).unwrap();
@@ -524,7 +509,6 @@ mod tests {
 
         let addressed =
             CubeTargeting::Addressed(FabricAddressMap::new(CubePolicy::Blocked, 4, &map()));
-        assert_eq!(addressed.cube_span(), 4);
         assert_eq!(addressed.fixed_cube(), None);
         let (c, a) = addressed
             .resolve(GlobalAddress::new(2u64 << 34 | 0x40))

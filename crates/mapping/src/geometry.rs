@@ -102,7 +102,7 @@ impl Geometry {
 
     /// Capacity of one vault in bytes.
     #[inline]
-    pub fn vault_bytes(&self) -> u64 {
+    pub(crate) fn vault_bytes(&self) -> u64 {
         self.bank_bytes * u64::from(self.banks_per_vault)
     }
 
@@ -123,18 +123,8 @@ impl Geometry {
     /// Vault ids compose as `quadrant * vaults_per_quadrant +
     /// vault_in_quadrant`, matching the low-order-interleaved address map.
     #[inline]
-    pub fn quadrant_of(&self, vault: VaultId) -> QuadrantId {
+    pub(crate) fn quadrant_of(&self, vault: VaultId) -> QuadrantId {
         QuadrantId(vault.0 / self.vaults_per_quadrant())
-    }
-
-    /// Iterates over every vault id.
-    pub fn vault_ids(&self) -> impl Iterator<Item = VaultId> {
-        (0..self.vaults).map(VaultId)
-    }
-
-    /// Iterates over every bank id within a vault.
-    pub fn bank_ids(&self) -> impl Iterator<Item = BankId> {
-        (0..self.banks_per_vault).map(BankId)
     }
 
     /// Validates internal consistency (power-of-two fields, divisibility).
@@ -221,13 +211,5 @@ mod tests {
         let mut g = Geometry::hmc_gen2();
         g.bank_bytes = 3 << 20;
         assert!(g.validate().is_err());
-    }
-
-    #[test]
-    fn iterators_cover_geometry() {
-        let g = Geometry::hmc_gen2();
-        assert_eq!(g.vault_ids().count(), 16);
-        assert_eq!(g.bank_ids().count(), 16);
-        assert_eq!(g.vault_ids().last(), Some(VaultId(15)));
     }
 }

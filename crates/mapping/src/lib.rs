@@ -33,4 +33,4 @@ mod pattern;
 pub use fabric::{CubePolicy, CubeTargeting, FabricAddressMap, SplitError};
 pub use geometry::{BankId, Geometry, QuadrantId, VaultId};
 pub use map::{AddressMap, BlockSize, Location};
-pub use pattern::{single_bank_filter, AccessPattern, AddressFilter};
+pub use pattern::{AccessPattern, AddressFilter};

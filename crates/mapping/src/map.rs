@@ -131,45 +131,32 @@ impl AddressMap {
 
     /// Lowest bit of the vault field (== number of offset bits).
     #[inline]
-    pub fn vault_shift(&self) -> u32 {
+    pub(crate) fn vault_shift(&self) -> u32 {
         self.block.offset_bits()
     }
 
     /// Width of the whole vault field (vault-in-quadrant + quadrant bits).
     #[inline]
-    pub fn vault_bits(&self) -> u32 {
+    pub(crate) fn vault_bits(&self) -> u32 {
         u32::from(self.geometry.vaults).trailing_zeros()
-    }
-
-    /// Width of the vault-in-quadrant subfield.
-    #[inline]
-    pub fn vault_in_quadrant_bits(&self) -> u32 {
-        u32::from(self.geometry.vaults_per_quadrant()).trailing_zeros()
     }
 
     /// Lowest bit of the bank field.
     #[inline]
-    pub fn bank_shift(&self) -> u32 {
+    pub(crate) fn bank_shift(&self) -> u32 {
         self.vault_shift() + self.vault_bits()
     }
 
     /// Width of the bank field.
     #[inline]
-    pub fn bank_bits(&self) -> u32 {
+    pub(crate) fn bank_bits(&self) -> u32 {
         u32::from(self.geometry.banks_per_vault).trailing_zeros()
     }
 
     /// Lowest bit of the block-row field.
     #[inline]
-    pub fn row_shift(&self) -> u32 {
+    pub(crate) fn row_shift(&self) -> u32 {
         self.bank_shift() + self.bank_bits()
-    }
-
-    /// Number of addressable bits (bits above this are ignored, as the two
-    /// high-order header bits are on a 4 GB cube).
-    #[inline]
-    pub fn capacity_bits(&self) -> u32 {
-        63 - self.geometry.total_bytes().leading_zeros()
     }
 
     /// Splits an address into its cube location.
@@ -247,11 +234,9 @@ mod tests {
         let m = map128();
         assert_eq!(m.vault_shift(), 7);
         assert_eq!(m.vault_bits(), 4);
-        assert_eq!(m.vault_in_quadrant_bits(), 2);
         assert_eq!(m.bank_shift(), 11);
         assert_eq!(m.bank_bits(), 4);
         assert_eq!(m.row_shift(), 15);
-        assert_eq!(m.capacity_bits(), 32);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use core::fmt;
 
 use hmc_packet::Address;
 
-use crate::geometry::{BankId, VaultId};
+use crate::geometry::VaultId;
 use crate::map::AddressMap;
 
 /// A mask/anti-mask pair applied to generated addresses.
@@ -53,7 +53,7 @@ impl AddressFilter {
     }
 
     /// The identity filter (no bits forced).
-    pub const fn pass_all() -> AddressFilter {
+    pub(crate) const fn pass_all() -> AddressFilter {
         AddressFilter {
             mask: u64::MAX,
             anti_mask: 0,
@@ -64,18 +64,6 @@ impl AddressFilter {
     #[inline]
     pub fn apply(&self, raw: u64) -> Address {
         Address::new((raw & self.mask) | self.anti_mask)
-    }
-
-    /// The zero-forcing mask.
-    #[inline]
-    pub fn mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// The one-forcing anti-mask.
-    #[inline]
-    pub fn anti_mask(&self) -> u64 {
-        self.anti_mask
     }
 }
 
@@ -128,7 +116,7 @@ impl AccessPattern {
     }
 
     /// Number of distinct vaults the pattern touches.
-    pub fn vault_count(&self) -> u8 {
+    pub(crate) fn vault_count(&self) -> u8 {
         match *self {
             AccessPattern::Banks { .. } => 1,
             AccessPattern::Vaults { count } => count,
@@ -136,7 +124,7 @@ impl AccessPattern {
     }
 
     /// Number of distinct banks the pattern touches per vault.
-    pub fn banks_per_vault(&self, map: &AddressMap) -> u8 {
+    pub(crate) fn banks_per_vault(&self, map: &AddressMap) -> u8 {
         match *self {
             AccessPattern::Banks { count, .. } => count,
             AccessPattern::Vaults { .. } => map.geometry().banks_per_vault,
@@ -201,24 +189,10 @@ impl fmt::Display for AccessPattern {
     }
 }
 
-/// Convenience: the filter that confines random accesses to exactly one
-/// bank of one vault (the paper's least-distributed pattern).
-pub fn single_bank_filter(map: &AddressMap, vault: VaultId, bank: BankId) -> AddressFilter {
-    let g = map.geometry();
-    assert!(
-        vault.0 < g.vaults && bank.0 < g.banks_per_vault,
-        "location out of range"
-    );
-    let vault_field = (u64::from(g.vaults) - 1) << map.vault_shift();
-    let bank_field = (u64::from(g.banks_per_vault) - 1) << map.bank_shift();
-    let mask = !(vault_field | bank_field);
-    let anti = (u64::from(vault.0) << map.vault_shift()) | (u64::from(bank.0) << map.bank_shift());
-    AddressFilter::new(mask, anti)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::BankId;
     use std::collections::BTreeSet;
 
     fn map() -> AddressMap {
@@ -275,11 +249,15 @@ mod tests {
     #[test]
     fn single_bank_filter_pins_both_fields() {
         let m = map();
-        let f = single_bank_filter(&m, VaultId(9), BankId(13));
+        let p = AccessPattern::Banks {
+            vault: VaultId(9),
+            count: 1,
+        };
+        let f = p.filter(&m);
         for raw in raws() {
             let loc = m.decode(f.apply(raw));
             assert_eq!(loc.vault, VaultId(9));
-            assert_eq!(loc.bank, BankId(13));
+            assert_eq!(loc.bank, BankId(0));
         }
     }
 

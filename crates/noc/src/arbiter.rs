@@ -21,7 +21,6 @@
 pub struct RoundRobinArbiter {
     n: usize,
     next: usize,
-    grants: u64,
     conflicts: u64,
 }
 
@@ -36,21 +35,8 @@ impl RoundRobinArbiter {
         RoundRobinArbiter {
             n,
             next: 0,
-            grants: 0,
             conflicts: 0,
         }
-    }
-
-    /// Number of requesters.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always `false`: the constructor rejects zero requesters.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Grants to the first ready requester at or after the priority
@@ -77,7 +63,6 @@ impl RoundRobinArbiter {
         }
         if let Some(w) = winner {
             self.next = (w + 1) % self.n;
-            self.grants += 1;
             if contenders > 1 {
                 self.conflicts += 1;
             }
@@ -123,17 +108,10 @@ impl RoundRobinArbiter {
             ready.trailing_zeros() as usize
         };
         self.next = (w + 1) % self.n;
-        self.grants += 1;
         if ready.count_ones() > 1 {
             self.conflicts += 1;
         }
         Some(w)
-    }
-
-    /// Total grants issued.
-    #[inline]
-    pub fn grants(&self) -> u64 {
-        self.grants
     }
 
     /// Grants for which more than one requester was ready — a direct
@@ -185,7 +163,6 @@ mod tests {
         let mut a = RoundRobinArbiter::new(3);
         a.grant(|_| true); // 3 contenders
         a.grant(|i| i == 0); // 1 contender
-        assert_eq!(a.grants(), 2);
         assert_eq!(a.conflicts(), 1);
     }
 

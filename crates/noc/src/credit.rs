@@ -13,7 +13,7 @@
 /// ## Starvation notification
 ///
 /// A failed [`Credits::try_take`] (or an explicit
-/// [`Credits::mark_starved`]) records that a consumer is blocked on this
+/// `Credits::mark_starved`) records that a consumer is blocked on this
 /// pool. The next [`Credits::put`] then returns `true` — "a blocked
 /// consumer may now progress" — which event-driven callers use to trigger
 /// exactly one service pass instead of polling the pool every cycle. A
@@ -49,12 +49,6 @@ impl Credits {
         }
     }
 
-    /// The total credit pool size.
-    #[inline]
-    pub fn max(&self) -> u32 {
-        self.max
-    }
-
     /// Credits currently available to spend.
     #[inline]
     pub fn available(&self) -> u32 {
@@ -69,7 +63,7 @@ impl Credits {
 
     /// `true` if `n` credits can be taken.
     #[inline]
-    pub fn can_take(&self, n: u32) -> bool {
+    pub(crate) fn can_take(&self, n: u32) -> bool {
         self.available >= n
     }
 
@@ -89,14 +83,8 @@ impl Credits {
     /// a take — for callers that gate on [`Credits::can_take`] (e.g. an
     /// arbiter predicate that must not mutate).
     #[inline]
-    pub fn mark_starved(&mut self) {
+    pub(crate) fn mark_starved(&mut self) {
         self.starved = true;
-    }
-
-    /// `true` if a consumer is currently recorded as blocked on this pool.
-    #[inline]
-    pub fn is_starved(&self) -> bool {
-        self.starved
     }
 
     /// Returns `n` credits to the pool. Returns `true` if a consumer was
@@ -142,9 +130,9 @@ mod tests {
         assert!(c.try_take(4));
         assert!(!c.put(1), "no consumer waiting");
         assert!(!c.try_take(4), "blocked: marks starved");
-        assert!(c.is_starved());
+        assert!(c.starved);
         assert!(c.put(1), "return while a consumer waits notifies");
-        assert!(!c.is_starved(), "notification clears the flag");
+        assert!(!c.starved, "notification clears the flag");
         assert!(!c.put(2), "flag does not linger");
     }
 

@@ -1,4 +1,4 @@
-//! Bounded FIFO queues with occupancy statistics.
+//! Bounded FIFO queues.
 
 use std::collections::VecDeque;
 
@@ -9,7 +9,6 @@ pub struct QueueFull<T>(pub T);
 
 /// A FIFO with a fixed capacity, the building block of every buffer in the
 /// modelled system (port FIFOs, link input buffers, vault command queues).
-/// Tracks peak occupancy so experiments can report where queuing happened.
 ///
 /// # Examples
 ///
@@ -21,14 +20,12 @@ pub struct QueueFull<T>(pub T);
 /// q.push(2).unwrap();
 /// assert!(q.push(3).is_err());
 /// assert_eq!(q.pop(), Some(1));
-/// assert_eq!(q.peak_occupancy(), 2);
+/// assert_eq!(q.free(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    peak: usize,
-    total_enqueued: u64,
 }
 
 impl<T> BoundedQueue<T> {
@@ -42,15 +39,7 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::new(),
             capacity,
-            peak: 0,
-            total_enqueued: 0,
         }
-    }
-
-    /// The configured capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current occupancy.
@@ -87,8 +76,6 @@ impl<T> BoundedQueue<T> {
             return Err(QueueFull(item));
         }
         self.items.push_back(item);
-        self.peak = self.peak.max(self.items.len());
-        self.total_enqueued += 1;
         Ok(())
     }
 
@@ -100,23 +87,6 @@ impl<T> BoundedQueue<T> {
     /// Borrows the oldest item.
     pub fn peek(&self) -> Option<&T> {
         self.items.front()
-    }
-
-    /// Iterates oldest-first without consuming.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// Highest occupancy ever observed.
-    #[inline]
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak
-    }
-
-    /// Total items ever enqueued.
-    #[inline]
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
     }
 }
 
@@ -135,14 +105,13 @@ impl<T> BoundedQueue<T> {
 /// assert!(!q.can_accept(2));
 /// q.push(1, "small request").unwrap();
 /// assert_eq!(q.pop(), Some((9, "big response")));
-/// assert_eq!(q.occupancy_flits(), 1);
+/// assert!(q.can_accept(9) && !q.can_accept(10));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlitQueue<T> {
     items: VecDeque<(u32, T)>,
     capacity_flits: u32,
     occupancy: u32,
-    peak: u32,
 }
 
 impl<T> FlitQueue<T> {
@@ -157,26 +126,7 @@ impl<T> FlitQueue<T> {
             items: VecDeque::new(),
             capacity_flits,
             occupancy: 0,
-            peak: 0,
         }
-    }
-
-    /// The configured capacity in flits.
-    #[inline]
-    pub fn capacity_flits(&self) -> u32 {
-        self.capacity_flits
-    }
-
-    /// Current occupancy in flits.
-    #[inline]
-    pub fn occupancy_flits(&self) -> u32 {
-        self.occupancy
-    }
-
-    /// Highest occupancy observed, in flits.
-    #[inline]
-    pub fn peak_flits(&self) -> u32 {
-        self.peak
     }
 
     /// Number of queued items.
@@ -186,6 +136,8 @@ impl<T> FlitQueue<T> {
     }
 
     /// `true` when no items are queued.
+    ///
+    /// Kept public beside `len`, as clippy's `len_without_is_empty` asks.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
@@ -212,7 +164,6 @@ impl<T> FlitQueue<T> {
             return Err(QueueFull(item));
         }
         self.occupancy += flits;
-        self.peak = self.peak.max(self.occupancy);
         self.items.push_back((flits, item));
         Ok(())
     }
@@ -257,23 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_peak_and_total() {
-        let mut q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.pop();
-        q.push(3).unwrap();
-        assert_eq!(q.peak_occupancy(), 2);
-        assert_eq!(q.total_enqueued(), 3);
-    }
-
-    #[test]
     fn peek_and_iter_do_not_consume() {
         let mut q = BoundedQueue::new(2);
         q.push(10).unwrap();
         q.push(20).unwrap();
         assert_eq!(q.peek(), Some(&10));
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![10, 20]);
         assert_eq!(q.len(), 2);
     }
 
@@ -292,8 +231,8 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek(), Some((9, &'a')));
         assert_eq!(q.pop(), Some((9, 'a')));
-        assert_eq!(q.occupancy_flits(), 3);
-        assert_eq!(q.peak_flits(), 12);
+        assert!(q.can_accept(9));
+        assert!(q.is_full_for(10));
     }
 
     impl<T> FlitQueue<T> {

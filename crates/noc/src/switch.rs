@@ -38,7 +38,7 @@ impl SwitchConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.inputs == 0 || self.outputs == 0 {
             return Err("switch needs at least one input and one output".to_owned());
         }
@@ -228,12 +228,6 @@ impl<P> SwitchCore<P> {
         }
     }
 
-    /// The configuration in effect.
-    #[inline]
-    pub fn config(&self) -> &SwitchConfig {
-        &self.cfg
-    }
-
     /// `true` if input `i` has room for `flits` more flits.
     pub fn can_accept(&self, input: usize, flits: u32) -> bool {
         self.input_flits[input] + flits <= self.input_capacities[input]
@@ -374,11 +368,6 @@ impl<P> SwitchCore<P> {
             .min()
     }
 
-    /// Current occupancy of input `i`, in flits.
-    pub fn input_occupancy_flits(&self, input: usize) -> u32 {
-        self.input_flits[input]
-    }
-
     /// Peak occupancy of input `i`, in flits.
     pub fn peak_input_flits(&self, input: usize) -> u32 {
         self.peak_input_flits[input]
@@ -505,7 +494,7 @@ mod tests {
         assert!(!sw.can_accept(0, 9));
         let err = sw.try_enqueue(0, entry(0, 9, 3)).unwrap_err();
         assert_eq!(err.0.payload, 3);
-        assert_eq!(sw.input_occupancy_flits(0), 27);
+        assert_eq!(sw.input_flits[0], 27);
         assert_eq!(sw.peak_input_flits(0), 27);
     }
 

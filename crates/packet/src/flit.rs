@@ -23,23 +23,6 @@ pub const fn flits_to_bytes(flits: u32) -> u64 {
     flits as u64 * FLIT_BYTES as u64
 }
 
-/// The bandwidth efficiency of a packet: data bytes over total bytes.
-///
-/// Section IV-A: a 16 B read response moves 16 B of data in 32 B of packet
-/// (50% efficient), while a 128 B response moves 128 B in 144 B (≈89%).
-///
-/// # Examples
-///
-/// ```
-/// let eff = hmc_packet::bandwidth_efficiency(128, 144);
-/// assert!((eff - 0.888).abs() < 0.001);
-/// ```
-#[inline]
-pub fn bandwidth_efficiency(data_bytes: u64, total_bytes: u64) -> f64 {
-    assert!(total_bytes > 0, "packet has at least one flit");
-    data_bytes as f64 / total_bytes as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,15 +36,12 @@ mod tests {
 
     #[test]
     fn efficiency_matches_paper_examples() {
-        // Section IV-A quotes 16/(16+16) = 50% and 128/(128+16) = 89%.
-        assert_eq!(bandwidth_efficiency(16, 32), 0.5);
-        let large = bandwidth_efficiency(128, 144);
-        assert!((large - 0.8888888).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one flit")]
-    fn efficiency_rejects_empty_packets() {
-        let _ = bandwidth_efficiency(0, 0);
+        // Section IV-A quotes 16/(16+16) = 50% and 128/(128+16) = 89%:
+        // data bytes over the bytes of the data flits plus one overhead flit.
+        let efficiency = |data: u32| {
+            f64::from(data) / flits_to_bytes(data / FLIT_BYTES as u32 + OVERHEAD_FLITS) as f64
+        };
+        assert_eq!(efficiency(16), 0.5);
+        assert!((efficiency(128) - 0.8888888).abs() < 1e-6);
     }
 }

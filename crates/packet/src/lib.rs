@@ -31,7 +31,7 @@ mod packet;
 mod size;
 
 pub use address::{Address, AddressOverflow, CubeId, GlobalAddress, LinkId, PortId, Tag};
-pub use flit::{bandwidth_efficiency, flits_to_bytes, FLIT_BYTES, OVERHEAD_FLITS};
+pub use flit::{flits_to_bytes, FLIT_BYTES, OVERHEAD_FLITS};
 pub use packet::{
     FlowType, LinkSeq, RequestKind, RequestPacket, ResponsePacket, CRC_BITS, RETRY_POINTER_BITS,
     SEQ_BITS,

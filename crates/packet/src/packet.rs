@@ -32,7 +32,7 @@ pub enum RequestKind {
 impl RequestKind {
     /// The data payload this request's *response* will carry.
     #[inline]
-    pub fn response_data(self) -> Option<PayloadSize> {
+    pub(crate) fn response_data(self) -> Option<PayloadSize> {
         match self {
             RequestKind::Read { size } => Some(size),
             RequestKind::Write { .. } | RequestKind::ReadModifyWrite => None,
@@ -237,12 +237,6 @@ impl LinkSeq {
     pub fn next(self) -> LinkSeq {
         LinkSeq((self.0 + 1) % LinkSeq::MODULUS)
     }
-
-    /// `true` if `other` is the packet expected right after `self`.
-    #[inline]
-    pub fn precedes(self, other: LinkSeq) -> bool {
-        self.next() == other
-    }
 }
 
 #[cfg(test)]
@@ -327,7 +321,6 @@ mod tests {
         let mut s = LinkSeq::default();
         for _ in 0..LinkSeq::MODULUS {
             let n = s.next();
-            assert!(s.precedes(n));
             assert!(n.0 < LinkSeq::MODULUS);
             s = n;
         }

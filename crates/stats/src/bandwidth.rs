@@ -1,4 +1,4 @@
-//! Bandwidth accounting and Little's-law estimation.
+//! Bandwidth accounting.
 
 use core::fmt;
 
@@ -17,8 +17,9 @@ use core::fmt;
 /// let mut bw = BandwidthMeter::new();
 /// bw.add_bytes(160);
 /// bw.add_bytes(160);
-/// // 320 bytes in 16 ns = 20 GB/s.
-/// assert_eq!(bw.gb_per_s(16_000), 20.0);
+/// assert_eq!(bw.bytes(), 320);
+/// // 2 accesses in 16 ns = 125 M accesses/s.
+/// assert_eq!(bw.accesses_per_s(16_000), 1.25e8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BandwidthMeter {
@@ -50,16 +51,6 @@ impl BandwidthMeter {
         self.accesses
     }
 
-    /// Bandwidth in GB/s (10⁹ B/s) over an elapsed window of `elapsed_ps`
-    /// picoseconds. Returns 0 for an empty window.
-    pub fn gb_per_s(&self, elapsed_ps: u64) -> f64 {
-        if elapsed_ps == 0 {
-            return 0.0;
-        }
-        // bytes / (ps * 1e-12 s) / 1e9 = bytes * 1e3 / ps.
-        self.bytes as f64 * 1e3 / elapsed_ps as f64
-    }
-
     /// Access throughput in accesses per second over `elapsed_ps`.
     pub fn accesses_per_s(&self, elapsed_ps: u64) -> f64 {
         if elapsed_ps == 0 {
@@ -69,6 +60,9 @@ impl BandwidthMeter {
     }
 
     /// Merges another meter into this one.
+    ///
+    /// Kept public with the unit tests that check it; only those tests
+    /// call it (see ROADMAP).
     pub fn merge(&mut self, other: &BandwidthMeter) {
         self.bytes += other.bytes;
         self.accesses += other.accesses;
@@ -86,41 +80,9 @@ impl fmt::Display for BandwidthMeter {
     }
 }
 
-/// Little's law: the mean number of requests resident in a stationary
-/// system equals arrival rate × mean time in system.
-///
-/// The paper uses this to infer the queue capacity of a vault controller
-/// from saturated-bandwidth measurements (Section IV-F, Figure 14): it
-/// measures latency at the saturation point, multiplies by the input rate,
-/// and divides by the request size to count outstanding *requests*.
-///
-/// # Examples
-///
-/// ```
-/// // 10 GB/s of 128 B data payloads at 3.5 µs latency:
-/// let n = hmc_stats::little_law_outstanding(10.0e9, 3.5e-6, 128);
-/// assert!((n - 273.4).abs() < 0.1);
-/// ```
-pub fn little_law_outstanding(data_bytes_per_s: f64, latency_s: f64, request_bytes: u32) -> f64 {
-    assert!(request_bytes > 0, "request size must be positive");
-    assert!(
-        data_bytes_per_s >= 0.0 && latency_s >= 0.0,
-        "rates must be non-negative"
-    );
-    data_bytes_per_s * latency_s / f64::from(request_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gb_per_s_uses_decimal_gigabytes() {
-        let mut bw = BandwidthMeter::new();
-        bw.add_bytes(30_000_000_000);
-        // 30e9 bytes in 1 s.
-        assert_eq!(bw.gb_per_s(1_000_000_000_000), 30.0);
-    }
 
     #[test]
     fn peak_link_bandwidth_equation_1() {
@@ -133,7 +95,6 @@ mod tests {
     #[test]
     fn empty_window_is_zero() {
         let bw = BandwidthMeter::new();
-        assert_eq!(bw.gb_per_s(0), 0.0);
         assert_eq!(bw.accesses_per_s(0), 0.0);
     }
 
@@ -158,19 +119,5 @@ mod tests {
         assert_eq!(a.accesses(), 2);
         a.reset();
         assert_eq!(a.bytes(), 0);
-    }
-
-    #[test]
-    fn little_law_basics() {
-        // 1 req/s of 1-byte requests at 1 s latency → 1 outstanding.
-        assert_eq!(little_law_outstanding(1.0, 1.0, 1), 1.0);
-        // Scaling throughput scales occupancy linearly.
-        assert_eq!(little_law_outstanding(64.0, 0.5, 32), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn little_law_rejects_zero_size() {
-        let _ = little_law_outstanding(1.0, 1.0, 0);
     }
 }

@@ -17,8 +17,9 @@ use core::fmt;
 /// extremes and nothing can fall outside it; when a fixed range is reused
 /// (e.g. across runs), clamped samples would otherwise silently distort
 /// the edge bins. The histogram therefore also counts how many samples
-/// clamped on each side ([`clamped_lo`](Histogram::clamped_lo) /
-/// [`clamped_hi`](Histogram::clamped_hi)) so reports can surface them.
+/// clamped ([`clamped`](Histogram::clamped), and
+/// [`clamped_hi`](Histogram::clamped_hi) for the top edge) so reports can
+/// surface them.
 ///
 /// # Examples
 ///
@@ -76,20 +77,19 @@ impl Histogram {
 
     /// Number of bins.
     #[inline]
-    pub fn bins(&self) -> usize {
+    pub(crate) fn bins(&self) -> usize {
         self.counts.len()
     }
 
     /// The width of each bin.
     #[inline]
-    pub fn bin_width(&self) -> f64 {
+    pub(crate) fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
     /// Records a sample, clamping out-of-range values into the edge bins
     /// (see the type-level docs: clamp, not drop). Clamped samples are
-    /// additionally tallied in [`clamped_lo`](Histogram::clamped_lo) /
-    /// [`clamped_hi`](Histogram::clamped_hi).
+    /// additionally tallied per side.
     ///
     /// # Panics
     ///
@@ -104,12 +104,6 @@ impl Histogram {
         let idx = ((x - self.lo) / self.bin_width()).floor();
         let idx = (idx.max(0.0) as usize).min(self.counts.len() - 1);
         self.counts[idx] += 1;
-    }
-
-    /// Samples that fell below `lo` and clamped into the first bin.
-    #[inline]
-    pub fn clamped_lo(&self) -> u64 {
-        self.clamped_lo
     }
 
     /// Samples at or above `hi` that clamped into the last bin.
@@ -148,16 +142,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Per-bin counts normalized by the largest bin (the paper's Figure 12
-    /// normalization: per-row maximum).
-    pub fn normalized_by_max(&self) -> Vec<f64> {
-        let max = self.counts.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / max as f64).collect()
-    }
-
     /// The midpoint value of bin `i`.
     ///
     /// # Panics
@@ -168,20 +152,10 @@ impl Histogram {
         self.lo + (i as f64 + 0.5) * self.bin_width()
     }
 
-    /// The `[start, end)` bounds of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.counts.len(), "bin index out of range");
-        (
-            self.lo + i as f64 * self.bin_width(),
-            self.lo + (i + 1) as f64 * self.bin_width(),
-        )
-    }
-
     /// Merges another histogram with identical geometry.
+    ///
+    /// Kept public with the unit tests that check it; only those tests
+    /// call it (see ROADMAP).
     ///
     /// # Panics
     ///
@@ -247,7 +221,7 @@ impl SharedRange {
     }
 
     /// The observed `(min, max)`, if any samples were seen.
-    pub fn bounds(&self) -> Option<(f64, f64)> {
+    pub(crate) fn bounds(&self) -> Option<(f64, f64)> {
         Some((self.min?, self.max?))
     }
 
@@ -295,7 +269,7 @@ mod tests {
         // Clamp, not drop: the total is conserved and both sides are
         // tallied separately.
         assert_eq!(h.count(), 3);
-        assert_eq!(h.clamped_lo(), 1);
+        assert_eq!(h.clamped_lo, 1);
         assert_eq!(h.clamped_hi(), 2);
         assert_eq!(h.clamped(), 3);
     }
@@ -317,7 +291,7 @@ mod tests {
         b.record(11.0);
         b.record(5.0);
         a.merge(&b);
-        assert_eq!(a.clamped_lo(), 1);
+        assert_eq!(a.clamped_lo, 1);
         assert_eq!(a.clamped_hi(), 1);
         assert_eq!(a.count(), 3);
     }
@@ -330,15 +304,13 @@ mod tests {
         }
         let total: f64 = h.normalized().iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
-        let by_max = h.normalized_by_max();
-        assert_eq!(by_max[1], 1.0);
+        assert_eq!(h.normalized()[1], 0.5);
     }
 
     #[test]
     fn empty_normalizations_are_zero() {
         let h = Histogram::new(0.0, 1.0, 3);
         assert_eq!(h.normalized(), vec![0.0; 3]);
-        assert_eq!(h.normalized_by_max(), vec![0.0; 3]);
     }
 
     #[test]
@@ -346,7 +318,7 @@ mod tests {
         let h = Histogram::new(10.0, 20.0, 5);
         assert_eq!(h.bin_width(), 2.0);
         assert_eq!(h.bin_center(0), 11.0);
-        assert_eq!(h.bin_bounds(4), (18.0, 20.0));
+        assert_eq!(h.bin_center(4), 19.0);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! holding the FPGA monitoring logic's aggregate counters plus quantiles,
 //! bandwidth accounting in the paper's units, fixed-range histograms for
 //! the heatmap figures, Welford summaries for the average/σ figures,
-//! Little's-law occupancy estimation, and a small table renderer for
-//! experiment reports.
+//! and a small table renderer for experiment reports.
 //!
 //! ```
 //! use hmc_stats::{BandwidthMeter, LatencySketch};
@@ -16,7 +15,7 @@
 //! lat.record_ps(2_000_000);
 //! bw.add_bytes(160);
 //! assert_eq!(lat.mean_us(), 2.0);
-//! assert_eq!(bw.gb_per_s(2_000_000), 0.08);
+//! assert_eq!(bw.accesses_per_s(2_000_000), 500_000.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -29,7 +28,7 @@ mod summary;
 mod table;
 mod validate;
 
-pub use bandwidth::{little_law_outstanding, BandwidthMeter};
+pub use bandwidth::BandwidthMeter;
 pub use histogram::{Histogram, SharedRange};
 pub use sketch::LatencySketch;
 pub use summary::Summary;

@@ -39,15 +39,6 @@ impl Summary {
         }
     }
 
-    /// Builds a summary over an iterator of samples.
-    pub fn from_samples<I: IntoIterator<Item = f64>>(samples: I) -> Summary {
-        let mut s = Summary::new();
-        for x in samples {
-            s.record(x);
-        }
-        s
-    }
-
     /// Adds one sample.
     ///
     /// # Panics
@@ -63,12 +54,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Number of samples recorded.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Arithmetic mean, or 0 for an empty summary.
     #[inline]
     pub fn mean(&self) -> f64 {
@@ -77,7 +62,7 @@ impl Summary {
 
     /// Population variance (divides by `n`), or 0 with fewer than one
     /// sample.
-    pub fn population_variance(&self) -> f64 {
+    pub(crate) fn population_variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -90,27 +75,10 @@ impl Summary {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (divides by `n − 1`), or 0 with fewer than two
-    /// samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Smallest sample, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Merges another summary into this one (parallel-sweep reduction).
+    ///
+    /// Kept public with the unit tests that check it; only those tests
+    /// call it (see ROADMAP).
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
             return;
@@ -149,33 +117,37 @@ impl fmt::Display for Summary {
 mod tests {
     use super::*;
 
+    fn summary_of(samples: impl IntoIterator<Item = f64>) -> Summary {
+        let mut s = Summary::new();
+        for x in samples {
+            s.record(x);
+        }
+        s
+    }
+
     #[test]
     fn welford_matches_direct_computation() {
         let xs = [1.0, 2.5, 3.5, 10.0, -4.0, 7.25];
-        let s = Summary::from_samples(xs);
+        let s = summary_of(xs);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.population_variance() - var).abs() < 1e-12);
-        assert_eq!(s.min(), Some(-4.0));
-        assert_eq!(s.max(), Some(10.0));
+        assert_eq!((s.min, s.max), (-4.0, 10.0));
     }
 
     #[test]
     fn empty_summary_is_safe() {
         let s = Summary::new();
-        assert_eq!(s.count(), 0);
+        assert_eq!(s.count, 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
     }
 
     #[test]
     fn single_sample_has_zero_variance() {
-        let s = Summary::from_samples([42.0]);
+        let s = summary_of([42.0]);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.mean(), 42.0);
     }
 
@@ -183,20 +155,19 @@ mod tests {
     fn merge_equals_concatenation() {
         let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
         let (a, b) = xs.split_at(20);
-        let mut left = Summary::from_samples(a.iter().copied());
-        let right = Summary::from_samples(b.iter().copied());
+        let mut left = summary_of(a.iter().copied());
+        let right = summary_of(b.iter().copied());
         left.merge(&right);
-        let whole = Summary::from_samples(xs.iter().copied());
-        assert_eq!(left.count(), whole.count());
+        let whole = summary_of(xs.iter().copied());
+        assert_eq!(left.count, whole.count);
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
         assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
+        assert_eq!((left.min, left.max), (whole.min, whole.max));
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let mut s = Summary::from_samples([1.0, 2.0]);
+        let mut s = summary_of([1.0, 2.0]);
         let before = s;
         s.merge(&Summary::new());
         assert_eq!(s, before);

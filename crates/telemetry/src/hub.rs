@@ -59,7 +59,7 @@ pub struct Hub {
 
 impl Hub {
     /// Creates an empty hub.
-    pub fn new(cfg: HubConfig) -> Hub {
+    pub(crate) fn new(cfg: HubConfig) -> Hub {
         Hub {
             cfg,
             origin: Time::ZERO,
@@ -78,7 +78,7 @@ impl Hub {
     /// the sketch and re-anchors epoch 0. Called when the warmup window
     /// ends so both cover only the measured interval. The tracer is
     /// *not* cleared — packet lifecycles span the boundary.
-    pub fn reset_window(&mut self, now: Time) {
+    pub(crate) fn reset_window(&mut self, now: Time) {
         self.origin = now;
         self.epochs.clear();
         self.latency = LatencySketch::new();
@@ -130,6 +130,9 @@ impl Hub {
     }
 
     /// Every completion of the window in one sketch.
+    ///
+    /// Kept public until the benchmark reads its tails from
+    /// `RunReport::latency_tail_ps`; then the hub's sketch goes with it.
     pub fn aggregate_sketch(&self) -> &LatencySketch {
         &self.latency
     }
@@ -141,7 +144,7 @@ impl Hub {
     }
 
     /// Whether the sampled packet tracer is active.
-    pub fn tracing(&self) -> bool {
+    pub(crate) fn tracing(&self) -> bool {
         self.tracer.enabled()
     }
 

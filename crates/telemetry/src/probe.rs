@@ -37,7 +37,7 @@ impl Probe {
     }
 
     /// Whether events reach a hub whose packet tracer is sampling
-    /// ([`Hub::tracing`](crate::Hub::tracing)); `false` when detached. A
+    /// (`Hub::tracing`); `false` when detached. A
     /// fabric simulation reads this to keep traced runs on one engine
     /// domain, the only schedule that preserves issue order.
     pub fn tracing(&self) -> bool {
@@ -46,7 +46,7 @@ impl Probe {
 
     /// Whether events reach a hub.
     #[inline]
-    pub fn is_on(&self) -> bool {
+    pub(crate) fn is_on(&self) -> bool {
         self.hub.is_some()
     }
 

@@ -44,7 +44,7 @@ impl Stage {
     ];
 
     /// Human-readable track name.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Stage::Issue => "port issue",
             Stage::HostLink => "host link",
@@ -59,7 +59,7 @@ impl Stage {
 
     /// The Chrome trace `tid` for this stage's track.
     #[inline]
-    pub fn track(self) -> u32 {
+    pub(crate) fn track(self) -> u32 {
         self as u32
     }
 }

@@ -115,7 +115,7 @@ pub mod source;
 mod trace;
 
 pub use generate::{
-    binomial, linear_reads, random_reads_in_banks, random_reads_in_vaults, vault_combinations,
+    linear_reads, random_reads_in_banks, random_reads_in_vaults, vault_combinations,
     VaultCombinations,
 };
 pub use source::{

@@ -165,7 +165,7 @@ pub enum GupsOp {
 
 impl GupsOp {
     /// The transfer size this op template moves.
-    pub fn payload(&self) -> PayloadSize {
+    pub(crate) fn payload(&self) -> PayloadSize {
         match *self {
             GupsOp::Read(s) | GupsOp::Write(s) => s,
             GupsOp::ReadModifyWrite => PayloadSize::B16,
@@ -477,7 +477,11 @@ impl LinearSource {
     /// one request size. The walk is over the *global* space: a base
     /// beyond one cube's range stays intact until the port's cube
     /// targeting splits it.
-    pub fn new(base: impl Into<GlobalAddress>, size: PayloadSize, count: u64) -> LinearSource {
+    pub(crate) fn new(
+        base: impl Into<GlobalAddress>,
+        size: PayloadSize,
+        count: u64,
+    ) -> LinearSource {
         LinearSource {
             next_addr: base.into().raw(),
             size,
@@ -602,6 +606,9 @@ impl PointerChase {
     ///
     /// Panics on a multi-walker chase, whose interleaving depends on
     /// completion order.
+    ///
+    /// Kept public as the serial-replay oracle of `hmc-sim`'s
+    /// `tests/full_system.rs`.
     pub fn unrolled_trace(&self) -> Trace {
         assert_eq!(
             self.remaining.len(),
@@ -762,11 +769,6 @@ impl OffloadSource {
         let row = (i / banks) % self.map.rows_per_bank();
         self.fabric
             .join(self.src_cube, self.map.encode(self.src, bank, row, 0))
-    }
-
-    /// Pairs retired so far (read and dependent write both completed).
-    pub fn pairs_retired(&self) -> u64 {
-        self.retired
     }
 }
 
@@ -959,7 +961,7 @@ mod tests {
         let mut src = OffloadSource::new(&m, VaultId(0), VaultId(8), PayloadSize::B128, 30, 4);
         let ops = drain(&mut src, 4, 1000);
         assert_eq!(ops.len(), 60, "30 reads + 30 writes");
-        assert_eq!(src.pairs_retired(), 30);
+        assert_eq!(src.retired, 30);
         let reads: Vec<&TraceOp> = ops.iter().filter(|op| op.kind.is_read()).collect();
         let writes: Vec<&TraceOp> = ops.iter().filter(|op| !op.kind.is_read()).collect();
         assert_eq!(reads.len(), 30);

@@ -45,7 +45,7 @@ impl TraceOp {
     }
 
     /// A write of `size` bytes at `addr`.
-    pub fn write(addr: impl Into<GlobalAddress>, size: PayloadSize) -> TraceOp {
+    pub(crate) fn write(addr: impl Into<GlobalAddress>, size: PayloadSize) -> TraceOp {
         TraceOp {
             addr: addr.into(),
             kind: RequestKind::Write { size },
@@ -159,11 +159,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// An empty trace.
-    pub fn new() -> Trace {
-        Trace::default()
-    }
-
     /// Wraps a list of operations.
     pub fn from_ops(ops: Vec<TraceOp>) -> Trace {
         Trace { ops }
@@ -190,6 +185,8 @@ impl Trace {
     }
 
     /// Renders the text format.
+    ///
+    /// Kept public as the round-trip oracle of `tests/parse_prop.rs`.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for op in &self.ops {
@@ -200,7 +197,7 @@ impl Trace {
     }
 
     /// The operations, in issue order.
-    pub fn ops(&self) -> &[TraceOp] {
+    pub(crate) fn ops(&self) -> &[TraceOp] {
         &self.ops
     }
 
@@ -210,13 +207,10 @@ impl Trace {
     }
 
     /// `true` if the trace has no operations.
+    ///
+    /// Kept public beside `len`, as clippy's `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Appends an operation.
-    pub fn push(&mut self, op: TraceOp) {
-        self.ops.push(op);
     }
 }
 
@@ -284,7 +278,7 @@ mod tests {
             .map(|i| TraceOp::read(Address::new(i * 128), PayloadSize::B128))
             .collect();
         assert_eq!(trace.len(), 4);
-        let mut t2 = Trace::new();
+        let mut t2 = Trace::default();
         t2.extend(trace.ops().iter().copied());
         assert_eq!(t2, trace);
     }
