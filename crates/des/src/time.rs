@@ -80,15 +80,6 @@ impl Time {
         self.0 as f64 / 1e3
     }
 
-    /// This instant as (possibly fractional) seconds since the epoch.
-    ///
-    /// Kept public with the unit test that checks it; only that test
-    /// calls it (see ROADMAP).
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e12
-    }
-
     /// The span from `earlier` to `self`, or [`Delay::ZERO`] if `earlier`
     /// is actually later.
     #[inline]
@@ -146,15 +137,6 @@ impl Delay {
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-
-    /// This span in (possibly fractional) seconds.
-    ///
-    /// Kept public with the unit test that checks it; only that test
-    /// calls it (see ROADMAP).
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e12
     }
 
     /// `true` if this span is zero.
@@ -318,12 +300,6 @@ mod tests {
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
         assert_eq!(Delay::from_ns(1).max(Delay::from_ns(2)), Delay::from_ns(2));
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        assert_eq!(Time::from_us(1_000_000).as_secs_f64(), 1.0);
-        assert_eq!(Delay::from_us(1_000_000).as_secs_f64(), 1.0);
     }
 
     #[test]

@@ -40,22 +40,12 @@ pub struct AccessTiming {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Bank {
     free_at: Time,
-    accesses: u64,
 }
 
 impl Bank {
     /// A bank that is idle at time zero.
     pub fn new() -> Bank {
         Bank::default()
-    }
-
-    /// Total accesses serviced.
-    ///
-    /// Kept public with the unit test that checks it; only that test
-    /// calls it (see ROADMAP).
-    #[inline]
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Schedules a closed-page read of `bursts` 32 B beats.
@@ -72,7 +62,7 @@ impl Bank {
         let last_col_done = start + t.t_rcd + t.t_ccd * bursts;
         let pre_start = last_col_done.max(start + t.t_ras);
         let bank_free = pre_start + t.t_rp;
-        self.complete(bank_free);
+        self.free_at = bank_free;
         AccessTiming {
             start,
             data_ready,
@@ -97,17 +87,12 @@ impl Bank {
         let data_ready = last_data;
         let pre_start = (last_data + t.t_wr).max(start + t.t_ras);
         let bank_free = pre_start + t.t_rp;
-        self.complete(bank_free);
+        self.free_at = bank_free;
         AccessTiming {
             start,
             data_ready,
             bank_free,
         }
-    }
-
-    fn complete(&mut self, bank_free: Time) {
-        self.accesses += 1;
-        self.free_at = bank_free;
     }
 }
 
@@ -173,15 +158,6 @@ mod tests {
         // last data at tRCD + tCCD = 16.95 ns; +tWR = 31.95 > tRAS;
         // +tRP → 45.7 ns.
         assert_eq!(a.bank_free.as_ps(), 13_750 + 3_200 + 15_000 + 13_750);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let t = t();
-        let mut b = Bank::new();
-        b.schedule_read(Time::ZERO, 1, &t);
-        b.schedule_read(Time::ZERO, 1, &t);
-        assert_eq!(b.accesses(), 2);
     }
 
     #[test]

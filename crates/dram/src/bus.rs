@@ -26,7 +26,6 @@ use hmc_des::{Delay, Time};
 pub struct DataBus {
     beat: Delay,
     free_at: Time,
-    busy_ps: u64,
 }
 
 impl DataBus {
@@ -40,7 +39,6 @@ impl DataBus {
         DataBus {
             beat,
             free_at: Time::ZERO,
-            busy_ps: 0,
         }
     }
 
@@ -55,19 +53,7 @@ impl DataBus {
         let start = earliest.max(self.free_at);
         let end = start + self.beat * beats;
         self.free_at = end;
-        self.busy_ps += (end - start).as_ps();
         (start, end)
-    }
-
-    /// Bus utilization over a window of `elapsed`.
-    ///
-    /// Kept public with the unit test that checks it; only that test
-    /// calls it (see ROADMAP).
-    pub fn utilization(&self, elapsed: Delay) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.busy_ps as f64 / elapsed.as_ps() as f64
     }
 }
 
@@ -88,10 +74,11 @@ mod tests {
     fn idle_gap_not_charged() {
         let mut bus = DataBus::new(Delay::from_ps(3_200));
         bus.reserve(Time::ZERO, 1);
-        let (s, _) = bus.reserve(Time::from_ns(100), 1);
+        // A transfer arriving after the bus went idle starts at once and
+        // owes nothing for the gap.
+        let (s, e) = bus.reserve(Time::from_ns(100), 1);
         assert_eq!(s, Time::from_ns(100));
-        // Busy time is 2 beats, not the idle gap.
-        assert_eq!(bus.utilization(Delay::from_ns(200)), 6_400.0 / 200_000.0);
+        assert_eq!(e - s, Delay::from_ps(3_200));
     }
 
     #[test]

@@ -50,27 +50,6 @@ impl VaultMemory {
         }
     }
 
-    /// Immutable view of a bank (for statistics).
-    ///
-    /// Kept public with the unit test that checks it; only that test
-    /// calls it (see ROADMAP).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn bank(&self, bank: usize) -> &Bank {
-        &self.banks[bank]
-    }
-
-    /// The shared data bus (for statistics).
-    ///
-    /// Kept public with the unit test that checks it; only that test
-    /// calls it (see ROADMAP).
-    #[inline]
-    pub fn bus(&self) -> &DataBus {
-        &self.bus
-    }
-
     /// Performs a read of `bursts` 32 B beats from `bank`, issued at `now`.
     /// Returns when the last data beat crosses the TSV bus into the logic
     /// layer.
@@ -174,15 +153,6 @@ mod tests {
         let done = v.write(Time::ZERO, 0, 1);
         // Bus first (3.2 ns), then tRCD + tCCD in the bank.
         assert_eq!(done.as_ps(), 3_200 + 13_750 + 3_200);
-    }
-
-    #[test]
-    fn utilization_reporting() {
-        let mut v = vault();
-        v.read(Time::ZERO, 0, 4);
-        assert!(v.bus().utilization(Delay::from_ns(100)) > 0.0);
-        assert_eq!(v.bank(0).accesses(), 1);
-        assert_eq!(v.bank(1).accesses(), 0);
     }
 
     #[test]

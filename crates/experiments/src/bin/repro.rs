@@ -66,6 +66,7 @@ fn parse_args() -> Result<Args, String> {
         args.scale = scale;
         Ok(())
     };
+    let mut sample_flag = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -102,6 +103,7 @@ fn parse_args() -> Result<Args, String> {
                 if args.trace_sample == 0 {
                     return Err("--trace-sample must be >= 1".to_owned());
                 }
+                sample_flag = true;
             }
             "--deadline" => {
                 let v = it.next().ok_or("--deadline needs a value in seconds")?;
@@ -120,6 +122,9 @@ fn parse_args() -> Result<Args, String> {
             name if !name.starts_with('-') => args.names.push(name.to_owned()),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    if sample_flag && args.trace_out.is_none() {
+        return Err("--trace-sample needs --trace-out".to_owned());
     }
     Ok(args)
 }

@@ -72,6 +72,15 @@ fn trace_and_validate_flags_are_checked() {
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
     }
 
+    // --trace-sample only shapes a --trace-out run; alone it is a usage
+    // error, not a silently ignored flag.
+    let out = repro(&["--trace-sample", "32", "table1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors, ["error: --trace-sample needs --trace-out"], "{err}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+
     // --validate-json accepts exactly well-formed documents.
     let dir = std::env::temp_dir();
     let good = dir.join(format!("repro_cli_good_{}.json", std::process::id()));

@@ -23,9 +23,9 @@ pub use hmc_packet::CubeId;
 /// the configurations HMC chaining supports in practice: a daisy chain
 /// (what the paper's companion study measures), a star with the root as
 /// hub, and a ring closing the chain for path redundancy. The 2-D mesh
-/// and torus extend past shipped silicon: with the CUB field widened to
+/// extends past shipped silicon: with the CUB field widened to
 /// 6 bits a 64-cube chain has a 63-hop worst case, while an 8×8 mesh
-/// caps the diameter at 14 — the constant-degree grids the scale-out
+/// caps the diameter at 14 — the constant-degree grid the scale-out
 /// study needs (see `DESIGN_CUB64.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
@@ -40,10 +40,6 @@ pub enum Topology {
     /// links to its up/down/left/right neighbors. Dimension-ordered
     /// (X-then-Y) routing.
     Mesh2D,
-    /// The mesh with wrap-around links in both dimensions: every cube
-    /// has degree 4 and each dimension routes like a ring (shortest
-    /// direction, clockwise on ties).
-    Torus2D,
 }
 
 impl Topology {
@@ -54,14 +50,13 @@ impl Topology {
             Topology::Star => "star",
             Topology::Ring => "ring",
             Topology::Mesh2D => "mesh",
-            Topology::Torus2D => "torus",
         }
     }
 
-    /// The `(width, height)` of the grid an `n`-cube mesh or torus is
-    /// laid out on: the most-square factorization with `width <= height`
+    /// The `(width, height)` of the grid an `n`-cube mesh is laid out
+    /// on: the most-square factorization with `width <= height`
     /// (64 → 8×8, 32 → 4×8, 8 → 2×4). A prime `n` degenerates to a
-    /// `1 × n` column — a chain (mesh) or ring (torus).
+    /// `1 × n` column — a chain.
     pub fn grid_dims(n: u8) -> (u8, u8) {
         assert!(n >= 1, "a grid needs at least one cube");
         let w = (1..=n)
@@ -99,41 +94,27 @@ impl Topology {
             Topology::Ring => {
                 vec![(c + n - 1) % n, (c + 1) % n]
             }
-            Topology::Mesh2D | Topology::Torus2D => {
+            Topology::Mesh2D => {
                 let (w, h) = Topology::grid_dims(n);
-                let wrap = self == Topology::Torus2D;
                 let (x, y) = (c % w, c / w);
                 let mut v = Vec::with_capacity(4);
-                if w > 1 {
-                    if x > 0 {
-                        v.push(y * w + (x - 1));
-                    } else if wrap {
-                        v.push(y * w + (w - 1));
-                    }
-                    if x + 1 < w {
-                        v.push(y * w + (x + 1));
-                    } else if wrap {
-                        v.push(y * w);
-                    }
+                if x > 0 {
+                    v.push(c - 1);
                 }
-                if h > 1 {
-                    if y > 0 {
-                        v.push((y - 1) * w + x);
-                    } else if wrap {
-                        v.push((h - 1) * w + x);
-                    }
-                    if y + 1 < h {
-                        v.push((y + 1) * w + x);
-                    } else if wrap {
-                        v.push(x);
-                    }
+                if x + 1 < w {
+                    v.push(c + 1);
+                }
+                if y > 0 {
+                    v.push(c - w);
+                }
+                if y + 1 < h {
+                    v.push(c + w);
                 }
                 v
             }
         };
         out.sort_unstable();
-        // Wrap-around in a 2-wide dimension reaches the same neighbor
-        // twice (ring of two, torus column of two).
+        // A ring of two reaches its one neighbor both ways.
         out.dedup();
         out.into_iter().map(CubeId).collect()
     }
@@ -333,7 +314,7 @@ impl FabricConfig {
             if ports > SwitchConfig::MAX_PORTS {
                 return Err(format!(
                     "{c}'s crossbar needs {ports} ports, above the {}-port \
-                     ceiling — use a constant-degree topology (mesh/torus) \
+                     ceiling — use a constant-degree topology (mesh) \
                      for fabrics this large",
                     SwitchConfig::MAX_PORTS
                 ));
@@ -380,7 +361,6 @@ mod tests {
             Topology::Star,
             Topology::Ring,
             Topology::Mesh2D,
-            Topology::Torus2D,
         ] {
             for n in 1..=8 {
                 FabricConfig::ac510(t, n, 0).validate().unwrap_or_else(|e| {
@@ -389,12 +369,7 @@ mod tests {
             }
         }
         // The widened CUB field: every non-hub topology validates at 64.
-        for t in [
-            Topology::Chain,
-            Topology::Ring,
-            Topology::Mesh2D,
-            Topology::Torus2D,
-        ] {
+        for t in [Topology::Chain, Topology::Ring, Topology::Mesh2D] {
             FabricConfig::ac510(t, 64, 0)
                 .validate()
                 .unwrap_or_else(|e| {
@@ -461,16 +436,6 @@ mod tests {
         assert_eq!(
             Topology::Mesh2D.neighbors(8, CubeId(2)),
             vec![CubeId(0), CubeId(3), CubeId(4)]
-        );
-        // Torus wraps both dimensions; the 2-wide x dimension dedups.
-        assert_eq!(
-            Topology::Torus2D.neighbors(8, CubeId(2)),
-            vec![CubeId(0), CubeId(3), CubeId(4)]
-        );
-        // 8×8 torus: interior degree 4 with wraps for the corner.
-        assert_eq!(
-            Topology::Torus2D.neighbors(64, CubeId(0)),
-            vec![CubeId(1), CubeId(7), CubeId(8), CubeId(56)]
         );
         assert_eq!(
             Topology::Mesh2D.neighbors(64, CubeId(0)),

@@ -29,7 +29,7 @@ pub struct PortReport {
     pub bytes: BandwidthMeter,
     /// Read transactions recorded in the measurement window.
     pub reads: u64,
-    /// Write/atomic transactions recorded in the measurement window.
+    /// Write transactions recorded in the measurement window.
     pub writes: u64,
     /// The cube this port statically targeted, or `None` for an
     /// address-targeted (split) stream whose CUB field is derived per
@@ -171,12 +171,13 @@ impl RunReport {
             .count()
     }
 
-    /// Mean read latency in nanoseconds across all ports.
+    /// Mean latency in nanoseconds of every recorded completion, reads
+    /// and writes alike, across all ports.
     pub fn mean_latency_ns(&self) -> f64 {
         self.aggregate_latency().mean_ns()
     }
 
-    /// Mean read latency in microseconds across all ports.
+    /// [`RunReport::mean_latency_ns`] in microseconds.
     pub fn mean_latency_us(&self) -> f64 {
         self.mean_latency_ns() / 1e3
     }

@@ -40,9 +40,8 @@ impl RouteTable {
     ///
     /// Tie-breaking is fixed: on a ring with an even cube count, the two
     /// directions to the antipodal cube are equally long and the
-    /// clockwise (ascending-id) direction is chosen. Mesh and torus use
-    /// dimension-ordered routing (X fully, then Y), each torus dimension
-    /// breaking its antipodal tie clockwise like the ring.
+    /// clockwise (ascending-id) direction is chosen. The mesh uses
+    /// dimension-ordered routing (X fully, then Y).
     ///
     /// # Panics
     ///
@@ -61,13 +60,7 @@ impl RouteTable {
                     src
                 } else {
                     match topology {
-                        Topology::Chain => {
-                            if dst > src {
-                                src + 1
-                            } else {
-                                src - 1
-                            }
-                        }
+                        Topology::Chain => dim_step(src, dst),
                         Topology::Star => {
                             if src == 0 {
                                 dst
@@ -76,16 +69,15 @@ impl RouteTable {
                             }
                         }
                         Topology::Ring => ring_step(src, dst, n),
-                        Topology::Mesh2D | Topology::Torus2D => {
+                        Topology::Mesh2D => {
                             let (w, _) = Topology::grid_dims(n);
-                            let wrap = topology == Topology::Torus2D;
                             let (sx, sy) = (src % w, src / w);
                             let (dx, dy) = (dst % w, dst / w);
                             // Dimension-ordered: correct X first, then Y.
                             if sx != dx {
-                                sy * w + dim_step(sx, dx, w, wrap)
+                                sy * w + dim_step(sx, dx)
                             } else {
-                                dim_step(sy, dy, n / w, wrap) * w + sx
+                                dim_step(sy, dy) * w + sx
                             }
                         }
                     }
@@ -99,7 +91,7 @@ impl RouteTable {
     /// avoids the given permanently dead cube-to-cube links (unordered
     /// pairs — a dead link is dead in both directions).
     ///
-    /// On a ring, mesh or torus the surviving links usually still connect
+    /// On a ring or mesh the surviving links usually still connect
     /// every cube, so traffic reroutes around the dead edge. On a chain
     /// or star any dead link disconnects the fabric, and the build fails
     /// loudly instead of silently dropping the stranded cubes' traffic.
@@ -266,13 +258,10 @@ fn ring_step(src: u8, dst: u8, n: u8) -> u8 {
     }
 }
 
-/// One step from coordinate `a` toward `b` along a grid dimension of
-/// extent `dim`: straight-line on a mesh, ring-style (shortest direction,
-/// clockwise tie-break) when the dimension wraps.
-fn dim_step(a: u8, b: u8, dim: u8, wrap: bool) -> u8 {
-    if wrap {
-        ring_step(a, b, dim)
-    } else if b > a {
+/// One straight-line step from coordinate `a` toward `b` along a chain or
+/// one mesh dimension.
+fn dim_step(a: u8, b: u8) -> u8 {
+    if b > a {
         a + 1
     } else {
         a - 1
@@ -401,18 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_routes_wrap_and_tie_break_clockwise() {
-        let r = RouteTable::for_topology(Topology::Torus2D, 64);
-        r.validate(Topology::Torus2D).unwrap();
-        // (0,0) -> (7,0): one wrap step left beats seven right.
-        assert_eq!(r.next_hop(CubeId(0), CubeId(7)), CubeId(7));
-        // Antipodal in X (distance 4 both ways): clockwise.
-        assert_eq!(r.next_hop(CubeId(0), CubeId(4)), CubeId(1));
-        // Full antipodal corner: 4 + 4 hops.
-        assert_eq!(r.hops(CubeId(0), CubeId(36)), 8, "torus diameter");
-    }
-
-    #[test]
     fn mesh_routes_around_a_dead_edge() {
         // 2×4 mesh of 8: kill the 0-1 edge; 0 -> 1 detours via column 0.
         let r = RouteTable::avoiding(Topology::Mesh2D, 8, &[(0, 1)]).unwrap();
@@ -428,9 +405,6 @@ mod tests {
         let mesh = RouteTable::for_topology(Topology::Mesh2D, 7);
         mesh.validate(Topology::Mesh2D).unwrap();
         assert_eq!(mesh.hops(CubeId(0), CubeId(6)), 6, "1×7 chain");
-        let torus = RouteTable::for_topology(Topology::Torus2D, 7);
-        torus.validate(Topology::Torus2D).unwrap();
-        assert_eq!(torus.hops(CubeId(0), CubeId(6)), 1, "1×7 ring wraps");
     }
 
     #[test]

@@ -9,8 +9,7 @@ fn topologies() -> impl Strategy<Value = Topology> {
         Just(Topology::Chain),
         Just(Topology::Star),
         Just(Topology::Ring),
-        Just(Topology::Mesh2D),
-        Just(Topology::Torus2D)
+        Just(Topology::Mesh2D)
     ]
 }
 proptest! {
@@ -137,46 +136,20 @@ proptest! {
         }
     }
 
-    /// Mesh routes pay exactly the Manhattan distance of the grid, and
-    /// torus routes exactly the sum of per-dimension ring distances —
-    /// dimension-ordered routing is shortest-path on both grids.
+    /// Mesh routes pay exactly the Manhattan distance of the grid —
+    /// dimension-ordered routing is shortest-path on a mesh.
     #[test]
-    fn grid_hop_counts_match_the_geometry(torus in any::<bool>(), n in 1u8..65) {
-        let topology = if torus { Topology::Torus2D } else { Topology::Mesh2D };
+    fn grid_hop_counts_match_the_geometry(n in 1u8..65) {
         let (w, h) = Topology::grid_dims(n);
-        let table = RouteTable::for_topology(topology, n);
-        let ring_dist = |a: u8, b: u8, dim: u8| -> u32 {
-            let line = u32::from(a.abs_diff(b));
-            if torus { line.min(u32::from(dim) - line) } else { line }
-        };
+        let table = RouteTable::for_topology(Topology::Mesh2D, n);
         for a in 0..n {
             for b in 0..n {
                 let expected =
-                    ring_dist(a % w, b % w, w) + ring_dist(a / w, b / w, h);
+                    u32::from((a % w).abs_diff(b % w)) + u32::from((a / w).abs_diff(b / w));
                 prop_assert_eq!(
                     table.hops(CubeId(a), CubeId(b)),
                     expected,
-                    "{}: {}->{} (grid {}x{})", topology.label(), a, b, w, h
-                );
-            }
-        }
-    }
-
-    /// The torus inherits the ring's clockwise antipodal tie-break in
-    /// each even-extent dimension: from any cube, the first hop toward
-    /// the X-antipodal destination moves clockwise in X.
-    #[test]
-    fn torus_antipodal_ties_break_clockwise(n in 1u8..65) {
-        let (w, _) = Topology::grid_dims(n);
-        if w % 2 == 0 {
-            let table = RouteTable::for_topology(Topology::Torus2D, n);
-            for src in 0..n {
-                let (x, y) = (src % w, src / w);
-                let dst = CubeId(y * w + (x + w / 2) % w);
-                prop_assert_eq!(
-                    table.next_hop(CubeId(src), dst),
-                    CubeId(y * w + (x + 1) % w),
-                    "{}-torus (w={}): X-antipodal tie from {} must go clockwise", n, w, src
+                    "mesh: {}->{} (grid {}x{})", a, b, w, h
                 );
             }
         }

@@ -119,12 +119,6 @@ impl VaultCtrl {
             let completion = match req.pkt.kind {
                 RequestKind::Read { .. } => self.memory.read(now, bank, req.bursts),
                 RequestKind::Write { .. } => self.memory.write(now, bank, req.bursts),
-                // An atomic performs a read and an internal modify/write;
-                // model as a read followed by a write burst on the bank.
-                RequestKind::ReadModifyWrite => {
-                    let read_done = self.memory.read(now, bank, req.bursts);
-                    self.memory.write(read_done, bank, req.bursts)
-                }
             };
             self.engines[bank] = BankEngine::InService(req);
             started.push((bank, completion));
@@ -344,20 +338,5 @@ mod tests {
     fn spurious_completion_panics() {
         let mut v = vault();
         v.complete(0);
-    }
-
-    #[test]
-    fn rmw_takes_longer_than_read() {
-        let mut v = vault();
-        let mut r = req(0, 1);
-        v.push_ingress(r);
-        v.pump_ingress();
-        let (_, read_done) = start(&mut v, Time::ZERO)[0];
-        let mut v2 = vault();
-        r.pkt.kind = RequestKind::ReadModifyWrite;
-        v2.push_ingress(r);
-        v2.pump_ingress();
-        let (_, rmw_done) = start(&mut v2, Time::ZERO)[0];
-        assert!(rmw_done > read_done);
     }
 }

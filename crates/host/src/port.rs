@@ -557,7 +557,6 @@ mod tests {
             match p.try_issue(Time::ZERO).unwrap().kind {
                 RequestKind::Read { .. } => reads += 1,
                 RequestKind::Write { .. } => writes += 1,
-                RequestKind::ReadModifyWrite => {}
             }
         }
         assert!(

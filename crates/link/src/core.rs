@@ -74,21 +74,22 @@ pub struct LinkStats {
 /// Packets wait in a sender queue, spend receiver tokens (one per flit) and
 /// serialize at the effective flit rate; delivery lands after the SerDes
 /// latency. Sans-event like [`hmc_noc::SwitchCore`]: call
-/// [`LinkTx::service`] on changes. Service serializes everything sendable
-/// immediately (charging wire time forward), so the link never needs a
-/// self-wake; token-blocked heads wait for the [`LinkTx::return_tokens`]
-/// notification.
+/// [`LinkTx::service_into`] on changes. Service serializes everything
+/// sendable immediately (charging wire time forward), so the link never
+/// needs a self-wake; token-blocked heads wait for the
+/// [`LinkTx::return_tokens`] notification.
 ///
 /// # Examples
 ///
 /// ```
 /// use hmc_des::Time;
-/// use hmc_link::{LinkConfig, LinkTx};
+/// use hmc_link::{Deliveries, LinkConfig, LinkTx};
 ///
 /// let cfg = LinkConfig::ac510_default();
 /// let mut tx: LinkTx<&str> = LinkTx::new(&cfg);
 /// tx.enqueue("read request", 1);
-/// let out = tx.service(Time::ZERO);
+/// let mut out = Deliveries::new();
+/// tx.service_into(Time::ZERO, &mut out);
 /// assert_eq!(out.len(), 1);
 /// // One-flit packets occupy the per-packet processing floor (10.667 ns),
 /// // then fly for 55 ns of SerDes latency.
@@ -228,25 +229,12 @@ impl<P> LinkTx<P> {
     /// zero-cost message.
     ///
     /// Returns `true` if a queued head was starving on tokens — the
-    /// caller should run [`LinkTx::service`]; on `false` nothing was
+    /// caller should run [`LinkTx::service_into`]; on `false` nothing was
     /// blocked and no service pass is needed. (After any service call, a
     /// non-empty queue implies a token-starved head, so this notification
     /// is the *only* wake-up a sleeping transmitter needs.)
     pub fn return_tokens(&mut self, flits: u32) -> bool {
         self.tokens.put(flits)
-    }
-
-    /// Serializes as many queued packets as tokens and wire availability
-    /// allow at `now`. Returns deliveries stamped with their arrival time
-    /// at the far end.
-    ///
-    /// Convenience form of [`LinkTx::service_into`]; hot paths pass a
-    /// reused scratch buffer instead so steady-state service allocates
-    /// nothing.
-    pub fn service(&mut self, now: Time) -> Deliveries<P> {
-        let mut out = Deliveries::new();
-        self.service_into(now, &mut out);
-        out
     }
 
     /// Serializes as many queued packets as tokens and wire availability
@@ -351,12 +339,19 @@ mod tests {
         LinkConfig::ac510_default()
     }
 
+    /// One service pass into a fresh buffer.
+    fn serve<P>(tx: &mut LinkTx<P>, now: Time) -> Deliveries<P> {
+        let mut out = Deliveries::new();
+        tx.service_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn serialization_is_serial_and_cumulative() {
         let mut tx: LinkTx<u32> = LinkTx::new(&cfg());
         tx.enqueue(0, 9);
         tx.enqueue(1, 9);
-        let out = tx.service(Time::ZERO);
+        let out = serve(&mut tx, Time::ZERO);
         assert_eq!(out.len(), 2);
         let per_pkt = cfg().effective_flit_time() * 9u32;
         assert_eq!(out[0].at, Time::ZERO + per_pkt + cfg().serdes_latency);
@@ -382,14 +377,14 @@ mod tests {
         // An ideal receiver: drains each delivery the moment it lands and
         // returns its tokens, re-servicing the link at that instant.
         let mut pending: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
-        for d in tx.service(Time::ZERO) {
+        for d in serve(&mut tx, Time::ZERO) {
             pending.push(Reverse((d.at, d.flits)));
         }
         let mut last = Time::ZERO;
         while let Some(Reverse((at, flits))) = pending.pop() {
             last = at;
             tx.return_tokens(flits);
-            for d in tx.service(at) {
+            for d in serve(&mut tx, at) {
                 pending.push(Reverse((d.at, d.flits)));
             }
         }
@@ -411,12 +406,12 @@ mod tests {
         let mut tx: LinkTx<u32> = LinkTx::new(&link_cfg);
         tx.enqueue(0, 9);
         tx.enqueue(1, 9);
-        let out = tx.service(Time::ZERO);
+        let out = serve(&mut tx, Time::ZERO);
         assert_eq!(out.len(), 1, "second packet token-starved");
         assert_eq!(tx.tokens_available(), 1);
         assert_eq!(tx.stats().token_stalls, 1);
         assert!(tx.return_tokens(9), "starved head notifies on return");
-        let out = tx.service(Time::from_ns(100));
+        let out = serve(&mut tx, Time::from_ns(100));
         assert_eq!(out.len(), 1);
         assert_eq!(tx.stats().packets_sent, 2);
     }
@@ -425,11 +420,11 @@ mod tests {
     fn busy_wire_pushes_later_sends_out() {
         let mut tx: LinkTx<u32> = LinkTx::new(&cfg());
         tx.enqueue(0, 9);
-        tx.service(Time::ZERO);
+        serve(&mut tx, Time::ZERO);
         let t1 = tx.busy_until();
         // Enqueue a second packet before the wire is free.
         tx.enqueue(1, 1);
-        let out = tx.service(Time::ZERO);
+        let out = serve(&mut tx, Time::ZERO);
         assert_eq!(out[0].at, t1 + cfg().packet_time(1) + cfg().serdes_latency);
     }
 
@@ -439,7 +434,7 @@ mod tests {
         tx.enqueue(0, 9);
         tx.enqueue(1, 2);
         assert_eq!(tx.queue_flits(), 11);
-        tx.service(Time::ZERO);
+        serve(&mut tx, Time::ZERO);
         assert_eq!(tx.stats().peak_queue_flits, 11);
         assert_eq!(tx.stats().flits_sent, 11);
         assert_eq!(tx.queue_flits(), 0);
@@ -468,7 +463,7 @@ mod tests {
                 // exactly the configuration's packet time plus SerDes.
                 let start = tx.busy_until();
                 tx.enqueue(flits, flits);
-                let out = tx.service(start);
+                let out = serve(&mut tx, start);
                 assert_eq!(
                     out[0].at,
                     start + link_cfg.packet_time(flits) + link_cfg.serdes_latency,
@@ -519,8 +514,8 @@ mod tests {
                 clean.enqueue(i, 1 + (i % 9));
                 faulty.enqueue(i, 1 + (i % 9));
             }
-            let a = clean.service(Time::ZERO);
-            let b = faulty.service(Time::ZERO);
+            let a = serve(&mut clean, Time::ZERO);
+            let b = serve(&mut faulty, Time::ZERO);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x, y, "a never-firing injector must be time-invisible");
@@ -542,8 +537,8 @@ mod tests {
                 clean.enqueue(i, 1 + (i % 9));
                 faulty.enqueue(i, 1 + (i % 9));
             }
-            let a = clean.service(Time::ZERO);
-            let b = faulty.service(Time::ZERO);
+            let a = serve(&mut clean, Time::ZERO);
+            let b = serve(&mut faulty, Time::ZERO);
             let ids = |d: &Deliveries<u32>| d.iter().map(|x| x.payload).collect::<Vec<_>>();
             assert_eq!(ids(&a), ids(&b), "delivered stream equals the oracle's");
             let s = faulty.stats();
@@ -564,7 +559,7 @@ mod tests {
             let link_cfg = deep_cfg();
             let mut faulty = armed(LinkFaultSpec::ber(0.4), None);
             faulty.enqueue(7, 9);
-            let out = faulty.service(Time::ZERO);
+            let out = serve(&mut faulty, Time::ZERO);
             assert_eq!(out.len(), 1);
             let s = faulty.stats();
             let tuning = RetryTuning::derive(&link_cfg);
@@ -592,7 +587,7 @@ mod tests {
             };
             let mut faulty = armed(spec, None);
             faulty.enqueue(1, 9);
-            let out = faulty.service(Time::ZERO);
+            let out = serve(&mut faulty, Time::ZERO);
             assert_eq!(out.len(), 1);
             let s = faulty.stats();
             assert_eq!(s.down_drops, 1, "opening edge cut the transmission");
@@ -607,7 +602,7 @@ mod tests {
             for i in 0..300 {
                 faulty.enqueue(i, 9);
             }
-            let out = faulty.service(Time::ZERO);
+            let out = serve(&mut faulty, Time::ZERO);
             let s = faulty.stats();
             assert!(s.degraded, "threshold 1 must trip under BER 0.05");
             assert_eq!(out.len(), 300);
@@ -634,7 +629,7 @@ mod tests {
             };
             let mut faulty = armed(spec, None);
             faulty.enqueue(0, 9);
-            let out = faulty.service(Time::ZERO);
+            let out = serve(&mut faulty, Time::ZERO);
             assert!(faulty.stats().degraded);
             assert_eq!(
                 out[0].at,
@@ -654,7 +649,7 @@ mod tests {
             tx.set_faults(inj, tuning);
             tx.enqueue(0, 9);
             tx.enqueue(1, 9);
-            let out = tx.service(Time::ZERO);
+            let out = serve(&mut tx, Time::ZERO);
             assert_eq!(out.len(), 2);
             let lane = tx.faults.as_ref().expect("faults armed");
             assert_eq!(lane.retained.len(), 1, "first slot freed by its ack");

@@ -16,11 +16,12 @@
 //!
 //! ```
 //! use hmc_des::Time;
-//! use hmc_link::{LinkConfig, LinkTx};
+//! use hmc_link::{Deliveries, LinkConfig, LinkTx};
 //!
 //! let mut tx: LinkTx<u32> = LinkTx::new(&LinkConfig::ac510_default());
 //! tx.enqueue(7, 9); // a 128 B read response
-//! let deliveries = tx.service(Time::ZERO);
+//! let mut deliveries = Deliveries::new();
+//! tx.service_into(Time::ZERO, &mut deliveries);
 //! assert_eq!(deliveries.len(), 1);
 //! ```
 

@@ -5,7 +5,7 @@
 
 use hmc_des::Time;
 use hmc_faults::{LinkFaultSpec, LinkFaults, LinkKey};
-use hmc_link::{LinkConfig, LinkTx, RetryTuning};
+use hmc_link::{Deliveries, LinkConfig, LinkTx, RetryTuning};
 use proptest::prelude::*;
 
 /// A token pool deep enough that flow control never interferes: the
@@ -31,10 +31,9 @@ fn drain(tx: &mut LinkTx<u32>, mix: &[u32]) -> Vec<(Time, u32, u32)> {
     for (i, &flits) in mix.iter().enumerate() {
         tx.enqueue(i as u32, flits);
     }
-    tx.service(Time::ZERO)
-        .iter()
-        .map(|d| (d.at, d.flits, d.payload))
-        .collect()
+    let mut out = Deliveries::new();
+    tx.service_into(Time::ZERO, &mut out);
+    out.iter().map(|d| (d.at, d.flits, d.payload)).collect()
 }
 
 proptest! {

@@ -13,7 +13,7 @@
 //!
 //! ```
 //! use hmc_des::{Delay, Time};
-//! use hmc_noc::{SwitchConfig, SwitchCore, SwitchEntry};
+//! use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
 //!
 //! let cfg = SwitchConfig {
 //!     inputs: 4,
@@ -24,7 +24,9 @@
 //! };
 //! let mut sw: SwitchCore<u64> = SwitchCore::new(cfg, &[64, 64, 64, 64]);
 //! sw.try_enqueue(0, SwitchEntry { output: 3, flits: 1, payload: 42 }).unwrap();
-//! assert_eq!(sw.service(Time::ZERO)[0].payload, 42);
+//! let mut out = Departures::new();
+//! sw.service_into(Time::ZERO, &mut out);
+//! assert_eq!(out[0].payload, 42);
 //! ```
 
 #![forbid(unsafe_code)]

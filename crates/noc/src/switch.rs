@@ -119,14 +119,14 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// some head is waiting for: their cost scales with the packets queued,
 /// not with the port count.
 ///
-/// The core is sans-event: callers invoke [`SwitchCore::service`] when
+/// The core is sans-event: callers invoke [`SwitchCore::service_into`] when
 /// anything changed and schedule a wake-up at [`SwitchCore::next_wake`].
 ///
 /// # Examples
 ///
 /// ```
 /// use hmc_des::{Delay, Time};
-/// use hmc_noc::{SwitchConfig, SwitchCore, SwitchEntry};
+/// use hmc_noc::{Departures, SwitchConfig, SwitchCore, SwitchEntry};
 ///
 /// let cfg = SwitchConfig {
 ///     inputs: 2,
@@ -137,7 +137,8 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// };
 /// let mut sw: SwitchCore<&str> = SwitchCore::new(cfg, &[64, 64]);
 /// sw.try_enqueue(0, SwitchEntry { output: 1, flits: 2, payload: "pkt" }).unwrap();
-/// let out = sw.service(Time::ZERO);
+/// let mut out = Departures::new();
+/// sw.service_into(Time::ZERO, &mut out);
 /// assert_eq!(out.len(), 1);
 /// assert_eq!(out[0].at.as_ps(), 2_000 + 2 * 800);
 /// ```
@@ -266,24 +267,12 @@ impl<P> SwitchCore<P> {
 
     /// Returns `flits` credits for output `o` (the downstream buffer
     /// drained). Returns `true` if a queued head was starving on this
-    /// output's credits — the caller should run [`SwitchCore::service`];
+    /// output's credits — the caller should run [`SwitchCore::service_into`];
     /// on `false` no head was credit-blocked and no service pass is
     /// needed (time-driven progress is covered by
     /// [`SwitchCore::next_wake`]).
     pub fn return_credits(&mut self, output: usize, flits: u32) -> bool {
         self.output_credits[output].put(flits)
-    }
-
-    /// Runs arbitration until no further progress is possible at `now`.
-    /// Returns every departing packet with its exit timestamp.
-    ///
-    /// Convenience form of [`SwitchCore::service_into`]; hot paths pass a
-    /// reused scratch buffer instead so steady-state service allocates
-    /// nothing.
-    pub fn service(&mut self, now: Time) -> Departures<P> {
-        let mut departures = Departures::new();
-        self.service_into(now, &mut departures);
-        departures
     }
 
     /// Runs arbitration until no further progress is possible at `now`,
@@ -352,9 +341,9 @@ impl<P> SwitchCore<P> {
         }
     }
 
-    /// The earliest future time at which [`SwitchCore::service`] could make
-    /// progress on its own (an output's busy interval expiring while a
-    /// matching head waits). Credit-blocked heads are *not* reported: the
+    /// The earliest future time at which [`SwitchCore::service_into`]
+    /// could make progress on its own (an output's busy interval expiring
+    /// while a matching head waits). Credit-blocked heads are *not* reported: the
     /// credit return itself triggers the service call (see
     /// [`SwitchCore::return_credits`]).
     pub fn next_wake(&self, now: Time) -> Option<Time> {
@@ -416,6 +405,13 @@ mod tests {
         }
     }
 
+    /// One service pass into a fresh buffer.
+    fn serve(sw: &mut SwitchCore<u32>, now: Time) -> Departures<u32> {
+        let mut out = Departures::new();
+        sw.service_into(now, &mut out);
+        out
+    }
+
     fn entry(output: usize, flits: u32, id: u32) -> SwitchEntry<u32> {
         SwitchEntry {
             output,
@@ -428,7 +424,7 @@ mod tests {
     fn single_packet_cut_through_timing() {
         let mut sw: SwitchCore<u32> = SwitchCore::new(cfg(1, 1), &[100]);
         sw.try_enqueue(0, entry(0, 9, 7)).unwrap();
-        let out = sw.service(Time::ZERO);
+        let out = serve(&mut sw, Time::ZERO);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, 7);
         assert_eq!(out[0].at.as_ps(), 2_000 + 9 * 800);
@@ -445,11 +441,11 @@ mod tests {
         sw.try_enqueue(0, entry(0, 2, 0)).unwrap();
         sw.try_enqueue(1, entry(0, 2, 1)).unwrap();
         // At t=0 only one grant can go through (output busy afterwards).
-        let out = sw.service(Time::ZERO);
+        let out = serve(&mut sw, Time::ZERO);
         assert_eq!(out.len(), 1);
         let wake = sw.next_wake(Time::ZERO).expect("second head waits");
         assert_eq!(wake.as_ps(), 2 * 800);
-        let out2 = sw.service(wake);
+        let out2 = serve(&mut sw, wake);
         assert_eq!(out2.len(), 1);
         assert_eq!(out2[0].payload, 1);
         assert_eq!(sw.arbitration_conflicts(), 1);
@@ -460,7 +456,7 @@ mod tests {
         let mut sw: SwitchCore<u32> = SwitchCore::new(cfg(2, 2), &[100, 100]);
         sw.try_enqueue(0, entry(0, 3, 0)).unwrap();
         sw.try_enqueue(1, entry(1, 3, 1)).unwrap();
-        let out = sw.service(Time::ZERO);
+        let out = serve(&mut sw, Time::ZERO);
         assert_eq!(out.len(), 2, "no conflict, both forwarded at t=0");
         assert_eq!(out[0].at, out[1].at);
     }
@@ -470,16 +466,16 @@ mod tests {
         let mut sw: SwitchCore<u32> = SwitchCore::new(cfg(1, 1), &[3]);
         sw.try_enqueue(0, entry(0, 3, 0)).unwrap();
         sw.try_enqueue(0, entry(0, 3, 1)).unwrap();
-        let out = sw.service(Time::ZERO);
+        let out = serve(&mut sw, Time::ZERO);
         assert_eq!(out.len(), 1, "second packet has no credits");
         // Even after the output frees, no credits → no wake, no progress.
         let later = Time::from_ns(100);
         assert_eq!(sw.next_wake(Time::ZERO), None);
-        assert!(sw.service(later).is_empty());
+        assert!(serve(&mut sw, later).is_empty());
         // Downstream drains → credits return → the starved head is
         // notified and the packet moves.
         assert!(sw.return_credits(0, 3), "blocked head notifies on return");
-        let out = sw.service(later);
+        let out = serve(&mut sw, later);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, 1);
     }
@@ -504,10 +500,10 @@ mod tests {
         // sits behind it and must wait even though output 1 is idle.
         let mut sw: SwitchCore<u32> = SwitchCore::new(cfg(2, 2), &[100, 100]);
         sw.try_enqueue(1, entry(0, 4, 9)).unwrap();
-        assert_eq!(sw.service(Time::ZERO).len(), 1); // occupy output 0
+        assert_eq!(serve(&mut sw, Time::ZERO).len(), 1); // occupy output 0
         sw.try_enqueue(0, entry(0, 4, 0)).unwrap();
         sw.try_enqueue(0, entry(1, 1, 1)).unwrap();
-        let out = sw.service(Time::ZERO);
+        let out = serve(&mut sw, Time::ZERO);
         assert!(
             out.is_empty(),
             "HOL: packet for output 1 blocked behind head"
@@ -522,7 +518,7 @@ mod tests {
         let mut sw: SwitchCore<u32> = SwitchCore::new(cfg(1, 2), &[100, 100]);
         sw.try_enqueue(0, entry(0, 1, 0)).unwrap();
         sw.try_enqueue(0, entry(1, 1, 1)).unwrap();
-        let out = sw.service(Time::ZERO);
+        let out = serve(&mut sw, Time::ZERO);
         assert_eq!(out.len(), 2);
     }
 

@@ -2,7 +2,7 @@
 //! credits and flits under arbitrary traffic.
 
 use hmc_des::{Delay, Time};
-use hmc_noc::{Credits, RoundRobinArbiter, SwitchConfig, SwitchCore, SwitchEntry};
+use hmc_noc::{Credits, Departures, RoundRobinArbiter, SwitchConfig, SwitchCore, SwitchEntry};
 use proptest::prelude::*;
 
 proptest! {
@@ -89,8 +89,10 @@ proptest! {
         let mut now = Time::ZERO;
         let mut seen = vec![false; packets.len()];
         let mut got_flits: u64 = 0;
+        let mut deps = Departures::new();
         loop {
-            for d in sw.service(now) {
+            sw.service_into(now, &mut deps);
+            for d in deps.drain() {
                 prop_assert!(!seen[d.payload], "packet departed twice");
                 seen[d.payload] = true;
                 prop_assert_eq!(d.flits, packets[d.payload].2);
@@ -126,8 +128,10 @@ proptest! {
         }
         let mut now = Time::ZERO;
         let mut exits: Vec<(Time, u32)> = Vec::new();
+        let mut deps = Departures::new();
         loop {
-            for d in sw.service(now) {
+            sw.service_into(now, &mut deps);
+            for d in deps.drain() {
                 exits.push((d.at, d.flits));
             }
             match sw.next_wake(now) {

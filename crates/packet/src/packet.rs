@@ -8,9 +8,9 @@ use crate::size::PayloadSize;
 
 /// The operation a request packet asks the cube to perform.
 ///
-/// The GUPS firmware can issue read-only, write-only or read-modify-write
-/// requests (Section III-B); the paper's measurements are read-only unless
-/// stated otherwise.
+/// The GUPS firmware can also issue read-modify-write requests
+/// (Section III-B), but the paper measures reads and writes only, and so
+/// does this model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Read `size` bytes. The request carries no data payload.
@@ -23,10 +23,6 @@ pub enum RequestKind {
         /// Bytes of data carried by the request.
         size: PayloadSize,
     },
-    /// A 16-byte atomic read-modify-write (HMC "dual 8-byte add" class):
-    /// one data flit travels with the request, the response is header/tail
-    /// only.
-    ReadModifyWrite,
 }
 
 impl RequestKind {
@@ -35,7 +31,7 @@ impl RequestKind {
     pub(crate) fn response_data(self) -> Option<PayloadSize> {
         match self {
             RequestKind::Read { size } => Some(size),
-            RequestKind::Write { .. } | RequestKind::ReadModifyWrite => None,
+            RequestKind::Write { .. } => None,
         }
     }
 
@@ -45,7 +41,6 @@ impl RequestKind {
     pub fn access_size(self) -> PayloadSize {
         match self {
             RequestKind::Read { size } | RequestKind::Write { size } => size,
-            RequestKind::ReadModifyWrite => PayloadSize::B16,
         }
     }
 
@@ -66,7 +61,6 @@ impl RequestKind {
         match self {
             RequestKind::Read { .. } => OVERHEAD_FLITS,
             RequestKind::Write { size } => OVERHEAD_FLITS + size.data_flits(),
-            RequestKind::ReadModifyWrite => OVERHEAD_FLITS + PayloadSize::B16.data_flits(),
         }
     }
 
@@ -112,7 +106,6 @@ impl fmt::Display for RequestKind {
         match self {
             RequestKind::Read { size } => write!(f, "RD{}", size.bytes()),
             RequestKind::Write { size } => write!(f, "WR{}", size.bytes()),
-            RequestKind::ReadModifyWrite => write!(f, "RMW16"),
         }
     }
 }
@@ -189,8 +182,6 @@ impl fmt::Display for ResponsePacket {
 /// overhead factor rather than modelling each exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowType {
-    /// Token return: reports freed input-buffer space.
-    TokenReturn,
     /// Retry pointer return used by the link retry protocol.
     RetryPointerReturn,
     /// Start-retry marker.
@@ -285,14 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn rmw_is_two_flit_request_one_flit_response() {
-        let rmw = RequestKind::ReadModifyWrite;
-        assert_eq!(rmw.request_flits(), 2);
-        assert_eq!(rmw.response_flits(), 1);
-        assert_eq!(rmw.access_size(), PayloadSize::B16);
-    }
-
-    #[test]
     fn response_mirrors_request_identity() {
         let req = RequestPacket {
             port: PortId(4),
@@ -311,7 +294,6 @@ mod tests {
 
     #[test]
     fn flow_packets_are_single_flit() {
-        assert_eq!(FlowType::TokenReturn.flits(), 1);
         assert_eq!(FlowType::RetryPointerReturn.flits(), 1);
         assert_eq!(FlowType::InitRetry.flits(), 1);
     }
@@ -338,7 +320,6 @@ mod tests {
             size: PayloadSize::B16
         }
         .is_read());
-        assert!(!RequestKind::ReadModifyWrite.is_read());
     }
 
     #[test]

@@ -51,16 +51,8 @@ impl PayloadSize {
     pub const B16: PayloadSize = PayloadSize(16);
     /// 32 B — the DRAM data-bus granularity of a vault.
     pub const B32: PayloadSize = PayloadSize(32);
-    /// 48 B.
-    pub const B48: PayloadSize = PayloadSize(48);
     /// 64 B.
     pub const B64: PayloadSize = PayloadSize(64);
-    /// 80 B.
-    pub const B80: PayloadSize = PayloadSize(80);
-    /// 96 B.
-    pub const B96: PayloadSize = PayloadSize(96);
-    /// 112 B.
-    pub const B112: PayloadSize = PayloadSize(112);
     /// 128 B — the largest HMC 1.1 payload and the paper's largest request.
     pub const B128: PayloadSize = PayloadSize(128);
 
@@ -140,7 +132,7 @@ mod tests {
     fn dram_bursts_round_up_to_bus_granularity() {
         assert_eq!(PayloadSize::B16.dram_bursts(), 1);
         assert_eq!(PayloadSize::B32.dram_bursts(), 1);
-        assert_eq!(PayloadSize::B48.dram_bursts(), 2);
+        assert_eq!(PayloadSize::new(48).unwrap().dram_bursts(), 2);
         assert_eq!(PayloadSize::B64.dram_bursts(), 2);
         assert_eq!(PayloadSize::B128.dram_bursts(), 4);
     }

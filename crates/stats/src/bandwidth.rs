@@ -59,15 +59,6 @@ impl BandwidthMeter {
         self.accesses as f64 * 1e12 / elapsed_ps as f64
     }
 
-    /// Merges another meter into this one.
-    ///
-    /// Kept public with the unit tests that check it; only those tests
-    /// call it (see ROADMAP).
-    pub fn merge(&mut self, other: &BandwidthMeter) {
-        self.bytes += other.bytes;
-        self.accesses += other.accesses;
-    }
-
     /// Clears the meter (end of warmup).
     pub fn reset(&mut self) {
         *self = BandwidthMeter::default();
@@ -109,15 +100,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_reset() {
+    fn reset_clears_the_meter() {
         let mut a = BandwidthMeter::new();
         a.add_bytes(10);
-        let mut b = BandwidthMeter::new();
-        b.add_bytes(20);
-        a.merge(&b);
+        a.add_bytes(20);
         assert_eq!(a.bytes(), 30);
         assert_eq!(a.accesses(), 2);
         a.reset();
-        assert_eq!(a.bytes(), 0);
+        assert_eq!(a, BandwidthMeter::new());
     }
 }

@@ -151,25 +151,6 @@ impl Histogram {
         assert!(i < self.counts.len(), "bin index out of range");
         self.lo + (i as f64 + 0.5) * self.bin_width()
     }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// Kept public with the unit tests that check it; only those tests
-    /// call it (see ROADMAP).
-    ///
-    /// # Panics
-    ///
-    /// Panics if ranges or bin counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram ranges differ");
-        assert_eq!(self.hi, other.hi, "histogram ranges differ");
-        assert_eq!(self.counts.len(), other.counts.len(), "bin counts differ");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.clamped_lo += other.clamped_lo;
-        self.clamped_hi += other.clamped_hi;
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -284,19 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_clamp_tallies() {
-        let mut a = Histogram::new(0.0, 10.0, 2);
-        let mut b = Histogram::new(0.0, 10.0, 2);
-        a.record(-1.0);
-        b.record(11.0);
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.clamped_lo, 1);
-        assert_eq!(a.clamped_hi(), 1);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
     fn normalization_sums_to_one() {
         let mut h = Histogram::new(0.0, 4.0, 4);
         for x in [0.5, 1.5, 1.6, 3.9] {
@@ -319,25 +287,6 @@ mod tests {
         assert_eq!(h.bin_width(), 2.0);
         assert_eq!(h.bin_center(0), 11.0);
         assert_eq!(h.bin_center(4), 19.0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(0.0, 10.0, 2);
-        let mut b = Histogram::new(0.0, 10.0, 2);
-        a.record(1.0);
-        b.record(1.0);
-        b.record(9.0);
-        a.merge(&b);
-        assert_eq!(a.bin_counts(), &[2, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ranges differ")]
-    fn merge_rejects_mismatched_ranges() {
-        let mut a = Histogram::new(0.0, 10.0, 2);
-        let b = Histogram::new(0.0, 11.0, 2);
-        a.merge(&b);
     }
 
     #[test]

@@ -74,29 +74,6 @@ impl Summary {
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
     }
-
-    /// Merges another summary into this one (parallel-sweep reduction).
-    ///
-    /// Kept public with the unit tests that check it; only those tests
-    /// call it (see ROADMAP).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Summary {
@@ -149,31 +126,6 @@ mod tests {
         let s = summary_of([42.0]);
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.mean(), 42.0);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let (a, b) = xs.split_at(20);
-        let mut left = summary_of(a.iter().copied());
-        let right = summary_of(b.iter().copied());
-        left.merge(&right);
-        let whole = summary_of(xs.iter().copied());
-        assert_eq!(left.count, whole.count);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-        assert_eq!((left.min, left.max), (whole.min, whole.max));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = summary_of([1.0, 2.0]);
-        let before = s;
-        s.merge(&Summary::new());
-        assert_eq!(s, before);
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Workloads for the reproduced experiments, in two layers:
 //!
-//! - **Traces and eager generators** — the text trace format consumed by
-//!   the modelled multi-port stream firmware, uniform-random generators
+//! - **Traces and eager generators** — the in-memory traces the modelled
+//!   multi-port stream firmware replays, uniform-random generators
 //!   confined to structural subsets of the cube, linear sweeps, and the
 //!   vault-combination enumerator behind the C(16,4) = 1820-combination
 //!   sweep of Figures 10–12.
@@ -123,4 +123,4 @@ pub use source::{
     OffloadSource, PointerChase, SourceFactory, SourceStep, TraceReplay, TrafficSource,
     UniformSource,
 };
-pub use trace::{ParseTraceError, Trace, TraceOp};
+pub use trace::{Trace, TraceOp};

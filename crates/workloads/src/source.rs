@@ -151,8 +151,6 @@ pub enum GupsOp {
     Read(PayloadSize),
     /// Random writes of a fixed size.
     Write(PayloadSize),
-    /// Random 16 B read-modify-writes.
-    ReadModifyWrite,
     /// A random mix: `write_percent`% writes, the rest reads, all of one
     /// size (the read/write balance experiment of Section IV-F).
     Mix {
@@ -168,7 +166,6 @@ impl GupsOp {
     pub(crate) fn payload(&self) -> PayloadSize {
         match *self {
             GupsOp::Read(s) | GupsOp::Write(s) => s,
-            GupsOp::ReadModifyWrite => PayloadSize::B16,
             GupsOp::Mix { size, .. } => size,
         }
     }
@@ -181,7 +178,6 @@ impl GupsOp {
         match *self {
             GupsOp::Read(s) => RequestKind::Read { size: s },
             GupsOp::Write(s) => RequestKind::Write { size: s },
-            GupsOp::ReadModifyWrite => RequestKind::ReadModifyWrite,
             GupsOp::Mix {
                 size,
                 write_percent,
