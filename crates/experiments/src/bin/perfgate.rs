@@ -1,7 +1,7 @@
 //! `perfgate` — the repo's reproducible wall-clock performance harness.
 //!
 //! ```text
-//! perfgate [--smoke] [--reps N] [--baseline FILE] [--out FILE]
+//! perfgate [--smoke] [--reps N] [--out FILE]
 //! ```
 //!
 //! Runs a fixed basket of nine experiment points, each `reps` times, and
@@ -42,19 +42,12 @@
 //!   scheduler tallies) must be identical on every run; any divergence is
 //!   a determinism regression and the gate **fails** (exit 1). Timing
 //!   noise never fails the gate.
-//! - With `--baseline FILE` (a previous perfgate JSON), a point whose
-//!   baseline entry ran the same number of events gets
-//!   `baseline_events_per_sec` and `speedup_vs_baseline`. An events/sec
-//!   ratio between different workloads means nothing, so a mismatch, or
-//!   a point the baseline lacks, prints a one-line note and omits both
-//!   fields. A baseline that is not a JSON perfgate document (no
-//!   `"schema":"hmc-perfgate-v1"`) fails before the basket runs.
-//! - A `speedup_vs_baseline` taken across two sittings cannot be read
-//!   against one run's spread: on a shared machine, back-to-back runs of
-//!   the same build differ by more than any one run's
-//!   `wall_s_max / wall_s_best`. Perf claims rest on perfbench's
-//!   alternating parent/change pairs; perfgate documents, the
-//!   `BENCH_*.json` snapshots among them, are trend records.
+//! - Timings from two invocations cannot be compared against one run's
+//!   spread: on a shared machine, back-to-back runs of the same build
+//!   differ by more than any one run's `wall_s_max / wall_s_best`. Perf
+//!   claims rest on perfbench's alternating parent/change pairs;
+//!   perfgate documents, the `BENCH_*.json` snapshots among them, are
+//!   trend records whose deterministic fields compare exactly.
 //! - Each entry also reports round-trip `latency_p50_ns`/`p99`/`p999`
 //!   from the warm-up run's report. These are recorded for trend
 //!   inspection, never gated.
@@ -71,13 +64,12 @@ use hmc_experiments::{
 };
 use hmc_sim::fabric::SchedStats;
 use hmc_sim::prelude::*;
-use hmc_sim::stats::{json_escape, json_f64, validate_json};
+use hmc_sim::stats::{json_escape, json_f64};
 
 /// A timed rep lasts at least this long (see the module doc).
 const MIN_REP_S: f64 = 0.05;
 
-/// The schema field every perfgate document opens with; `--baseline`
-/// accepts only documents that carry it.
+/// The schema field every perfgate document opens with.
 const SCHEMA: &str = "\"schema\":\"hmc-perfgate-v1\"";
 
 /// What one basket run hands back: the report, the engine counters and
@@ -253,36 +245,12 @@ impl Measured {
     fn events_per_sec(&self) -> f64 {
         self.sig.events as f64 / self.wall_best().max(1e-12)
     }
-
-    /// This point's baseline events/sec, if `baseline` has an entry of
-    /// the same name that ran the same number of events; a missing entry
-    /// or a mismatch is noted on stderr.
-    fn comparable_baseline(&self, baseline: &[(String, u64, f64)]) -> Option<f64> {
-        let Some((_, events, events_per_sec)) = baseline.iter().find(|(n, ..)| n == self.name)
-        else {
-            eprintln!(
-                "note [{}]: baseline has no entry for this point, no speedup reported",
-                self.name
-            );
-            return None;
-        };
-        if *events != self.sig.events {
-            eprintln!(
-                "note [{}]: baseline ran {events} events, this run {}; \
-                 events/s are not comparable, no speedup reported",
-                self.name, self.sig.events
-            );
-            return None;
-        }
-        Some(*events_per_sec)
-    }
 }
 
 struct Args {
     scale: Scale,
     reps: u32,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -290,7 +258,6 @@ fn parse_args() -> Result<Args, String> {
         scale: Scale::Quick,
         reps: 3,
         out: None,
-        baseline: None,
     };
     // An explicit --reps wins over --smoke's lighter default regardless
     // of flag order.
@@ -316,40 +283,11 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--out needs a file")?;
                 args.out = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
     }
     Ok(args)
-}
-
-/// The number right after `"<key>":` in `chunk`, if any.
-fn number_after(chunk: &str, key: &str) -> Option<f64> {
-    let key = format!("\"{key}\":");
-    let rest = &chunk[chunk.find(&key)? + key.len()..];
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
-}
-
-/// Pulls each entry's name, `events` and `events_per_sec` out of a
-/// previous perfgate JSON (our own fixed format; no general JSON parser
-/// needed).
-fn parse_baseline(doc: &str) -> Vec<(String, u64, f64)> {
-    doc.split("{\"name\":\"")
-        .skip(1)
-        .filter_map(|chunk| {
-            let name = chunk[..chunk.find('"')?].to_owned();
-            let events = number_after(chunk, "events")? as u64;
-            Some((name, events, number_after(chunk, "events_per_sec")?))
-        })
-        .collect()
 }
 
 fn main() -> ExitCode {
@@ -359,29 +297,9 @@ fn main() -> ExitCode {
             if !msg.is_empty() {
                 eprintln!("error: {msg}");
             }
-            eprintln!("usage: perfgate [--smoke] [--reps N] [--baseline FILE] [--out FILE]");
+            eprintln!("usage: perfgate [--smoke] [--reps N] [--out FILE]");
             return ExitCode::from(2);
         }
-    };
-    let baseline: Option<Vec<(String, u64, f64)>> = match &args.baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(doc) => match validate_json(&doc) {
-                Ok(()) if doc.contains(SCHEMA) => Some(parse_baseline(&doc)),
-                Ok(()) => {
-                    eprintln!("error: baseline {} lacks {SCHEMA}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("error: baseline {} is not JSON: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
     };
     let ctx = ExpContext {
         scale: args.scale,
@@ -449,15 +367,11 @@ fn main() -> ExitCode {
         });
     }
 
-    let bases: Vec<Option<f64>> = results
-        .iter()
-        .map(|m| m.comparable_baseline(baseline.as_deref()?))
-        .collect();
     let mut entries: Vec<String> = Vec::new();
-    for (m, base) in results.iter().zip(&bases) {
-        // Float fields go through json_f64: a non-finite value (e.g. a
-        // degenerate speedup ratio) must become null, not a bare NaN/inf
-        // token that breaks the whole document.
+    for m in &results {
+        // Float fields go through json_f64: a non-finite value must
+        // become null, not a bare NaN/inf token that breaks the whole
+        // document.
         let mut fields = format!(
             "{{\"name\":\"{}\",\"events\":{},\"wake_fires\":{},\"sim_ns\":{},\
              \"accesses\":{},\"reps\":{},\"iters\":{},\"wall_s_best\":{},\
@@ -502,13 +416,6 @@ fn main() -> ExitCode {
         if let Some(w) = &m.cores_warning {
             fields.push_str(&format!(",\"cores_warning\":\"{}\"", json_escape(w)));
         }
-        if let Some(base) = base {
-            fields.push_str(&format!(
-                ",\"baseline_events_per_sec\":{},\"speedup_vs_baseline\":{}",
-                json_f64(*base, 0),
-                json_f64(m.events_per_sec() / base.max(1e-12), 3),
-            ));
-        }
         fields.push('}');
         entries.push(fields);
     }
@@ -532,17 +439,15 @@ fn main() -> ExitCode {
         None => print!("{doc}"),
     }
     let width = results.iter().map(|m| m.name.len()).max().unwrap_or(0);
-    for (m, base) in results.iter().zip(&bases) {
+    for m in &results {
         eprintln!(
-            "{:<width$} {:>12} events  {:.6}s best  {:.6}s median  {:.6}s max  {:>12.0} ev/s{}",
+            "{:<width$} {:>12} events  {:.6}s best  {:.6}s median  {:.6}s max  {:>12.0} ev/s",
             m.name,
             m.sig.events,
             m.wall_best(),
             m.wall_median(),
             m.wall_max(),
             m.events_per_sec(),
-            base.map(|b| format!("  ({:.2}x vs baseline)", m.events_per_sec() / b))
-                .unwrap_or_default(),
         );
     }
     ExitCode::SUCCESS

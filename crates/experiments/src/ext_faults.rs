@@ -24,7 +24,7 @@
 //! `--threads` and `--domains`, faults and all.
 
 use hmc_sim::fabric::{
-    FabricConfig, FabricPortSpec, FabricSim, FaultPlan, LinkFaultTotals, Topology,
+    FabricConfig, FabricPortSpec, FabricSim, FaultPlan, LinkFaultSpec, LinkFaultTotals, Topology,
 };
 use hmc_sim::prelude::*;
 
@@ -46,24 +46,56 @@ pub(crate) fn cube_count(ctx: &ExpContext) -> u8 {
     }
 }
 
-/// The fault scenarios, as `(label, fault-spec)` pairs in the textual
-/// syntax of [`FaultPlan::parse`]. The empty spec is the fault-free
-/// baseline; it must stay first (tests and the CI gate key on it).
-pub(crate) fn scenarios(ctx: &ExpContext) -> Vec<(&'static str, &'static str)> {
+/// The fault scenarios in row order: each row's label and the plan it
+/// arms under `seed`. The fault-free `none` row has no plan and must
+/// stay first (tests and the CI gate key on it).
+pub(crate) fn scenarios(ctx: &ExpContext, seed: u64) -> Vec<(&'static str, Option<FaultPlan>)> {
+    let all = |spec| Some(FaultPlan::new(seed).with_all_links(spec));
+    let ber = LinkFaultSpec::ber;
     let mut v = vec![
-        ("none", ""),
-        ("ber=1e-7", "all ber=1e-7"),
-        ("ber=1e-6", "all ber=1e-6"),
-        ("ber=1e-5", "all ber=1e-5"),
+        ("none", None),
+        ("ber=1e-7", all(ber(1e-7))),
+        ("ber=1e-6", all(ber(1e-6))),
+        ("ber=1e-5", all(ber(1e-5))),
     ];
     if !matches!(ctx.scale, Scale::Smoke) {
-        v.push(("ber=1e-6 burst=4", "all ber=1e-6 burst=4"));
-        v.push(("ber=1e-6 +outage", "all ber=1e-6 down=40us..50us"));
-        v.push(("ber=1e-4 degrade=10", "all ber=1e-4; degrade=10"));
+        let burst = LinkFaultSpec {
+            burst: 4,
+            ..ber(1e-6)
+        };
+        let outage = LinkFaultSpec {
+            down: vec![(Time::from_us(40), Time::from_us(50))],
+            ..ber(1e-6)
+        };
+        v.push(("ber=1e-6 burst=4", all(burst)));
+        v.push(("ber=1e-6 +outage", all(outage)));
+        let degrade = all(ber(1e-4)).map(|p| p.degrade_after(10));
+        v.push(("ber=1e-4 degrade=10", degrade));
     }
-    v.push(("half-width", "all half"));
-    v.push(("dead link 0-1", "all ber=1e-7; dead=0-1"));
+    let half = LinkFaultSpec {
+        half_width: true,
+        ..LinkFaultSpec::default()
+    };
+    v.push(("half-width", all(half)));
+    let dead = all(ber(1e-7)).map(|p| p.with_dead_edge(0, 1));
+    v.push(("dead link 0-1", dead));
     v
+}
+
+/// Scenario `idx`'s label and its saturated ring with the plan armed,
+/// or the fabric's refusal of the plan.
+fn sim(ctx: &ExpContext, idx: usize) -> (&'static str, Result<FabricSim, String>) {
+    let seed = ctx.seed_for("ext-faults", idx as u64);
+    let (label, plan) = scenarios(ctx, seed).swap_remove(idx);
+    let cubes = cube_count(ctx);
+    let cfg = FabricConfig::ac510(Topology::Ring, cubes, seed);
+    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
+    let port = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
+    let sim = FabricSim::new(cfg, vec![port; port_count(ctx)]);
+    match plan {
+        Some(plan) => (label, sim.with_faults(plan)),
+        None => (label, Ok(sim)),
+    }
 }
 
 /// One measured fault scenario.
@@ -87,18 +119,9 @@ pub struct FaultPoint {
     pub totals: LinkFaultTotals,
 }
 
-fn run_point(ctx: &ExpContext, idx: usize, label: &'static str, spec: &str) -> FaultPoint {
-    let seed = ctx.seed_for("ext-faults", idx as u64);
-    let cubes = cube_count(ctx);
-    let cfg = FabricConfig::ac510(Topology::Ring, cubes, seed);
-    let fabric_map = FabricAddressMap::new(CubePolicy::Interleaved, cubes, &cfg.cube.map);
-    let port = FabricPortSpec::global_gups(GupsOp::Read(PayloadSize::B128), fabric_map);
-    let specs = vec![port; port_count(ctx)];
-    let mut sim = FabricSim::new(cfg, specs);
-    if !spec.is_empty() {
-        let plan = FaultPlan::parse(seed, spec).expect("scenario spec parses");
-        sim = sim.with_faults(plan).expect("scenario plan arms");
-    }
+fn run_point(ctx: &ExpContext, idx: usize) -> FaultPoint {
+    let (label, sim) = sim(ctx, idx);
+    let sim = sim.expect("scenario plan arms");
     let report = ctx.run_gups(sim);
     let tails = report
         .latency_tail_ps()
@@ -118,14 +141,8 @@ fn run_point(ctx: &ExpContext, idx: usize, label: &'static str, spec: &str) -> F
 /// Runs every scenario.
 pub(crate) fn run(ctx: &ExpContext) -> Vec<FaultPoint> {
     let ctx2 = ctx.clone();
-    let jobs: Vec<(usize, &'static str, &'static str)> = scenarios(ctx)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (label, spec))| (i, label, spec))
-        .collect();
-    ctx.clone().par_map(jobs, move |&(i, label, spec)| {
-        run_point(&ctx2, i, label, spec)
-    })
+    let jobs: Vec<usize> = (0..scenarios(ctx, 0).len()).collect();
+    ctx.clone().par_map(jobs, move |&i| run_point(&ctx2, i))
 }
 
 /// Renders the sweep.
@@ -163,9 +180,9 @@ pub(crate) fn table(points: &[FaultPoint]) -> Table {
 mod tests {
     use super::*;
 
-    fn smoke() -> ExpContext {
+    fn ctx(scale: Scale) -> ExpContext {
         ExpContext {
-            scale: Scale::Smoke,
+            scale,
             seed: 2018,
             threads: 0,
             domains: 1,
@@ -173,10 +190,39 @@ mod tests {
         }
     }
 
+    fn smoke() -> ExpContext {
+        ctx(Scale::Smoke)
+    }
+
+    /// The burst, outage and degrade plans run only at quick and full
+    /// scale, so this arms every plan at every scale without running it.
+    #[test]
+    fn every_scenario_plan_arms_at_every_scale() {
+        for scale in [Scale::Smoke, Scale::Quick, Scale::Full] {
+            let ctx = ctx(scale);
+            let scenarios = scenarios(&ctx, 0);
+            assert!(
+                matches!(scenarios[0], ("none", None)),
+                "{scale:?}: the fault-free row comes first"
+            );
+            for (i, (label, plan)) in scenarios.iter().enumerate() {
+                assert!(i == 0 || plan.is_some(), "{scale:?}: {label} arms no plan");
+                assert_eq!(
+                    scenarios.iter().filter(|(l, _)| l == label).count(),
+                    1,
+                    "{scale:?}: label {label} repeats"
+                );
+                if let (_, Err(e)) = sim(&ctx, i) {
+                    panic!("{scale:?}: {label} does not arm: {e}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn faults_degrade_but_never_lose_traffic() {
         let points = run(&smoke());
-        assert_eq!(points.len(), scenarios(&smoke()).len());
+        assert_eq!(points.len(), scenarios(&smoke(), 0).len());
         for p in &points {
             assert!(p.bandwidth_gbs > 0.0, "no traffic: {p:?}");
             assert_eq!(p.completed, p.issued, "faults lost requests: {p:?}");

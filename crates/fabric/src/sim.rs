@@ -418,11 +418,11 @@ impl FabricSim {
     /// runs stay byte-identical across every `--domains`/`--threads`
     /// setting, exactly like fault-free ones.
     ///
-    /// Dead edges (`dead=A-B`) reroute the fabric around the failed link
-    /// where the topology allows it (a ring sends traffic the long way);
-    /// where it does not (chain, star), this returns a loud error naming
-    /// the unreachable cube. A plan with no dead edges leaves the
-    /// calibrated routing untouched.
+    /// Dead edges ([`FaultPlan::with_dead_edge`]) reroute the fabric
+    /// around the failed link where the topology allows it (a ring sends
+    /// traffic the long way); where it does not (chain, star), this
+    /// returns a loud error naming the unreachable cube. A plan with no
+    /// dead edges leaves the calibrated routing untouched.
     ///
     /// # Errors
     ///

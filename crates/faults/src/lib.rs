@@ -10,6 +10,11 @@
 //! protocol's wire time for each failure and the fabric (`hmc-fabric`)
 //! reroutes around permanently dead links.
 //!
+//! A [`FaultPlan`] is built in code: [`FaultPlan::new`] with a seed,
+//! then [`FaultPlan::with_all_links`] for the wire faults every link
+//! suffers, [`FaultPlan::with_dead_edge`] and
+//! [`FaultPlan::degrade_after`].
+//!
 //! ## Determinism
 //!
 //! Every fault draw is a pure function of `(seed, link key, flit
@@ -35,9 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use core::fmt;
-use std::collections::BTreeMap;
-
 use hmc_des::Time;
 
 /// splitmix64 finalizer: the one hash behind every fault draw.
@@ -52,7 +54,7 @@ fn mix(mut z: u64) -> u64 {
 ///
 /// Keys name links the way an operator would — by the cubes they join —
 /// not by internal adapter port indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkKey {
     /// The serializer of cube `from` driving the fabric edge toward
     /// cube `to` (one direction of a cube-to-cube link).
@@ -85,15 +87,6 @@ impl LinkKey {
         match self {
             LinkKey::Edge { from, to } => 0x1000 | (u64::from(from) << 8) | u64::from(to),
             LinkKey::Host { link } => 0x2000 | u64::from(link),
-        }
-    }
-}
-
-impl fmt::Display for LinkKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinkKey::Edge { from, to } => write!(f, "link={from}>{to}"),
-            LinkKey::Host { link } => write!(f, "host={link}"),
         }
     }
 }
@@ -156,17 +149,16 @@ impl LinkFaultSpec {
     }
 }
 
-/// A complete fault scenario for one fabric: per-link specs, permanently
-/// dead cube-to-cube links, and the degradation policy.
+/// A complete fault scenario for one fabric: the fault spec every link
+/// runs under, permanently dead cube-to-cube links, and the degradation
+/// policy.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Root seed; independent of the workload seed so the same error
     /// pattern can be replayed under different traffic.
     pub seed: u64,
-    /// Per-link fault specs.
-    links: BTreeMap<LinkKey, LinkFaultSpec>,
-    /// A spec applied to every link without an explicit entry.
-    blanket: Option<LinkFaultSpec>,
+    /// The spec applied to every link (`None`: no wire faults).
+    all_links: Option<LinkFaultSpec>,
     /// Permanently dead cube-to-cube links, as unordered cube pairs. The
     /// fabric routes around them (ring) or refuses to build (chain/star,
     /// where removal disconnects the fabric).
@@ -185,12 +177,10 @@ impl FaultPlan {
         }
     }
 
-    /// Applies `spec` to every link without an explicit entry.
-    ///
-    /// Kept public: the blanket spec is private, and fabric tests set it
-    /// with this.
+    /// Applies `spec` to every link. Each link still draws its own
+    /// error stream (the draws mix in its [`LinkKey`]).
     pub fn with_all_links(mut self, spec: LinkFaultSpec) -> FaultPlan {
-        self.blanket = Some(spec);
+        self.all_links = Some(spec);
         self
     }
 
@@ -207,22 +197,14 @@ impl FaultPlan {
         self
     }
 
-    /// The spec governing `key`, if any (explicit entry, else blanket).
-    pub(crate) fn spec_for(&self, key: LinkKey) -> Option<&LinkFaultSpec> {
-        self.links.get(&key).or(self.blanket.as_ref())
-    }
-
-    /// Validates every spec and the dead-edge list.
+    /// Validates the link spec and the dead-edge list.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        for (key, spec) in &self.links {
-            spec.validate().map_err(|e| format!("{key}: {e}"))?;
-        }
-        if let Some(b) = &self.blanket {
-            b.validate().map_err(|e| format!("all links: {e}"))?;
+        if let Some(spec) = &self.all_links {
+            spec.validate().map_err(|e| format!("all links: {e}"))?;
         }
         for &(a, b) in &self.dead_edges {
             if a == b {
@@ -236,123 +218,14 @@ impl FaultPlan {
     }
 
     /// The deterministic injector for `key`, or `None` if the plan
-    /// leaves that link fault-free.
+    /// leaves the links fault-free.
     pub fn injector(&self, key: LinkKey) -> Option<LinkFaults> {
-        let spec = self.spec_for(key)?;
+        let spec = self.all_links.as_ref()?;
         if spec.is_noop() && self.degrade.is_none() {
             return None;
         }
         Some(LinkFaults::new(self.seed, key, spec.clone()))
     }
-
-    /// Parses the textual fault-spec syntax (see the README's "Fault
-    /// injection & link retry" section). Clauses are `;`-separated; each
-    /// clause is whitespace-separated fields:
-    ///
-    /// - `link=F>T` / `host=L` / `all` — which link(s) the clause's
-    ///   fields apply to;
-    /// - `ber=RATE` — per-flit error probability (float);
-    /// - `burst=N` — flits corrupted after each hit;
-    /// - `down=START..END` — outage window, times with `ns`/`us` suffix;
-    /// - `half` — permanent half-width lanes;
-    /// - `dead=A-B` — permanently dead cube-to-cube link;
-    /// - `degrade=N` — half-width fallback after `N` CRC errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed clause.
-    ///
-    /// ```
-    /// use hmc_faults::FaultPlan;
-    /// let plan = FaultPlan::parse(1, "all ber=1e-6 burst=2; dead=2-3; degrade=50")
-    ///     .expect("spec parses");
-    /// assert_eq!(plan.dead_edges, vec![(2, 3)]);
-    /// assert_eq!(plan.degrade, Some(50));
-    /// ```
-    pub fn parse(seed: u64, s: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new(seed);
-        for clause in s.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let mut target: Option<Option<LinkKey>> = None; // None=unset, Some(None)=all
-            let mut spec = LinkFaultSpec::default();
-            for field in clause.split_whitespace() {
-                if field == "all" {
-                    target = Some(None);
-                } else if field == "half" {
-                    spec.half_width = true;
-                } else if let Some(v) = field.strip_prefix("link=") {
-                    let (f, t) = v
-                        .split_once('>')
-                        .ok_or_else(|| format!("link spec '{v}' wants FROM>TO"))?;
-                    target = Some(Some(LinkKey::edge(
-                        parse_u8(f, "link cube")?,
-                        parse_u8(t, "link cube")?,
-                    )));
-                } else if let Some(v) = field.strip_prefix("host=") {
-                    target = Some(Some(LinkKey::host(parse_u8(v, "host link")?)));
-                } else if let Some(v) = field.strip_prefix("ber=") {
-                    spec.ber = v
-                        .parse::<f64>()
-                        .map_err(|_| format!("bad error rate '{v}'"))?;
-                } else if let Some(v) = field.strip_prefix("burst=") {
-                    spec.burst = v
-                        .parse::<u32>()
-                        .map_err(|_| format!("bad burst length '{v}'"))?;
-                } else if let Some(v) = field.strip_prefix("down=") {
-                    let (s, e) = v
-                        .split_once("..")
-                        .ok_or_else(|| format!("down window '{v}' wants START..END"))?;
-                    spec.down.push((parse_time(s)?, parse_time(e)?));
-                } else if let Some(v) = field.strip_prefix("dead=") {
-                    let (a, b) = v
-                        .split_once('-')
-                        .ok_or_else(|| format!("dead edge '{v}' wants A-B"))?;
-                    plan = plan.with_dead_edge(parse_u8(a, "cube")?, parse_u8(b, "cube")?);
-                } else if let Some(v) = field.strip_prefix("degrade=") {
-                    plan.degrade = Some(
-                        v.parse::<u64>()
-                            .map_err(|_| format!("bad degrade threshold '{v}'"))?,
-                    );
-                } else {
-                    return Err(format!("unknown fault-spec field '{field}'"));
-                }
-            }
-            match target {
-                Some(Some(key)) => plan.links.insert(key, spec).map_or((), |_| ()),
-                Some(None) => plan.blanket = Some(spec),
-                None if spec == LinkFaultSpec::default() => {}
-                None => {
-                    return Err(format!(
-                        "clause '{clause}' sets link faults without link=/host=/all"
-                    ))
-                }
-            }
-        }
-        plan.validate()?;
-        Ok(plan)
-    }
-}
-
-fn parse_u8(s: &str, what: &str) -> Result<u8, String> {
-    s.parse::<u8>().map_err(|_| format!("bad {what} '{s}'"))
-}
-
-/// Parses a `down=` window time, `123ns` / `45us`, into a [`Time`].
-fn parse_time(s: &str) -> Result<Time, String> {
-    let (v, ps_per_unit) = if let Some(v) = s.strip_suffix("us") {
-        (v, 1_000_000)
-    } else if let Some(v) = s.strip_suffix("ns") {
-        (v, 1_000)
-    } else {
-        return Err(format!("time '{s}' wants an ns or us suffix"));
-    };
-    let n: u64 = v.parse().map_err(|_| format!("bad time '{s}'"))?;
-    n.checked_mul(ps_per_unit)
-        .map(Time::from_ps)
-        .ok_or_else(|| format!("down time '{s}' overflows the picosecond clock"))
 }
 
 /// The live injector of one link: owns the link's flit sequence counter
@@ -455,7 +328,7 @@ mod tests {
     fn draws_are_reproducible_and_link_distinct() {
         let plan = FaultPlan::new(42).with_all_links(LinkFaultSpec::ber(0.3));
         let draw = |key: LinkKey| {
-            let mut inj = plan.injector(key).expect("blanket applies");
+            let mut inj = plan.injector(key).expect("the all-links spec applies");
             (0..64).map(|_| inj.corrupt_packet(9)).collect::<Vec<_>>()
         };
         assert_eq!(draw(LinkKey::edge(0, 1)), draw(LinkKey::edge(0, 1)));
@@ -539,34 +412,5 @@ mod tests {
         let mut zero = FaultPlan::new(0);
         zero.degrade = Some(0);
         assert!(zero.validate().is_err());
-    }
-
-    #[test]
-    fn parse_round_trips_the_readme_syntax() {
-        let plan = FaultPlan::parse(
-            5,
-            "link=1>2 ber=1e-6 burst=4; host=0 down=10us..20us; all ber=1e-9; \
-             dead=0-3; degrade=100",
-        )
-        .expect("spec parses");
-        let s = plan.spec_for(LinkKey::edge(1, 2)).expect("explicit");
-        assert_eq!(s.ber, 1e-6);
-        assert_eq!(s.burst, 4);
-        let h = plan.spec_for(LinkKey::host(0)).expect("explicit");
-        assert_eq!(h.down, vec![(Time::from_ns(10_000), Time::from_ns(20_000))]);
-        let b = plan.spec_for(LinkKey::edge(5, 6)).expect("blanket");
-        assert_eq!(b.ber, 1e-9);
-        assert_eq!(plan.dead_edges, vec![(0, 3)]);
-        assert_eq!(plan.degrade, Some(100));
-
-        assert!(FaultPlan::parse(0, "ber=0.5").is_err(), "needs a target");
-        assert!(FaultPlan::parse(0, "all ber=2.0").is_err(), "rate range");
-        assert!(FaultPlan::parse(0, "link=1 ber=0.1").is_err(), "FROM>TO");
-        assert!(FaultPlan::parse(0, "all down=3..4").is_err(), "time unit");
-        let overflow = FaultPlan::parse(0, "all down=20000000000000000ns..1ns");
-        assert!(overflow.expect_err("ps overflow").contains("down time"));
-        assert!(FaultPlan::parse(0, "all down=0us..18446744073709552us").is_err());
-        assert!(FaultPlan::parse(0, "bogus").is_err());
-        assert_eq!(FaultPlan::parse(0, "").expect("empty"), FaultPlan::new(0));
     }
 }

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 use hmc_des::{Delay, Time};
 use hmc_faults::LinkFaults;
-use hmc_packet::{FlowType, LinkSeq};
+use hmc_packet::{LinkSeq, OVERHEAD_FLITS};
 
 use crate::config::LinkConfig;
 
@@ -54,8 +54,9 @@ impl RetryTuning {
             // Never smaller than one max-size packet, or the buffer
             // could not retain what the wire just sent.
             buffer_flits: cfg.input_buffer_flits.max(9),
-            ack_delay: round_trip + cfg.packet_time(FlowType::RetryPointerReturn.flits()),
-            turnaround: round_trip + cfg.packet_time(FlowType::InitRetry.flits()),
+            // The retry-pointer return and the IRTRY are one-flit flow packets.
+            ack_delay: round_trip + cfg.packet_time(OVERHEAD_FLITS),
+            turnaround: round_trip + cfg.packet_time(OVERHEAD_FLITS),
             degrade_after: None,
         }
     }

@@ -33,7 +33,6 @@ mod size;
 pub use address::{Address, AddressOverflow, CubeId, GlobalAddress, LinkId, PortId, Tag};
 pub use flit::{flits_to_bytes, FLIT_BYTES, OVERHEAD_FLITS};
 pub use packet::{
-    FlowType, LinkSeq, RequestKind, RequestPacket, ResponsePacket, CRC_BITS, RETRY_POINTER_BITS,
-    SEQ_BITS,
+    LinkSeq, RequestKind, RequestPacket, ResponsePacket, CRC_BITS, RETRY_POINTER_BITS, SEQ_BITS,
 };
 pub use size::{InvalidPayloadSize, PayloadSize};

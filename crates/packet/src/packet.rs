@@ -175,27 +175,6 @@ impl fmt::Display for ResponsePacket {
     }
 }
 
-/// Link-layer flow packets (no data payload; one flit).
-///
-/// These never reach the vaults: they maintain the link protocol. The
-/// simulator accounts for their bandwidth as part of the link protocol
-/// overhead factor rather than modelling each exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlowType {
-    /// Retry pointer return used by the link retry protocol.
-    RetryPointerReturn,
-    /// Start-retry marker.
-    InitRetry,
-}
-
-impl FlowType {
-    /// Flow packets are a single flit (Figure 4a).
-    #[inline]
-    pub const fn flits(self) -> u32 {
-        OVERHEAD_FLITS
-    }
-}
-
 /// Bits of the per-packet CRC carried in every tail (HMC 2.1). The
 /// simulator never computes the checksum — fault injection decides which
 /// transmissions fail it — but the field width anchors the link-retry
@@ -290,12 +269,6 @@ mod tests {
         assert_eq!(resp.port, req.port);
         assert_eq!(resp.tag, req.tag);
         assert_eq!(resp.flits(), 3);
-    }
-
-    #[test]
-    fn flow_packets_are_single_flit() {
-        assert_eq!(FlowType::RetryPointerReturn.flits(), 1);
-        assert_eq!(FlowType::InitRetry.flits(), 1);
     }
 
     #[test]

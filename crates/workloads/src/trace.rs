@@ -63,7 +63,7 @@ impl TraceOp {
 ///     .collect();
 /// assert_eq!(trace.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     ops: Vec<TraceOp>,
 }
@@ -100,12 +100,6 @@ impl FromIterator<TraceOp> for Trace {
     }
 }
 
-impl Extend<TraceOp> for Trace {
-    fn extend<I: IntoIterator<Item = TraceOp>>(&mut self, iter: I) {
-        self.ops.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,8 +111,5 @@ mod tests {
             .map(|i| TraceOp::read(Address::new(i * 128), PayloadSize::B128))
             .collect();
         assert_eq!(trace.len(), 4);
-        let mut t2 = Trace::default();
-        t2.extend(trace.ops().iter().copied());
-        assert_eq!(t2, trace);
     }
 }
