@@ -1,8 +1,9 @@
 //! The event engine: a deterministic, single-threaded discrete-event loop
 //! over a two-level scheduler (near-horizon timer wheel + far heap), with
-//! first-class cancellable component timers.
+//! engine-owned component timers.
 
 use std::fmt;
+use std::ops::AddAssign;
 
 use crate::inline;
 use crate::time::{Delay, Time};
@@ -44,75 +45,35 @@ impl fmt::Display for ComponentId {
     }
 }
 
-/// Identifies one armed timer wakeup, returned by [`Ctx::wake_at`].
-///
-/// A token is valid for exactly one fire: it can be cancelled with
-/// [`Ctx::cancel_wake`] any time before its deadline is dispatched, and a
-/// component re-arms by requesting a fresh token.
-///
-/// Internally a token is a `(slot, generation)` pair into the engine's
-/// wake-slot table: slots are recycled once their timer fires or its
-/// cancellation is reaped, and the generation disambiguates reuse, so
-/// arming, cancelling and reaping are all O(1) array operations with no
-/// hashing and no steady-state allocation. A token value repeats only
-/// after 2³² arms of one slot — beyond any realistic run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WakeToken(u64);
-
-impl WakeToken {
-    #[inline]
-    fn new(slot: u32, generation: u32) -> WakeToken {
-        WakeToken((u64::from(generation) << 32) | u64::from(slot))
-    }
-
-    #[inline]
-    fn slot(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    #[inline]
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// State of one wake-slot table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WakeState {
-    /// Recyclable; the slot index is on the free list.
-    Free,
-    /// Armed and queued; will fire unless cancelled.
-    Armed,
-    /// Cancelled while queued; reaped silently when it surfaces.
-    Cancelled,
-}
-
-/// One entry of the wake-slot table (see [`WakeToken`]).
-#[derive(Debug, Clone, Copy)]
-struct WakeSlot {
+/// One component timer (see [`Ctx::set_wake`]): the deadline it is
+/// armed at, if any, and the generation of its newest queue entry. Moving
+/// or disarming an armed timer bumps the generation, which turns the entry
+/// already queued into a stale one that is reaped silently.
+#[derive(Debug, Clone, Copy, Default)]
+struct Timer {
+    at: Option<Time>,
     generation: u32,
-    state: WakeState,
 }
 
 /// A simulated hardware block that reacts to timestamped messages.
 ///
 /// Handlers receive a [`Ctx`] through which they may schedule further
 /// messages (to themselves or to other components) at the current time or
-/// later, and arm or cancel timer wakeups ([`Ctx::wake_at`] /
-/// [`Ctx::cancel_wake`]). Handlers must not block and must not assume any
-/// ordering between messages carrying the same timestamp other than the
-/// engine's FIFO guarantee (messages scheduled earlier are delivered
-/// earlier).
+/// later, and arm, move or disarm their own timers ([`Ctx::set_wake`]).
+/// Handlers must not block and must not assume any ordering between
+/// messages carrying the same timestamp other than the engine's FIFO
+/// guarantee (messages scheduled earlier are delivered earlier).
 pub trait Component<M>: AsAnyComponent {
     /// Reacts to `msg`, delivered at time `ctx.now()`.
     fn on_message(&mut self, msg: M, ctx: &mut Ctx<'_, M>);
 
-    /// Reacts to a timer wakeup armed earlier via [`Ctx::wake_at`].
+    /// Reacts to the fire of this component's timer `timer`, armed
+    /// earlier via [`Ctx::set_wake`]. The timer is disarmed when it fires.
     ///
     /// The default implementation ignores the wakeup; components that arm
-    /// timers override it (usually via [`crate::AutoWake`]).
-    fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, M>) {
-        let _ = (token, ctx);
+    /// timers override it.
+    fn on_wake(&mut self, timer: usize, ctx: &mut Ctx<'_, M>) {
+        let _ = (timer, ctx);
     }
 
     /// A short human-readable name used in panics and debug output.
@@ -125,8 +86,9 @@ pub trait Component<M>: AsAnyComponent {
 enum EventKind<M> {
     /// An ordinary message for [`Component::on_message`].
     Msg(M),
-    /// A timer fire for [`Component::on_wake`].
-    Wake(WakeToken),
+    /// A fire of the target's timer `.0`, live while its generation is
+    /// still `.1`.
+    Wake(u32, u32),
 }
 
 /// One scheduled event: the queue orders by `(time, seq)` so delivery is in
@@ -145,14 +107,11 @@ struct EngineCore<M> {
     seq: u64,
     queue: EventQueue<Scheduled<M>>,
     dispatched: u64,
-    /// The wake-slot table: O(1), hash-free timer bookkeeping indexed by
-    /// [`WakeToken::slot`]. Grows to the peak number of simultaneously
-    /// armed timers and is then allocation-free.
-    wake_slots: Vec<WakeSlot>,
-    /// Indices of [`WakeState::Free`] slots.
-    free_slots: Vec<u32>,
-    /// Queue entries belonging to cancelled (not yet reaped) timers.
-    cancelled_pending: usize,
+    /// Each component's timers, by component index then timer index;
+    /// grown on first use.
+    timers: Vec<Vec<Timer>>,
+    /// Queue entries of moved or disarmed timers, not yet reaped.
+    stale_pending: usize,
     wake_fires: u64,
     wake_cancels: u64,
 }
@@ -183,44 +142,35 @@ impl<M> EngineCore<M> {
         });
     }
 
-    fn arm_wake(&mut self, at: Time, target: ComponentId) -> WakeToken {
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.wake_slots.push(WakeSlot {
-                generation: 0,
-                state: WakeState::Free,
-            });
-            (self.wake_slots.len() - 1) as u32
-        });
-        let entry = &mut self.wake_slots[slot as usize];
-        debug_assert_eq!(entry.state, WakeState::Free, "free list holds free slots");
-        entry.state = WakeState::Armed;
-        let token = WakeToken::new(slot, entry.generation);
-        self.push(at, target, EventKind::Wake(token));
-        token
-    }
-
-    fn cancel_wake(&mut self, token: WakeToken) -> bool {
-        match self.wake_slots.get_mut(token.slot()) {
-            Some(slot)
-                if slot.generation == token.generation() && slot.state == WakeState::Armed =>
-            {
-                slot.state = WakeState::Cancelled;
-                self.cancelled_pending += 1;
-                self.wake_cancels += 1;
-                true
-            }
-            _ => false,
+    #[inline]
+    fn set_wake(&mut self, target: ComponentId, timer: usize, at: Option<Time>) {
+        let timers = &mut self.timers[target.index()];
+        if timers.len() <= timer {
+            grow_timers(timers, timer);
+        }
+        let t = &mut timers[timer];
+        if t.at == at {
+            return;
+        }
+        if t.at.is_some() {
+            t.generation = t.generation.wrapping_add(1);
+            self.stale_pending += 1;
+            self.wake_cancels += 1;
+        }
+        t.at = at;
+        let generation = t.generation;
+        if let Some(at) = at {
+            self.push(at, target, EventKind::Wake(timer as u32, generation));
         }
     }
+}
 
-    /// Retires `token`'s slot after its queue entry surfaced (fired or
-    /// reaped): bumps the generation and recycles the slot.
-    fn retire_wake(&mut self, token: WakeToken) {
-        let slot = &mut self.wake_slots[token.slot()];
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.state = WakeState::Free;
-        self.free_slots.push(token.slot() as u32);
-    }
+/// Grows a component's timer table to hold `timer`: once per timer
+/// index, so kept out of line.
+#[cold]
+#[inline(never)]
+fn grow_timers(timers: &mut Vec<Timer>, timer: usize) {
+    timers.resize(timer + 1, Timer::default());
 }
 
 /// Handler-side view of the engine: read the clock, schedule messages, arm
@@ -282,28 +232,88 @@ impl<'a, M> Ctx<'a, M> {
         self.core.push_keyed(at, to, key, EventKind::Msg(msg));
     }
 
-    /// Arms a timer: the current component's [`Component::on_wake`] runs at
-    /// the absolute instant `at` with the returned token, unless the token
-    /// is cancelled first.
+    /// Moves the current component's timer `timer` to `at`: arms it, moves
+    /// it, or (with `None`) disarms it, so that afterwards exactly the
+    /// requested deadline, or nothing, is pending. When it fires,
+    /// [`Component::on_wake`] runs with `timer` and the timer is disarmed.
     ///
-    /// Within one timestamp, wakeups obey the same FIFO rule as messages.
+    /// Setting the deadline a timer is already armed at is a no-op.
+    /// Moving or disarming an armed timer counts one
+    /// [`EngineStats::wake_cancels`]; its queue entry is skipped, without
+    /// dispatching or advancing the clock, when it surfaces. Arming takes
+    /// the next FIFO position, so within one timestamp wakeups obey the
+    /// same rule as messages. Timer indices are the component's own, dense
+    /// from zero.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `at` is in the past.
+    ///
+    /// # Examples
+    ///
+    /// The clocked-component protocol every timing model follows: a
+    /// sans-event core reports the next instant it could progress on its
+    /// own from `next_wake`, and its wrapper re-arms one timer there after
+    /// every stimulus, so an idle core consumes no events.
+    ///
+    /// ```
+    /// use hmc_des::{Component, Ctx, Delay, Engine, Time};
+    ///
+    /// /// Emits one unit of work every `period`, at most `budget` times.
+    /// struct Core {
+    ///     period: Delay,
+    ///     budget: u32,
+    ///     done: u32,
+    ///     next_due: Time,
+    /// }
+    ///
+    /// impl Core {
+    ///     fn service(&mut self, now: Time) {
+    ///         while self.done < self.budget && self.next_due <= now {
+    ///             self.done += 1;
+    ///             self.next_due = self.next_due + self.period;
+    ///         }
+    ///     }
+    ///
+    ///     fn next_wake(&self) -> Option<Time> {
+    ///         (self.done < self.budget).then_some(self.next_due)
+    ///     }
+    ///
+    ///     /// Service on every stimulus, then re-arm timer 0.
+    ///     fn step(&mut self, ctx: &mut Ctx<'_, ()>) {
+    ///         self.service(ctx.now());
+    ///         ctx.set_wake(0, self.next_wake());
+    ///     }
+    /// }
+    ///
+    /// impl Component<()> for Core {
+    ///     fn on_message(&mut self, _msg: (), ctx: &mut Ctx<'_, ()>) {
+    ///         self.step(ctx);
+    ///     }
+    ///
+    ///     fn on_wake(&mut self, _timer: usize, ctx: &mut Ctx<'_, ()>) {
+    ///         self.step(ctx);
+    ///     }
+    /// }
+    ///
+    /// let mut engine = Engine::new();
+    /// let id = engine.add_component(Box::new(Core {
+    ///     period: Delay::from_ns(10),
+    ///     budget: 5,
+    ///     done: 0,
+    ///     next_due: Time::ZERO,
+    /// }));
+    /// engine.schedule(Time::ZERO, id, ());
+    /// engine.run_until(Time::MAX);
+    /// // One kick and 4 timer fires; the idle core consumes nothing more.
+    /// assert_eq!(engine.now(), Time::from_ns(40));
+    /// assert_eq!(engine.stats().wake_fires, 4);
+    /// assert_eq!(engine.component::<Core>(id).unwrap().done, 5);
+    /// ```
     #[inline]
-    pub fn wake_at(&mut self, at: Time) -> WakeToken {
+    pub fn set_wake(&mut self, timer: usize, at: Option<Time>) {
         let id = self.self_id;
-        self.core.arm_wake(at, id)
-    }
-
-    /// Cancels an armed timer. Returns `true` if the token was live (its
-    /// wakeup will not be delivered); `false` if it already fired or was
-    /// already cancelled. Cancellation is O(1): the queue entry is skipped
-    /// — without dispatching or advancing the clock — when it surfaces.
-    #[inline]
-    pub fn cancel_wake(&mut self, token: WakeToken) -> bool {
-        self.core.cancel_wake(token)
+        self.core.set_wake(id, timer, at);
     }
 }
 
@@ -314,14 +324,15 @@ impl<'a, M> Ctx<'a, M> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Total events dispatched to components (messages plus timer fires;
-    /// cancelled timers are not dispatched and not counted).
+    /// moved or disarmed timers' stale entries are not dispatched and not
+    /// counted).
     pub dispatched: u64,
     /// Events still queued (e.g. after `run_until` stopped at a horizon),
-    /// excluding cancelled-but-unreaped timers.
+    /// excluding stale timer entries.
     pub pending: usize,
     /// Timer wakeups delivered to [`Component::on_wake`].
     pub wake_fires: u64,
-    /// Timer wakeups cancelled before firing.
+    /// Armed timers moved or disarmed before firing.
     pub wake_cancels: u64,
     /// Heap allocations performed by [`crate::InlineVec`] scratch buffers
     /// while this engine's handlers ran (first spill of a buffer, or
@@ -333,6 +344,18 @@ pub struct EngineStats {
     /// allocates at most a handful of times while it grows to the
     /// workload's peak burst, and never again in steady state.
     pub scratch_spills: u64,
+}
+
+/// Field-wise sums: the counters of several engines (a partitioned run's
+/// domains, or an experiment's runs) add up to their total.
+impl AddAssign for EngineStats {
+    fn add_assign(&mut self, other: EngineStats) {
+        self.dispatched += other.dispatched;
+        self.pending += other.pending;
+        self.wake_fires += other.wake_fires;
+        self.wake_cancels += other.wake_cancels;
+        self.scratch_spills += other.scratch_spills;
+    }
 }
 
 /// A deterministic discrete-event engine over message type `M`.
@@ -405,9 +428,8 @@ impl<M> Engine<M> {
                 seq: 0,
                 queue: EventQueue::new(),
                 dispatched: 0,
-                wake_slots: Vec::with_capacity(components.max(8)),
-                free_slots: Vec::with_capacity(components.max(8)),
-                cancelled_pending: 0,
+                timers: Vec::with_capacity(components),
+                stale_pending: 0,
                 wake_fires: 0,
                 wake_cancels: 0,
             },
@@ -423,6 +445,7 @@ impl<M> Engine<M> {
         let id = ComponentId(self.components.len() as u32);
         self.names.push(component.name().to_owned());
         self.components.push(Some(component));
+        self.core.timers.push(Vec::new());
         id
     }
 
@@ -455,8 +478,8 @@ impl<M> Engine<M> {
     }
 
     /// The timestamp of the earliest queued event, or `None` when the
-    /// queue is empty. Cancelled-but-unreaped timers are counted (their
-    /// entries still surface, silently), so the reported bound is
+    /// queue is empty. Stale timer entries are counted (they still
+    /// surface, silently), so the reported bound is
     /// conservative: the next *observable* dispatch is at or after it.
     pub fn next_event_time(&mut self) -> Option<Time> {
         self.core.queue.peek_time()
@@ -486,8 +509,8 @@ impl<M> Engine<M> {
     /// run's "when did the simulation finish" reading and make every
     /// subsequent `Time` addition overflow. With an empty queue and
     /// `horizon == Time::MAX` the clock does not move at all. In both
-    /// cases [`EngineStats::pending`] reports 0 after the call; cancelled
-    /// timers never advance the clock.
+    /// cases [`EngineStats::pending`] reports 0 after the call; moved or
+    /// disarmed timers never advance the clock.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
         let before = self.core.dispatched;
         let spills_before = inline::spill_allocs();
@@ -496,22 +519,18 @@ impl<M> Engine<M> {
                 break;
             }
             let ev = self.core.queue.pop().expect("peeked event vanished");
-            let token = match ev.item.kind {
-                EventKind::Wake(token) => {
-                    let state = self.core.wake_slots[token.slot()].state;
-                    debug_assert_ne!(state, WakeState::Free, "queued wake has a live slot");
-                    self.core.retire_wake(token);
-                    if state == WakeState::Cancelled {
-                        // Cancelled before firing: reap silently. The clock
-                        // must not advance for an event nobody observes.
-                        self.core.cancelled_pending -= 1;
-                        continue;
-                    }
-                    self.core.wake_fires += 1;
-                    Some(token)
+            if let EventKind::Wake(timer, generation) = ev.item.kind {
+                let t = &mut self.core.timers[ev.item.target.index()][timer as usize];
+                if t.generation != generation {
+                    // Moved or disarmed before firing: reap silently. The
+                    // clock must not advance for an event nobody observes.
+                    self.core.stale_pending -= 1;
+                    continue;
                 }
-                EventKind::Msg(_) => None,
-            };
+                debug_assert_eq!(t.at, Some(ev.time), "a live fire is at its deadline");
+                t.at = None;
+                self.core.wake_fires += 1;
+            }
             debug_assert!(ev.time >= self.core.time, "event queue went backwards");
             self.core.time = ev.time;
             self.last_dispatched = ev.time;
@@ -526,9 +545,7 @@ impl<M> Engine<M> {
             };
             match ev.item.kind {
                 EventKind::Msg(msg) => component.on_message(msg, &mut ctx),
-                EventKind::Wake(_) => {
-                    component.on_wake(token.expect("wake carries its token"), &mut ctx);
-                }
+                EventKind::Wake(timer, _) => component.on_wake(timer as usize, &mut ctx),
             }
             self.components[slot] = Some(component);
         }
@@ -567,7 +584,7 @@ impl<M> Engine<M> {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             dispatched: self.core.dispatched,
-            pending: self.core.queue.len() - self.core.cancelled_pending,
+            pending: self.core.queue.len() - self.core.stale_pending,
             wake_fires: self.core.wake_fires,
             wake_cancels: self.core.wake_cancels,
             scratch_spills: self.scratch_spills,
@@ -828,60 +845,105 @@ mod tests {
         assert_eq!(b.stats().scratch_spills, large);
     }
 
-    /// Arms a wake on the first message; records fires.
-    struct Sleeper {
-        token: Option<WakeToken>,
-        at: Time,
-        fires: Vec<u64>,
-        cancel_on_message: bool,
+    /// Applies one scripted step of [`Ctx::set_wake`] calls (timer, ns)
+    /// per delivery, message or fire, and logs each fire as `(timer, ps)`.
+    struct Scripted {
+        script: Vec<Vec<(usize, Option<u64>)>>,
+        fires: Vec<(usize, u64)>,
     }
 
-    impl Component<u32> for Sleeper {
-        fn on_message(&mut self, _msg: u32, ctx: &mut Ctx<'_, u32>) {
-            match self.token {
-                None => self.token = Some(ctx.wake_at(self.at)),
-                Some(t) if self.cancel_on_message => {
-                    assert!(ctx.cancel_wake(t));
-                    self.token = None;
-                }
-                Some(_) => {}
+    impl Scripted {
+        fn step(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if self.script.is_empty() {
+                return;
+            }
+            for (timer, ns) in self.script.remove(0) {
+                ctx.set_wake(timer, ns.map(Time::from_ns));
             }
         }
-        fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, u32>) {
-            assert_eq!(Some(token), self.token);
-            self.fires.push(ctx.now().as_ps());
+    }
+
+    impl Component<u32> for Scripted {
+        fn on_message(&mut self, _msg: u32, ctx: &mut Ctx<'_, u32>) {
+            self.step(ctx);
         }
+        fn on_wake(&mut self, timer: usize, ctx: &mut Ctx<'_, u32>) {
+            self.fires.push((timer, ctx.now().as_ps()));
+            self.step(ctx);
+        }
+    }
+
+    /// An engine running `script` with one message at each of `kicks_ns`.
+    fn scripted(script: Vec<Vec<(usize, Option<u64>)>>, kicks_ns: &[u64]) -> Engine<u32> {
+        let mut e: Engine<u32> = Engine::new();
+        let id = e.add_component(Box::new(Scripted {
+            script,
+            fires: Vec::new(),
+        }));
+        for &t in kicks_ns {
+            e.schedule(Time::from_ns(t), id, 0);
+        }
+        e
+    }
+
+    fn fires(e: &Engine<u32>) -> &[(usize, u64)] {
+        &e.component::<Scripted>(ComponentId(0)).unwrap().fires
     }
 
     #[test]
-    fn wake_at_fires_at_the_deadline() {
-        let mut e: Engine<u32> = Engine::new();
-        let id = e.add_component(Box::new(Sleeper {
-            token: None,
-            at: Time::from_ns(9),
-            fires: vec![],
-            cancel_on_message: false,
-        }));
-        e.schedule(Time::ZERO, id, 0);
+    fn set_wake_fires_at_the_deadline() {
+        let mut e = scripted(vec![vec![(0, Some(9))]], &[0]);
         e.run_until(Time::MAX);
-        assert_eq!(e.component::<Sleeper>(id).unwrap().fires, vec![9_000]);
+        assert_eq!(fires(&e), [(0, 9_000)]);
         assert_eq!(e.stats().wake_fires, 1);
         assert_eq!(e.now(), Time::from_ns(9));
     }
 
     #[test]
-    fn cancelled_wake_never_fires_and_moves_no_clock() {
-        let mut e: Engine<u32> = Engine::new();
-        let id = e.add_component(Box::new(Sleeper {
-            token: None,
-            at: Time::from_ns(9),
-            fires: vec![],
-            cancel_on_message: true,
-        }));
-        e.schedule(Time::ZERO, id, 0);
-        e.schedule(Time::from_ns(1), id, 0);
+    fn arms_and_fires_once_per_deadline() {
+        let script = vec![vec![(0, Some(5))], vec![(0, Some(9))], vec![(0, None)]];
+        let mut e = scripted(script, &[0]);
         e.run_until(Time::MAX);
-        assert!(e.component::<Sleeper>(id).unwrap().fires.is_empty());
+        assert_eq!(fires(&e), [(0, 5_000), (0, 9_000)]);
+    }
+
+    #[test]
+    fn rearm_to_same_deadline_is_single_fire() {
+        // Two messages both targeting 5 ns: one queue entry, one fire.
+        let mut e = scripted(vec![vec![(0, Some(5))], vec![(0, Some(5))]], &[0, 1]);
+        e.run_until(Time::MAX);
+        assert_eq!(fires(&e), [(0, 5_000)]);
+        assert_eq!(e.stats().wake_cancels, 0);
+        assert_eq!(e.stats().dispatched, 3);
+    }
+
+    #[test]
+    fn moving_the_deadline_cancels_the_stale_timer() {
+        // The second message moves the deadline earlier; the entry at
+        // 50 ns goes stale and is never dispatched.
+        let mut e = scripted(vec![vec![(0, Some(50))], vec![(0, Some(5))]], &[0, 1]);
+        e.run_until(Time::from_ns(2));
+        assert_eq!(e.stats().pending, 1, "the stale entry is not pending");
+        e.run_until(Time::MAX);
+        assert_eq!(fires(&e), [(0, 5_000)]);
+        assert_eq!(e.stats().wake_cancels, 1);
+        assert_eq!(e.stats().dispatched, 3);
+        assert_eq!(e.now(), Time::from_ns(5), "a stale entry moves no clock");
+    }
+
+    #[test]
+    fn disarm_leaves_nothing_pending() {
+        let mut e = scripted(vec![vec![(0, Some(5))], vec![(0, None)]], &[0]);
+        e.run_until(Time::MAX);
+        assert_eq!(fires(&e), [(0, 5_000)]);
+        assert_eq!(e.stats().pending, 0);
+    }
+
+    #[test]
+    fn cancelled_wake_never_fires_and_moves_no_clock() {
+        let mut e = scripted(vec![vec![(0, Some(9))], vec![(0, None)]], &[0, 1]);
+        e.run_until(Time::MAX);
+        assert!(fires(&e).is_empty());
         assert_eq!(e.stats().wake_fires, 0);
         assert_eq!(e.stats().wake_cancels, 1);
         assert_eq!(e.now(), Time::from_ns(1), "reaped timer left clock alone");
@@ -890,24 +952,31 @@ mod tests {
 
     #[test]
     fn cancel_after_fire_reports_false() {
-        struct LateCancel {
-            token: Option<WakeToken>,
-        }
-        impl Component<u32> for LateCancel {
-            fn on_message(&mut self, _msg: u32, ctx: &mut Ctx<'_, u32>) {
-                match self.token {
-                    None => self.token = Some(ctx.wake_at(ctx.now() + Delay::from_ns(1))),
-                    Some(t) => assert!(!ctx.cancel_wake(t), "token already fired"),
-                }
-            }
-        }
-        let mut e: Engine<u32> = Engine::new();
-        let id = e.add_component(Box::new(LateCancel { token: None }));
-        e.schedule(Time::ZERO, id, 0);
-        e.schedule(Time::from_ns(5), id, 0);
+        // Disarming a timer that already fired finds nothing armed.
+        let mut e = scripted(vec![vec![(0, Some(1))], vec![], vec![(0, None)]], &[0, 5]);
         e.run_until(Time::MAX);
         assert_eq!(e.stats().wake_fires, 1);
         assert_eq!(e.stats().wake_cancels, 0);
+    }
+
+    #[test]
+    fn two_timers_move_and_disarm_independently() {
+        // The cube pattern: timer 1 moves earlier while timer 0 is
+        // disarmed, then timer 1's fire re-arms timer 0.
+        let script = vec![
+            vec![(0, Some(10)), (1, Some(20))],
+            vec![(1, Some(5)), (0, None)],
+            vec![(0, Some(8))],
+        ];
+        let mut e = scripted(script, &[0, 1]);
+        e.run_until(Time::MAX);
+        assert_eq!(fires(&e), [(1, 5_000), (0, 8_000)]);
+        let stats = e.stats();
+        assert_eq!(stats.wake_fires, 2);
+        assert_eq!(stats.wake_cancels, 2);
+        assert_eq!(stats.dispatched, 4);
+        assert_eq!(stats.pending, 0);
+        assert_eq!(e.now(), Time::from_ns(8), "stale entries at 10 and 20 ns");
     }
 
     #[test]
@@ -923,10 +992,10 @@ mod tests {
                 if msg == 1 {
                     // Arm a wake for the SAME timestamp as an already-queued
                     // message: the message was pushed first, so it leads.
-                    ctx.wake_at(ctx.now() + Delay::from_ns(1));
+                    ctx.set_wake(0, Some(ctx.now() + Delay::from_ns(1)));
                 }
             }
-            fn on_wake(&mut self, _token: WakeToken, _ctx: &mut Ctx<'_, u32>) {
+            fn on_wake(&mut self, _timer: usize, _ctx: &mut Ctx<'_, u32>) {
                 self.log.push("wake");
             }
         }

@@ -10,12 +10,13 @@
 //!   implemented as a two-level scheduler — a bucketed near-horizon timer
 //!   wheel in front of a binary heap for far-future events,
 //! - [`Component`]: the trait simulated hardware blocks implement,
-//! - first-class timers: [`Ctx::wake_at`] / [`Ctx::cancel_wake`] with a
-//!   [`WakeToken`], so a component sleeps while idle and re-arms or
-//!   cancels its own wakeup instead of ticking every cycle,
-//! - the shared clocked-component protocol ([`wake`]): sans-event cores
-//!   report their next interesting instant from a `next_wake` method and
-//!   their engine wrappers keep exactly one [`AutoWake`] timer armed at it.
+//! - engine-owned component timers: [`Ctx::set_wake`] arms, moves or
+//!   disarms a component's timer by index, so a component sleeps while
+//!   idle instead of ticking every cycle. This carries the shared
+//!   clocked-component protocol (worked example on [`Ctx::set_wake`]):
+//!   sans-event cores report their next interesting instant from a
+//!   `next_wake` method and their engine wrappers keep one timer armed
+//!   at it.
 //!
 //! ## Determinism
 //!
@@ -65,13 +66,11 @@ mod engine;
 pub mod inline;
 pub mod pool;
 mod time;
-pub mod wake;
 pub mod wheel;
 
 pub use engine::{
-    AsAnyComponent, Component, ComponentId, Ctx, Engine, EngineStats, WakeToken, KEYED_EVENT_BIT,
+    AsAnyComponent, Component, ComponentId, Ctx, Engine, EngineStats, KEYED_EVENT_BIT,
 };
 pub use inline::InlineVec;
 pub use time::{Delay, Time};
-pub use wake::AutoWake;
 pub use wheel::EventQueue;

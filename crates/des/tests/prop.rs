@@ -3,7 +3,7 @@
 //! straddle the two-level scheduler's wheel/far boundary and timers that
 //! race messages.
 
-use hmc_des::{Component, Ctx, Delay, Engine, Time, WakeToken};
+use hmc_des::{Component, Ctx, Delay, Engine, Time};
 use proptest::prelude::*;
 
 /// Records every delivery as `(time_ps, payload)`.
@@ -108,7 +108,7 @@ proptest! {
 
     /// A component that re-arms a timer after every wake sees exactly the
     /// deadlines it asked for, in order, regardless of message traffic
-    /// around them; cancelled deadlines never fire.
+    /// around them; a deadline moved away never fires.
     #[test]
     fn timers_fire_in_order_and_cancel_cleanly(
         periods in prop::collection::vec(1u64..20_000, 1..40),
@@ -117,7 +117,6 @@ proptest! {
         struct Chain {
             periods: Vec<u64>,
             next: usize,
-            token: Option<WakeToken>,
             fired_at: Vec<u64>,
             cancel_each: bool,
         }
@@ -126,23 +125,22 @@ proptest! {
                 if let Some(&p) = self.periods.get(self.next) {
                     self.next += 1;
                     if self.cancel_each {
-                        // Arm a decoy, cancel it, then arm the real one:
-                        // the decoy must be invisible.
-                        let decoy = ctx.wake_at(ctx.now() + Delay::from_ps(p / 2 + 1));
-                        assert!(ctx.cancel_wake(decoy));
+                        // Arm a decoy just before the real deadline, then
+                        // move the timer there: the decoy must be invisible.
+                        ctx.set_wake(0, Some(ctx.now() + Delay::from_ps(p - 1)));
                     }
-                    self.token = Some(ctx.wake_at(ctx.now() + Delay::from_ps(p)));
+                    ctx.set_wake(0, Some(ctx.now() + Delay::from_ps(p)));
                 }
             }
         }
         impl Component<u32> for Chain {
             fn on_message(&mut self, _msg: u32, ctx: &mut Ctx<'_, u32>) {
-                if self.token.is_none() {
+                if self.next == 0 {
                     self.arm(ctx);
                 }
             }
-            fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, u32>) {
-                assert_eq!(Some(token), self.token);
+            fn on_wake(&mut self, timer: usize, ctx: &mut Ctx<'_, u32>) {
+                assert_eq!(timer, 0);
                 self.fired_at.push(ctx.now().as_ps());
                 self.arm(ctx);
             }
@@ -151,7 +149,6 @@ proptest! {
         let id = e.add_component(Box::new(Chain {
             periods: periods.clone(),
             next: 0,
-            token: None,
             fired_at: Vec::new(),
             cancel_each,
         }));
@@ -257,43 +254,34 @@ mod inline_vec_matches_vec {
     }
 }
 
-/// The wake-slot table must hand out distinct live tokens, survive heavy
-/// arm/cancel churn, and never fire a cancelled timer — the invariants the
-/// old `HashSet` bookkeeping provided, now under slot reuse.
+/// The engine's per-component timer slots survive heavy arm/disarm churn
+/// across many timer indices, and a disarmed timer never fires.
 mod wake_slot_reuse {
-    use hmc_des::{Component, Ctx, Engine, Time, WakeToken};
+    use hmc_des::{Component, Ctx, Engine, Time};
     use proptest::prelude::*;
 
-    /// Arms one wake per scripted deadline, cancelling every other one;
-    /// records fires.
+    /// Arms timer `i` at scripted deadline `i`, then disarms (twice) every
+    /// timer not marked kept; records fires.
     struct Churner {
         deadlines: Vec<(u64, bool)>,
-        armed: Vec<(WakeToken, bool)>,
         fires: Vec<u64>,
     }
 
     impl Component<u8> for Churner {
         fn on_message(&mut self, _msg: u8, ctx: &mut Ctx<'_, u8>) {
-            for &(at, keep) in &self.deadlines {
-                let token = ctx.wake_at(ctx.now() + hmc_des::Delay::from_ps(at));
-                self.armed.push((token, keep));
+            for (timer, &(at, _)) in self.deadlines.iter().enumerate() {
+                ctx.set_wake(timer, Some(ctx.now() + hmc_des::Delay::from_ps(at)));
             }
-            let to_cancel: Vec<WakeToken> = self
-                .armed
-                .iter()
-                .filter(|&&(_, keep)| !keep)
-                .map(|&(t, _)| t)
-                .collect();
-            for t in to_cancel {
-                assert!(ctx.cancel_wake(t), "live token cancels exactly once");
-                assert!(!ctx.cancel_wake(t), "second cancel reports dead");
+            for (timer, &(_, keep)) in self.deadlines.iter().enumerate() {
+                if !keep {
+                    ctx.set_wake(timer, None);
+                    // A second disarm finds nothing armed: no cancel.
+                    ctx.set_wake(timer, None);
+                }
             }
         }
-        fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, u8>) {
-            assert!(
-                self.armed.iter().any(|&(t, keep)| t == token && keep),
-                "only kept tokens fire"
-            );
+        fn on_wake(&mut self, timer: usize, ctx: &mut Ctx<'_, u8>) {
+            assert!(self.deadlines[timer].1, "only kept timers fire");
             self.fires.push(ctx.now().as_ps());
         }
     }
@@ -306,7 +294,6 @@ mod wake_slot_reuse {
             let mut e: Engine<u8> = Engine::new();
             let id = e.add_component(Box::new(Churner {
                 deadlines: deadlines.clone(),
-                armed: Vec::new(),
                 fires: Vec::new(),
             }));
             e.schedule(Time::ZERO, id, 0);

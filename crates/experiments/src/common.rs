@@ -1,6 +1,6 @@
 //! Shared experiment plumbing: scales, parallel sweeps, run helpers.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hmc_sim::des::EngineStats;
@@ -22,51 +22,30 @@ pub enum Scale {
     Full,
 }
 
-/// Aggregate event-engine counters across every simulation a context ran,
-/// summed with atomics so parallel sweep jobs can record concurrently.
-/// The sums are order-independent, so the tally is thread-count-invariant
-/// like everything else an experiment reports.
+/// Aggregate event-engine counters across every simulation a context ran:
+/// the run count and the summed [`EngineStats`], behind one lock so
+/// parallel sweep jobs can record concurrently. The sums are
+/// order-independent, so the tally is thread-count-invariant like
+/// everything else an experiment reports.
 #[derive(Debug, Default)]
-pub struct EngineTally {
-    runs: AtomicU64,
-    dispatched: AtomicU64,
-    wake_fires: AtomicU64,
-    wake_cancels: AtomicU64,
-    scratch_spills: AtomicU64,
-}
+pub struct EngineTally(Mutex<(u64, EngineStats)>);
 
 impl EngineTally {
     /// Adds one finished simulation's counters.
-    pub(crate) fn record(&self, stats: &EngineStats) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.dispatched
-            .fetch_add(stats.dispatched, Ordering::Relaxed);
-        self.wake_fires
-            .fetch_add(stats.wake_fires, Ordering::Relaxed);
-        self.wake_cancels
-            .fetch_add(stats.wake_cancels, Ordering::Relaxed);
-        self.scratch_spills
-            .fetch_add(stats.scratch_spills, Ordering::Relaxed);
+    pub(crate) fn record(&self, stats: EngineStats) {
+        let mut tally = self.0.lock().expect("engine tally");
+        tally.0 += 1;
+        tally.1 += stats;
     }
 
     /// Clears the tally (the `repro` driver resets it per experiment).
     pub(crate) fn reset(&self) {
-        self.runs.store(0, Ordering::Relaxed);
-        self.dispatched.store(0, Ordering::Relaxed);
-        self.wake_fires.store(0, Ordering::Relaxed);
-        self.wake_cancels.store(0, Ordering::Relaxed);
-        self.scratch_spills.store(0, Ordering::Relaxed);
+        *self.0.lock().expect("engine tally") = Default::default();
     }
 
-    /// `(runs, dispatched, wake_fires, wake_cancels, scratch_spills)`.
-    pub(crate) fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.runs.load(Ordering::Relaxed),
-            self.dispatched.load(Ordering::Relaxed),
-            self.wake_fires.load(Ordering::Relaxed),
-            self.wake_cancels.load(Ordering::Relaxed),
-            self.scratch_spills.load(Ordering::Relaxed),
-        )
+    /// `(runs, summed counters)`.
+    pub(crate) fn snapshot(&self) -> (u64, EngineStats) {
+        *self.0.lock().expect("engine tally")
     }
 }
 
@@ -123,7 +102,7 @@ impl ExpContext {
     pub(crate) fn run_gups(&self, sim: FabricSim) -> RunReport {
         let mut sim = sim.with_domains(self.domains);
         let report = sim.run_gups(self.gups_warmup(), self.gups_measure());
-        self.stats.record(&sim.engine_stats());
+        self.stats.record(sim.engine_stats());
         report
     }
 
@@ -132,7 +111,7 @@ impl ExpContext {
     pub(crate) fn run_streams(&self, sim: FabricSim) -> RunReport {
         let mut sim = sim.with_domains(self.domains);
         let report = sim.run_streams();
-        self.stats.record(&sim.engine_stats());
+        self.stats.record(sim.engine_stats());
         report
     }
 

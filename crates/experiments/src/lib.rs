@@ -321,7 +321,7 @@ pub fn run_by_name(name: &str, ctx: &ExpContext) -> Option<Outcome> {
 
 /// The event-engine counter tally as a one-row table.
 fn engine_stats_table(ctx: &ExpContext) -> Table {
-    let (runs, dispatched, wake_fires, wake_cancels, scratch_spills) = ctx.stats.snapshot();
+    let (runs, stats) = ctx.stats.snapshot();
     let mut t = Table::new([
         "runs",
         "dispatched",
@@ -331,10 +331,10 @@ fn engine_stats_table(ctx: &ExpContext) -> Table {
     ]);
     t.row([
         runs.to_string(),
-        dispatched.to_string(),
-        wake_fires.to_string(),
-        wake_cancels.to_string(),
-        scratch_spills.to_string(),
+        stats.dispatched.to_string(),
+        stats.wake_fires.to_string(),
+        stats.wake_cancels.to_string(),
+        stats.scratch_spills.to_string(),
     ]);
     t
 }

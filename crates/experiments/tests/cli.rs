@@ -146,18 +146,14 @@ fn deadline_flag_is_validated() {
 #[test]
 fn exceeded_deadline_trips_the_watchdog_and_exits_3() {
     // `all` at quick scale runs for well over a second; a 1 s deadline
-    // must end the process from the watchdog's callback, with the
-    // progress diagnostic. --domains 2 makes the scheduler count real
-    // rendezvous rounds for that diagnostic.
+    // must end the process from the watchdog thread.
     let out = repro(&["--deadline", "1", "--domains", "2", "--json", "all"]);
     assert_eq!(out.status.code(), Some(3), "watchdog exit code");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("--deadline 1s exceeded; watchdog tripped after"),
+        err.contains("--deadline 1s exceeded; watchdog tripped"),
         "{err}"
     );
-    assert!(err.contains("scheduler rounds"), "{err}");
-    assert!(err.contains("lookahead windows"), "{err}");
 }
 
 #[test]

@@ -107,7 +107,7 @@ impl DomainPlan {
 /// `mins`, every bound is at least `mins + l`, so it always dispatches
 /// at least its earliest event (`l > 0` is required for that, and the
 /// scheduler runs zero-lookahead configurations as one domain). The
-/// published `mins` may be conservative (a cancelled timer's slot
+/// published `mins` may be conservative (a moved timer's stale entry
 /// counts), which can only shrink horizons, never break them.
 pub(crate) fn horizon(d: usize, mins: &[u64], dist_to: &[u32], l: u64) -> u64 {
     if !dist_to.contains(&1) {

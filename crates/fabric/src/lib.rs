@@ -46,7 +46,6 @@ mod domain;
 mod report;
 mod route;
 mod sim;
-pub mod watchdog;
 
 pub use config::{CubeId, FabricConfig, HopTuning, Topology};
 pub use hmc_faults::{FaultPlan, LinkFaultSpec, LinkKey};

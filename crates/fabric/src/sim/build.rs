@@ -3,7 +3,7 @@
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use hmc_des::{AutoWake, ComponentId, Delay, Engine, Time};
+use hmc_des::{ComponentId, Delay, Engine, Time};
 use hmc_device::{DeviceConfig, HmcDevice};
 use hmc_faults::{FaultPlan, LinkKey};
 use hmc_host::{HostConfig, HostModel, Port};
@@ -135,7 +135,6 @@ pub(super) fn pass_through(plan: &BuildPlan, probe: &Probe, c: usize) -> PassThr
         lookahead: plan.cfg.lookahead(),
         sw_dirty: false,
         tx_dirty: 0,
-        wake: AutoWake::new(),
         dep_scratch: Departures::new(),
         del_scratch: Deliveries::new(),
         probe: probe.clone(),
@@ -166,7 +165,6 @@ pub(super) fn build_domain(
             device.attach_probe(probe);
             engine.add_component(Box::new(CubeComp {
                 device,
-                dev_wake: AutoWake::new(),
                 host: None,
                 pass: (plan.n > 1).then(|| pass_through(plan, probe, c)),
             }))
@@ -197,7 +195,6 @@ pub(super) fn build_domain(
             cube0: comps[0],
             stop: None,
             period,
-            tick: AutoWake::new(),
             measure_start: Time::ZERO,
             measure_end: None,
             probe: probe.clone(),

@@ -1,13 +1,20 @@
 //! One cube as an engine component: its device and, in a fabric,
 //! its pass-through stage.
 
-use hmc_des::{AutoWake, Component, ComponentId, Ctx, Delay, WakeToken};
+use hmc_des::{Component, ComponentId, Ctx, Delay};
 use hmc_device::{DeviceOutput, HmcDevice};
 
 use crate::config::CubeId;
 
 use super::msg::{Msg, TransitBody, TransitMsg};
 use super::pass_through::PassThrough;
+
+/// The device's timer: armed at its next internal deadline (bank timers,
+/// switch busy intervals), disarmed while the device is drained.
+pub(super) const DEVICE_TIMER: usize = 0;
+/// The pass-through crossbar's timer: armed at its next output-free
+/// instant, disarmed while every queued head waits on credits.
+pub(super) const CROSSBAR_TIMER: usize = 1;
 
 /// One cube as the engine sees it: the device and, in a fabric, the
 /// pass-through stage that fronts its links. Host traffic reaches cube 0
@@ -18,9 +25,6 @@ use super::pass_through::PassThrough;
 /// schedule.
 pub(super) struct CubeComp {
     pub(super) device: HmcDevice,
-    /// Armed at the device's next internal deadline (bank timers, switch
-    /// busy intervals); disarmed while the device is drained.
-    pub(super) dev_wake: AutoWake,
     /// The host component — present only on cube 0 in the domain that
     /// owns it, wired once the host is registered.
     pub(super) host: Option<ComponentId>,
@@ -67,7 +71,7 @@ impl CubeComp {
         }
         let next = self.device.next_wake();
         debug_assert!(next.is_none_or(|t| t >= now), "device wake in the past");
-        self.dev_wake.set(ctx, next);
+        ctx.set_wake(DEVICE_TIMER, next);
     }
 }
 
@@ -95,14 +99,14 @@ impl Component<Msg> for CubeComp {
         self.service(ctx);
     }
 
-    fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, Msg>) {
-        if self.dev_wake.fired(token) {
-            self.service(ctx);
-        } else if let Some(pass) = &mut self.pass {
-            if pass.wake.fired(token) {
+    fn on_wake(&mut self, timer: usize, ctx: &mut Ctx<'_, Msg>) {
+        match (timer, &mut self.pass) {
+            (DEVICE_TIMER, _) => self.service(ctx),
+            (CROSSBAR_TIMER, Some(pass)) => {
                 pass.sw_dirty = true;
                 pass.pump(ctx.now(), self.host, ctx);
             }
+            _ => unreachable!("a single cube arms only its device timer"),
         }
     }
 

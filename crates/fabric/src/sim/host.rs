@@ -1,10 +1,14 @@
 //! The host as an engine component.
 
-use hmc_des::{AutoWake, Component, ComponentId, Ctx, Delay, Time, WakeToken};
+use hmc_des::{Component, ComponentId, Ctx, Delay, Time};
 use hmc_host::{HostEvent, HostEvents, HostModel};
 use hmc_telemetry::Probe;
 
 use super::msg::Msg;
+
+/// The host's one timer: armed at the model's next interesting FPGA
+/// cycle, disarmed while the host is idle.
+const TICK: usize = 0;
 
 pub(super) struct HostComp {
     pub(super) model: HostModel,
@@ -14,9 +18,6 @@ pub(super) struct HostComp {
     /// ticks until every trace is issued and answered.
     pub(super) stop: Option<Time>,
     pub(super) period: Delay,
-    /// The tick timer: armed at the model's next interesting FPGA cycle,
-    /// disarmed while the host is idle.
-    pub(super) tick: AutoWake,
     pub(super) measure_start: Time,
     pub(super) measure_end: Option<Time>,
     /// Telemetry probe; its epoch window re-anchors when monitors reset.
@@ -62,20 +63,15 @@ impl HostComp {
     /// Moves the tick timer to the model's next interesting instant:
     /// `HostModel::next_wake` snapped forward past the cycle just run (so
     /// a tick never re-fires at its own timestamp) and gated by the stop
-    /// time. With no interesting instant the timer is cancelled — the
+    /// time. With no interesting instant the timer is disarmed — the
     /// idle-skip at the heart of the event-driven core.
     fn arm_tick(&mut self, ctx: &mut Ctx<'_, Msg>, just_ticked: bool) {
         let now = ctx.now();
         let at = match self.model.next_wake(now) {
-            Some(t) if just_ticked => t.max(now + self.period),
-            Some(t) => t,
-            None => {
-                self.tick.set(ctx, None);
-                return;
-            }
+            Some(t) if just_ticked => Some(t.max(now + self.period)),
+            at => at,
         };
-        let want = self.should_tick_at(at).then_some(at);
-        self.tick.set(ctx, want);
+        ctx.set_wake(TICK, at.filter(|&at| self.should_tick_at(at)));
     }
 }
 
@@ -111,10 +107,9 @@ impl Component<Msg> for HostComp {
         }
     }
 
-    fn on_wake(&mut self, token: WakeToken, ctx: &mut Ctx<'_, Msg>) {
-        if self.tick.fired(token) {
-            self.do_tick(ctx);
-        }
+    fn on_wake(&mut self, timer: usize, ctx: &mut Ctx<'_, Msg>) {
+        debug_assert_eq!(timer, TICK, "the host has one timer");
+        self.do_tick(ctx);
     }
 
     fn name(&self) -> &str {

@@ -1,7 +1,7 @@
 //! A cube's pass-through stage: the crossbar and serializers that
 //! forward transit traffic between device, fabric and host links.
 
-use hmc_des::{AutoWake, ComponentId, Ctx, Delay, Time};
+use hmc_des::{ComponentId, Ctx, Delay, Time};
 use hmc_link::{Deliveries, LinkConfig, LinkTx, LinkWidth};
 use hmc_noc::{Departures, SwitchCore, SwitchEntry};
 use hmc_packet::LinkId;
@@ -11,6 +11,7 @@ use crate::config::CubeId;
 use crate::report::TransitStats;
 use crate::route::RouteTable;
 
+use super::cube::CROSSBAR_TIMER;
 use super::msg::{EdgeCtl, Msg, TransitBody, TransitMsg};
 
 /// Port layout of one cube's pass-through crossbar:
@@ -91,7 +92,7 @@ pub(super) struct PassThrough {
     /// reverse SerDes and arrive this much later.
     pub(super) lookahead: Delay,
     /// The crossbar needs service: a fresh enqueue, a credit return that
-    /// un-starved an output, or the armed time wake fired.
+    /// un-starved an output, or the crossbar timer fired.
     pub(super) sw_dirty: bool,
     /// Per-port bitmask of egress serializers needing service: a fresh
     /// egress enqueue or a token return that un-starved the head. Clean
@@ -103,9 +104,6 @@ pub(super) struct PassThrough {
     ///
     /// [`FabricConfig::validate`]: crate::FabricConfig::validate
     pub(super) tx_dirty: u64,
-    /// Armed at the crossbar's next output-free instant; disarmed while
-    /// every queued head waits on credits (the credit return notifies).
-    pub(super) wake: AutoWake,
     /// Reused departure scratch for crossbar service.
     pub(super) dep_scratch: Departures<TransitMsg>,
     /// Reused delivery scratch for egress serializer service.
@@ -138,8 +136,8 @@ impl PassThrough {
 
     /// Takes in one crossbar-bound message and reports whether a pump is
     /// due. A credit or token return into a pool nobody starves on
-    /// unblocks nothing — time-driven progress is covered by the armed
-    /// wake — so it skips the pump entirely.
+    /// unblocks nothing — time-driven progress is covered by the crossbar
+    /// timer — so it skips the pump entirely.
     pub(super) fn accept(&mut self, msg: Msg) -> bool {
         match msg {
             // The host's links in a fabric: cube 0's crossbar host ports.
@@ -208,7 +206,7 @@ impl PassThrough {
 
     /// Runs crossbar and egress service to a fixpoint, but only over the
     /// parts marked dirty: the crossbar when something enqueued, a credit
-    /// un-starved an output or its time wake fired; each serializer when
+    /// un-starved an output or its timer fired; each serializer when
     /// something entered it or a token return un-starved its head.
     /// Handoffs to the local device and to the egress serializers are
     /// messages to the cube's own component; `host` receives what leaves
@@ -337,7 +335,7 @@ impl PassThrough {
                 }
             }
         }
-        self.wake.set(ctx, self.sw.next_wake(now));
+        ctx.set_wake(CROSSBAR_TIMER, self.sw.next_wake(now));
     }
 
     pub(super) fn transit_stats(&self) -> TransitStats {

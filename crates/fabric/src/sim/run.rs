@@ -72,12 +72,7 @@ impl Harvest {
     /// run on — so the sums match a one-domain run exactly.
     pub(super) fn absorb(&mut self, other: Harvest) {
         self.cubes.extend(other.cubes);
-        let (a, b) = (&mut self.engine, other.engine);
-        a.dispatched += b.dispatched;
-        a.pending += b.pending;
-        a.wake_fires += b.wake_fires;
-        a.wake_cancels += b.wake_cancels;
-        a.scratch_spills += b.scratch_spills;
+        self.engine += other.engine;
         self.last = self.last.max(other.last);
         self.window_events += other.window_events;
         if other.host.is_some() {
@@ -262,12 +257,6 @@ pub(super) fn run_group(
         let ladder = plan_windows(&snapshot, &sh.dplan.dist, sh.l);
         tally.rounds += 1;
         tally.windows += ladder.len() as u64;
-        if runs.iter().any(|r| r.d == 0) {
-            // Lead group only, so the process-wide watchdog progress
-            // counters count rounds once, not once per worker.
-            crate::watchdog::note_round();
-            crate::watchdog::note_windows(ladder.len() as u64);
-        }
         for (k, horizons) in ladder.iter().enumerate() {
             let level = base + k as u64;
             for r in runs.iter_mut() {

@@ -674,8 +674,8 @@ impl HmcDevice {
 
     /// The earliest instant at which internal state changes without new
     /// input, or `None` if the device is quiescent. The calendar is
-    /// absolute, so unlike the [`hmc_des::wake`] protocol's cores this
-    /// query takes no `now`.
+    /// absolute, so unlike the clocked-component protocol's cores (see
+    /// [`hmc_des::Ctx::set_wake`]) this query takes no `now`.
     ///
     /// The answer reflects the device as of the last
     /// [`HmcDevice::advance`], which stores the switches' busy-interval

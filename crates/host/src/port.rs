@@ -437,7 +437,9 @@ mod tests {
     use super::*;
     use hmc_mapping::{AccessPattern, AddressMap, VaultId};
     use hmc_packet::{Address, PayloadSize, RequestKind};
-    use hmc_workloads::{GupsOp, GupsSource, PointerChase, Trace, TraceReplay, UniformSource};
+    use hmc_workloads::{
+        random_reads_in_vaults, GupsOp, GupsSource, PointerChase, Trace, TraceReplay,
+    };
 
     fn gups_port(tags: u16) -> Port {
         let map = AddressMap::hmc_gen2_default();
@@ -591,8 +593,8 @@ mod tests {
     #[test]
     fn bounded_uniform_source_finishes_without_activation() {
         let map = AddressMap::hmc_gen2_default();
-        let src = UniformSource::reads_in_vaults(&map, &[VaultId(0)], PayloadSize::B32, Some(2), 1);
-        let mut p = Port::new(PortId(0), Box::new(src), 8);
+        let trace = random_reads_in_vaults(&map, &[VaultId(0)], PayloadSize::B32, 2, 1);
+        let mut p = Port::new(PortId(0), Box::new(TraceReplay::new(trace)), 8);
         let a = p.try_issue(Time::ZERO).unwrap();
         let b = p.try_issue(Time::ZERO).unwrap();
         assert!(p.try_issue(Time::ZERO).is_none());

@@ -35,9 +35,7 @@ fn unroll(mut source: impl TrafficSource) -> Trace {
 /// read requests mapped within" a chosen structural subset.
 ///
 /// Addresses are drawn uniformly and independently; determinism comes from
-/// the caller-provided `seed`. The eager form of
-/// [`UniformSource::reads_in_vaults`]: both emit the same sequence for the
-/// same seed.
+/// the caller-provided `seed`.
 ///
 /// # Panics
 ///
@@ -53,7 +51,7 @@ pub fn random_reads_in_vaults(
         map,
         vaults,
         size,
-        Some(count as u64),
+        count as u64,
         seed,
     ))
 }
@@ -89,7 +87,7 @@ pub fn random_reads_in_banks(
 
 /// Generates a linear (sequential-address) read sweep of `count` requests
 /// of `size` bytes starting at `base` — the GUPS "linear mode of
-/// addressing". The eager form of [`LinearSource`].
+/// addressing".
 pub fn linear_reads(base: Address, size: PayloadSize, count: usize) -> Trace {
     unroll(LinearSource::new(base, size, count as u64))
 }

@@ -37,7 +37,8 @@
 //! completed since the previous call exactly once, so a closed-loop
 //! source just reacts to completions. Here is a complete dependent-stride
 //! source — each read's *result* unlocks the next read one stride away
-//! (mirroring the style of the `hmc_des::wake` worked example):
+//! (mirroring the style of the clocked-component example on
+//! `hmc_des::Ctx::set_wake`):
 //!
 //! ```
 //! use hmc_des::Time;
@@ -119,8 +120,7 @@ pub use generate::{
     VaultCombinations,
 };
 pub use source::{
-    source_factory, Completion, Feedback, GlobalGupsSource, GupsOp, GupsSource, LinearSource,
-    OffloadSource, PointerChase, SourceFactory, SourceStep, TraceReplay, TrafficSource,
-    UniformSource,
+    source_factory, Completion, Feedback, GlobalGupsSource, GupsOp, GupsSource, OffloadSource,
+    PointerChase, SourceFactory, SourceStep, TraceReplay, TrafficSource,
 };
 pub use trace::{Trace, TraceOp};

@@ -11,9 +11,6 @@
 //!   mask/anti-mask filter), now emitted lazily;
 //! - [`TraceReplay`] — the multi-port stream firmware, streaming an
 //!   existing [`Trace`] without copying it per request;
-//! - [`UniformSource`] / [`LinearSource`] — the uniform/linear generators
-//!   of [`crate::random_reads_in_vaults`] / [`crate::linear_reads`], lazy
-//!   and optionally unbounded;
 //! - [`PointerChase`] — N walkers each deriving their next address
 //!   deterministically from the completed transaction: the unloaded-latency
 //!   probe of the companion study (Hadidi et al., ISPASS 2017);
@@ -370,32 +367,28 @@ impl TrafficSource for TraceReplay {
     }
 }
 
-/// Lazy uniform-random reads confined to a vault set — the workload of
-/// [`crate::random_reads_in_vaults`], emitted on demand. A bounded source
-/// (`count: Some(n)`) draws exactly the same address sequence as the eager
-/// generator with the same seed; an unbounded one (`count: None`) keeps
-/// drawing for as long as the port's activation window lasts.
+/// Lazy uniform-random reads confined to a vault set: the generator that
+/// [`crate::random_reads_in_vaults`] unrolls.
 #[derive(Debug, Clone)]
-pub struct UniformSource {
+pub(crate) struct UniformSource {
     map: AddressMap,
     vaults: Vec<VaultId>,
     size: PayloadSize,
-    remaining: Option<u64>,
+    remaining: u64,
     rng: SmallRng,
 }
 
 impl UniformSource {
-    /// Uniform reads of `size` bytes over `vaults`; `count: None` is
-    /// unbounded (duration-gated).
+    /// `count` uniform reads of `size` bytes over `vaults`.
     ///
     /// # Panics
     ///
     /// Panics if `vaults` is empty or contains an out-of-range vault.
-    pub fn reads_in_vaults(
+    pub(crate) fn reads_in_vaults(
         map: &AddressMap,
         vaults: &[VaultId],
         size: PayloadSize,
-        count: Option<u64>,
+        count: u64,
         seed: u64,
     ) -> UniformSource {
         assert!(!vaults.is_empty(), "need at least one vault");
@@ -431,12 +424,10 @@ pub(crate) fn aligned_offset(
 
 impl TrafficSource for UniformSource {
     fn next(&mut self, _now: Time, _feedback: &Feedback<'_>) -> SourceStep {
-        if let Some(left) = &mut self.remaining {
-            if *left == 0 {
-                return SourceStep::Done;
-            }
-            *left -= 1;
+        if self.remaining == 0 {
+            return SourceStep::Done;
         }
+        self.remaining -= 1;
         let g = self.map.geometry();
         let vault = self.vaults[self.rng.gen_range(0..self.vaults.len())];
         let bank = BankId(self.rng.gen_range(0..g.banks_per_vault));
@@ -450,19 +441,15 @@ impl TrafficSource for UniformSource {
         ))
     }
 
-    fn duration_gated(&self) -> bool {
-        self.remaining.is_none()
-    }
-
     fn label(&self) -> &'static str {
         "uniform"
     }
 }
 
-/// Lazy sequential reads — the workload of [`crate::linear_reads`],
-/// emitted on demand instead of materialized.
+/// Lazy sequential reads: the generator that [`crate::linear_reads`]
+/// unrolls.
 #[derive(Debug, Clone)]
-pub struct LinearSource {
+pub(crate) struct LinearSource {
     next_addr: u64,
     size: PayloadSize,
     remaining: u64,
@@ -876,14 +863,10 @@ mod tests {
         let m = map();
         let vaults = [VaultId(1), VaultId(9)];
         let eager = random_reads_in_vaults(&m, &vaults, PayloadSize::B64, 64, 77);
-        let mut lazy = UniformSource::reads_in_vaults(&m, &vaults, PayloadSize::B64, Some(64), 77);
+        let mut lazy = UniformSource::reads_in_vaults(&m, &vaults, PayloadSize::B64, 64, 77);
         let ops = drain(&mut lazy, 8, 100);
         assert_eq!(ops, eager.ops(), "lazy and eager draws must be identical");
-        assert!(!lazy.duration_gated(), "bounded uniform runs to exhaustion");
-        assert!(
-            UniformSource::reads_in_vaults(&m, &vaults, PayloadSize::B64, None, 0).duration_gated(),
-            "unbounded uniform is window-gated"
-        );
+        assert!(!lazy.duration_gated(), "uniform runs to exhaustion");
     }
 
     #[test]
